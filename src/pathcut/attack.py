@@ -53,12 +53,6 @@ class AttackConfig:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
 
 
-def _working_graph(g: Graph, costs, weights) -> Graph:
-    if costs is None and weights is None:
-        return g
-    return g.with_edge_data(weights=weights, costs=costs)
-
-
 def _validate_target_path(g: Graph, p_star: Path) -> None:
     if p_star.num_edges == 0:
         raise InputError("target path must have at least one edge")
@@ -73,32 +67,32 @@ def _certificate(g: Graph, competitor: Optional[Path], p_len):
     return (competitor.nodes, path_length(g, competitor), p_len)
 
 
-def pathattack(g: Graph, p_star: Path, cfg: AttackConfig, costs=None, weights=None) -> CutPlan:
+def pathattack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
     """Constraint-generation attack (LP or greedy subproblem per ``cfg``).
 
     Starting from an empty constraint set, alternate between covering the
     constraints found so far (a fresh subproblem over the original graph)
     and asking the oracle for the next competing path in the residual
-    graph. Stops when the oracle's path is strictly longer than the target
-    (or absent); that final oracle call is the feasibility certificate.
+    graph. The residual is never built: it is ``g`` with the current cut
+    passed to the oracle as banned edges. Stops when the oracle's path is
+    strictly longer than the target (or absent); that final oracle call is
+    the feasibility certificate.
     """
     if cfg.method not in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY):
         raise InputError(f"pathattack does not implement {cfg.method!r}")
-    work = _working_graph(g, costs, weights)
-    _validate_target_path(work, p_star)
+    _validate_target_path(g, p_star)
     s, t = p_star.source, p_star.target
-    p_len = path_length(work, p_star)
-    cap = cfg.iteration_cap if cfg.iteration_cap is not None else 10 * work.edge_count
+    p_len = path_length(g, p_star)
+    cap = cfg.iteration_cap if cfg.iteration_cap is not None else 10 * g.edge_count
     rng = np.random.default_rng(cfg.rng_seed)
 
     constraints: list[Path] = []
     removed: frozenset = frozenset()
-    residual = work
     retries = 0
     last_lp: Optional[LPCoverResult] = None
     while True:
-        p = next_shortest_excluding(residual, s, t, p_star)
-        if p is None or strictly_longer(path_length(residual, p), p_len):
+        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed)
+        if p is None or strictly_longer(path_length(g, p), p_len):
             break
         constraints.append(p)
         if len(constraints) > cap:
@@ -108,16 +102,15 @@ def pathattack(g: Graph, p_star: Path, cfg: AttackConfig, costs=None, weights=No
             )
         if cfg.method == METHOD_PATHATTACK_LP:
             last_lp = lp_path_cover(
-                work, p_star, constraints, rng, retry_cap=cfg.rounding_retry_cap
+                g, p_star, constraints, rng, retry_cap=cfg.rounding_retry_cap
             )
             removed = last_lp.edges
             retries += last_lp.retries
         else:
-            removed = greedy_path_cover(work, p_star, constraints)
-        residual = work.remove_edges(removed)
+            removed = greedy_path_cover(g, p_star, constraints)
 
     return make_cut_plan(
-        work,
+        g,
         p_star,
         removed,
         cfg.method,
@@ -127,7 +120,7 @@ def pathattack(g: Graph, p_star: Path, cfg: AttackConfig, costs=None, weights=No
         rng_seed=cfg.rng_seed,
         lp_objective=last_lp.solution.objective_value if last_lp else None,
         lp_integral=is_integral(last_lp.solution) if last_lp else None,
-        certificate=_certificate(residual, p, p_len),
+        certificate=_certificate(g, p, p_len),
     )
 
 
@@ -135,28 +128,26 @@ def _greedy_baseline(g: Graph, p_star: Path, choose, method_tag: str,
                      iteration_cap: Optional[int] = None) -> CutPlan:
     """Shared loop of the two baselines: while the current best competing
     path is not longer than the target, cut one of its unprotected edges
-    chosen by ``choose``."""
+    chosen by ``choose(candidates, removed)``."""
     _validate_target_path(g, p_star)
     s, t = p_star.source, p_star.target
     p_len = path_length(g, p_star)
     protected = frozenset(p_star.edges)
     cap = iteration_cap if iteration_cap is not None else 10 * g.edge_count
     removed: set = set()
-    residual = g
     while True:
-        p = next_shortest_excluding(residual, s, t, p_star)
-        if p is None or strictly_longer(path_length(residual, p), p_len):
+        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed)
+        if p is None or strictly_longer(path_length(g, p), p_len):
             break
         candidates = [e for e in p.edges if e not in protected]
         # Two simple paths with the same endpoints cannot share all edges,
         # so there is always something to cut.
-        removed.add(choose(candidates))
+        removed.add(choose(candidates, removed))
         if len(removed) > cap:
             raise IterationLimitError(
                 f"no feasible plan within {cap} removals",
                 partial={"removed_edges": frozenset(removed)},
             )
-        residual = g.remove_edges(removed)
     return make_cut_plan(
         g,
         p_star,
@@ -164,57 +155,43 @@ def _greedy_baseline(g: Graph, p_star: Path, choose, method_tag: str,
         method_tag,
         iterations=len(removed),
         rng_seed=None,
-        certificate=_certificate(residual, p, p_len),
+        certificate=_certificate(g, p, p_len),
     )
 
 
-def greedy_cost(g: Graph, p_star: Path, costs=None, weights=None,
-                iteration_cap: Optional[int] = None) -> CutPlan:
+def greedy_cost(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> CutPlan:
     """Baseline: always cut the cheapest unprotected edge of the current
     best competing path (ties: smallest edge key)."""
-    work = _working_graph(g, costs, weights)
 
-    def choose(candidates):
-        return min(candidates, key=lambda e: (work.cost(*e), e))
+    def choose(candidates, removed):
+        return min(candidates, key=lambda e: (g.cost(*e), e))
 
-    return _greedy_baseline(work, p_star, choose, METHOD_GREEDY_COST, iteration_cap)
+    return _greedy_baseline(g, p_star, choose, METHOD_GREEDY_COST, iteration_cap)
 
 
-def greedy_eigenscore(g: Graph, p_star: Path, costs=None, weights=None,
-                      recompute: bool = False,
+def greedy_eigenscore(g: Graph, p_star: Path, recompute: bool = False,
                       iteration_cap: Optional[int] = None) -> CutPlan:
     """Baseline: cut the unprotected edge with the largest eigenscore per
     unit cost, where an edge's eigenscore is the product of the principal
     adjacency-eigenvector entries at its endpoints.
 
     Scores are computed once on the input graph; ``recompute=True``
-    refreshes them after every cut instead.
+    refreshes them on the residual graph before every cut instead.
     """
-    work = _working_graph(g, costs, weights)
-    state = {"vector": principal_eigenvector(work), "graph": work}
+    frozen = None if recompute else principal_eigenvector(g)
 
-    def ratio(e):
-        u, v = e
-        score = float(state["vector"][u] * state["vector"][v])
-        cost = work.cost(u, v)
-        return math.inf if cost == 0 else score / cost
+    def choose(candidates, removed):
+        vector = principal_eigenvector(g.remove_edges(removed)) if recompute else frozen
 
-    def choose(candidates):
-        if recompute and state["graph"] is not None:
-            state["vector"] = principal_eigenvector(state["graph"])
+        def ratio(e):
+            u, v = e
+            score = float(vector[u] * vector[v])
+            cost = g.cost(u, v)
+            return math.inf if cost == 0 else score / cost
+
         return min(candidates, key=lambda e: (-ratio(e), e))
 
-    if not recompute:
-        plan = _greedy_baseline(work, p_star, choose, METHOD_GREEDY_EIGENSCORE, iteration_cap)
-        return plan
-
-    # Recomputing variant tracks the residual graph alongside the loop.
-    def choose_tracking(candidates):
-        e = choose(candidates)
-        state["graph"] = state["graph"].remove_edges([e])
-        return e
-
-    return _greedy_baseline(work, p_star, choose_tracking, METHOD_GREEDY_EIGENSCORE, iteration_cap)
+    return _greedy_baseline(g, p_star, choose, METHOD_GREEDY_EIGENSCORE, iteration_cap)
 
 
 def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) -> np.ndarray:
@@ -246,18 +223,15 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
-def run_attack(g: Graph, p_star: Path, cfg: AttackConfig, costs=None, weights=None) -> CutPlan:
+def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
     """Dispatch on ``cfg.method``."""
     if cfg.method in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY):
-        return pathattack(g, p_star, cfg, costs=costs, weights=weights)
+        return pathattack(g, p_star, cfg)
     if cfg.method == METHOD_GREEDY_COST:
-        return greedy_cost(g, p_star, costs=costs, weights=weights,
-                           iteration_cap=cfg.iteration_cap)
+        return greedy_cost(g, p_star, iteration_cap=cfg.iteration_cap)
     return greedy_eigenscore(
         g,
         p_star,
-        costs=costs,
-        weights=weights,
         recompute=cfg.recompute_eigenscores,
         iteration_cap=cfg.iteration_cap,
     )

@@ -34,15 +34,14 @@ def _cost_effectiveness(count: int, cost) -> float:
     return math.inf if cost == 0 else count / cost
 
 
-def greedy_path_cover(g: Graph, p_star: Path, paths: Sequence[Path], costs=None) -> frozenset:
+def greedy_path_cover(g: Graph, p_star: Path, paths: Sequence[Path]) -> frozenset:
     """Edge set intersecting every path in ``paths``, built greedily.
 
     Tables are initialized lazily (only edges that occur on some path get
     entries); the heap uses stale-entry skipping instead of decrease-key.
     Ties on cost-effectiveness go to the smallest canonical edge key.
     """
-    if costs is None:
-        costs = g.costs
+    costs = g.costs
     protected = frozenset(p_star.edges)
     paths_on_edge: dict[EdgeKey, set[int]] = {}
     edges_of_path: dict[int, set[EdgeKey]] = {}
@@ -104,7 +103,6 @@ def lp_path_cover(
     p_star: Path,
     paths: Sequence[Path],
     rng,
-    costs=None,
     retry_cap: int = DEFAULT_RETRY_CAP,
     solver=solve_relaxed,
 ) -> LPCoverResult:
@@ -126,7 +124,7 @@ def lp_path_cover(
         raise InputError("lp_path_cover needs at least one constraint path")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    lp = build_cover_lp(g, p_star, paths, costs=costs)
+    lp = build_cover_lp(g, p_star, paths)
     sol = solver(lp)
     if sol.status != "optimal":
         raise InfeasibleError("relaxed cut LP is infeasible")

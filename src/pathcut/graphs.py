@@ -3,7 +3,7 @@
 Edges are addressed everywhere by their canonical key: the endpoint pair
 sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
 are immutable after construction; derived graphs come from
-:meth:`Graph.remove_edges` / :meth:`Graph.with_edge_data`.
+:meth:`Graph.remove_edges`.
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -166,26 +166,6 @@ class Graph:
             self.node_count,
             ((u, v, w, c) for (u, v, w, c) in self.edge_records() if (u, v) not in gone),
         )
-
-    def with_edge_data(self, weights=None, costs=None) -> "Graph":
-        """New graph with the same topology and overridden weights/costs.
-
-        ``weights``/``costs`` map canonical edge keys to values; every edge
-        of the graph must be covered by a non-None override.
-        """
-        records = []
-        for u, v, w, c in self.edge_records():
-            k = (u, v)
-            if weights is not None:
-                if k not in weights:
-                    raise InputError(f"weight override missing edge {k}")
-                w = weights[k]
-            if costs is not None:
-                if k not in costs:
-                    raise InputError(f"cost override missing edge {k}")
-                c = costs[k]
-            records.append((u, v, w, c))
-        return Graph(self.node_count, records)
 
     # -- dunder ----------------------------------------------------------
 

@@ -66,18 +66,17 @@ class LPSolution:
     status: str  # "optimal" | "infeasible"
 
 
-def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path], costs=None) -> RelaxedCutLP:
+def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutLP:
     """Assemble the relaxed cut LP for constraint paths ``paths``.
 
     Variables are all edges of ``g`` except the protected path's edges;
-    objective coefficients come from ``costs`` (default: the graph's own
-    removal costs). A constraint path with no cuttable edge is rejected.
+    objective coefficients are the graph's removal costs. A constraint
+    path with no cuttable edge is rejected.
     """
     protected = frozenset(p_star.edges)
     edge_order = tuple(e for e in g.edges() if e not in protected)
     index = {e: j for j, e in enumerate(edge_order)}
-    if costs is None:
-        costs = g.costs
+    costs = g.costs
     cvec = tuple(costs[e] for e in edge_order)
     rows = []
     for p in paths:

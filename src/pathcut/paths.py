@@ -26,9 +26,11 @@ class PathIterator:
 
     ``allowed_nodes`` restricts enumeration to the induced subgraph on that
     node subset (used for hop-bounded neighborhoods on grid-like graphs).
+    ``banned_edges`` enumerates as if those edges were absent, which is how
+    attacks express the residual graph after their cuts.
     """
 
-    def __init__(self, g: Graph, s: int, t: int, allowed_nodes=None):
+    def __init__(self, g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=()):
         s = g.check_node(s)
         t = g.check_node(t)
         if s == t:
@@ -37,11 +39,12 @@ class PathIterator:
         self._s = s
         self._t = t
         self._allowed = frozenset(allowed_nodes) if allowed_nodes is not None else None
+        self._banned = frozenset(edge_key(*e) for e in banned_edges)
         self._heap: list[tuple] = []
         self._seen: set[tuple] = set()
         self._yielded: list[tuple] = []  # (length, nodes) in pop order
         self._pending: tuple | None = None  # yielded path awaiting deviation spawn
-        first = shortest_path(g, s, t, allowed_nodes=self._allowed)
+        first = shortest_path(g, s, t, banned_edges=self._banned, allowed_nodes=self._allowed)
         if first is not None:
             self._push(path_length(g, first), first.nodes)
 
@@ -75,7 +78,7 @@ class PathIterator:
         for i in range(len(parent) - 1):
             root = parent[: i + 1]
             spur = parent[i]
-            banned_edges = set()
+            banned_edges = set(self._banned)
             for _, nodes in self._yielded:
                 if len(nodes) > i + 1 and nodes[: i + 1] == root:
                     banned_edges.add(edge_key(nodes[i], nodes[i + 1]))
@@ -110,7 +113,7 @@ def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> li
 
 
 def next_shortest_excluding(
-    g: Graph, s: int, t: int, p_star: Path, allowed_nodes=None
+    g: Graph, s: int, t: int, p_star: Path, allowed_nodes=None, banned_edges=()
 ) -> Optional[Path]:
     """Minimum-length simple s-t path whose node sequence differs from
     ``p_star``, or None if no such path exists.
@@ -118,10 +121,11 @@ def next_shortest_excluding(
     This is the constraint-generation oracle: the returned path is a
     violated constraint iff it is not strictly longer than ``p_star``.
     ``p_star`` only needs to be a node-sequence descriptor; its edges are
-    not required to exist in ``g``.
+    not required to exist in ``g``. ``banned_edges`` are treated as
+    removed from ``g``.
     """
     skip = p_star.nodes
-    for p in PathIterator(g, s, t, allowed_nodes=allowed_nodes):
+    for p in PathIterator(g, s, t, allowed_nodes=allowed_nodes, banned_edges=banned_edges):
         if p.nodes != skip:
             return p
     return None

@@ -181,8 +181,7 @@ def _min_cost_hitting_set(rows: list[frozenset], costs) -> tuple:
     return best_cost[0], best_set[0]
 
 
-def brute_force_force_path_cut(g: Graph, p_star: Path, costs=None, weights=None,
-                               max_cuttable: int = MAX_BRUTE_EDGES) -> CutPlan:
+def brute_force_force_path_cut(g: Graph, p_star: Path, max_cuttable: int = MAX_BRUTE_EDGES) -> CutPlan:
     """Exact minimum-cost plan making ``p_star`` the exclusive shortest
     path (ties: lexicographically smallest edge-key set).
 
@@ -191,18 +190,17 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, costs=None, weights=None,
     hitting-set problem exactly. The feasibility certificate (shortest
     surviving competitor) is recomputed from the enumeration itself.
     """
-    work = g if (costs is None and weights is None) else g.with_edge_data(weights=weights, costs=costs)
     for u, v in p_star.edges:
-        if not work.has_edge(u, v):
+        if not g.has_edge(u, v):
             raise InputError(f"target path edge ({u}, {v}) is not in the graph")
     protected = frozenset(p_star.edges)
-    cuttable = [e for e in work.edges() if e not in protected]
+    cuttable = [e for e in g.edges() if e not in protected]
     if len(cuttable) > max_cuttable:
         raise SizeError(
             f"{len(cuttable)} cuttable edges exceed the brute-force cap {max_cuttable}"
         )
-    p_len = path_length(work, p_star)
-    all_paths = enumerate_simple_paths(work, p_star.source, p_star.target)
+    p_len = path_length(g, p_star)
+    all_paths = enumerate_simple_paths(g, p_star.source, p_star.target)
     rows = []
     for length, nodes in all_paths:
         if nodes == p_star.nodes or strictly_longer(length, p_len):
@@ -212,12 +210,12 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, costs=None, weights=None,
             raise InfeasibleError(f"competitor {nodes} cannot be cut")
         rows.append(row)
     if not rows:
-        return make_cut_plan(work, p_star, (), "brute-force",
+        return make_cut_plan(g, p_star, (), "brute-force",
                              certificate=_surviving(all_paths, p_star, frozenset(), p_len))
-    cost, keys = _min_cost_hitting_set(rows, work.costs)
+    cost, keys = _min_cost_hitting_set(rows, g.costs)
     removed = frozenset(keys)
     return make_cut_plan(
-        work,
+        g,
         p_star,
         removed,
         "brute-force",

@@ -173,6 +173,29 @@ def test_eigenscore_recompute_flag_runs():
     plan = greedy_eigenscore(g, p_star, recompute=True)
     assert plan.total_cost >= 4
     assert_exclusive(g, p_star, plan)
+    assert plan.removed_edges == frozenset({
+        (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4),
+    })
+
+
+def test_eigenscore_recompute_pinned_on_random_instance():
+    # A seeded instance where refreshed scores pick a different plan from
+    # frozen ones; both plans are pinned.
+    from pathcut.paths import k_shortest_paths
+
+    rng = np.random.default_rng(6)
+    while True:
+        g = random_graph(rng, 12, 0.35)
+        ranked = k_shortest_paths(g, 0, 11, 6)
+        if len(ranked) == 6:
+            break
+    p_star = ranked[5]
+    assert p_star.nodes == (0, 2, 9, 11)
+    fresh = greedy_eigenscore(g, p_star, recompute=True)
+    frozen = greedy_eigenscore(g, p_star)
+    assert fresh.removed_edges == frozenset({(0, 7), (6, 11), (10, 11)})
+    assert frozen.removed_edges == frozenset({(6, 11), (7, 11), (10, 11)})
+    assert_exclusive(g, p_star, fresh)
 
 
 def test_feasibility_and_protection_on_random_instances():
@@ -194,13 +217,15 @@ def test_feasibility_and_protection_on_random_instances():
 
 
 def test_cost_and_weight_overrides():
-    # Explicit cost/weight maps take precedence over the graph's own.
-    g = Graph(3, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1)])
+    # Costs and weights are decoupled: a costly competitor still must be
+    # cut, at its own price.
     p_star = Path((0, 1, 2))
-    plan = greedy_cost(g, p_star, costs={(0, 1): 1, (1, 2): 1, (0, 2): 7})
-    assert plan.total_cost == 7  # competitor still must be cut, at its new price
+    g = Graph(3, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 7)])
+    plan = greedy_cost(g, p_star)
+    assert plan.total_cost == 7
     # Heavier direct edge: nothing competes anymore.
-    plan = greedy_cost(g, p_star, weights={(0, 1): 1, (1, 2): 1, (0, 2): 9})
+    g = Graph(3, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 9, 1)])
+    plan = greedy_cost(g, p_star)
     assert plan.removed_edges == frozenset()
 
 
@@ -250,3 +275,14 @@ def test_certificate_records_final_oracle_call():
     g5, p5 = clique_instance(5)
     plan5 = run_attack(g5, p5, AttackConfig(method="pathattack-greedy"))
     assert plan5.certificate == (None, None, 5)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_certificate_when_already_exclusive(method):
+    # Already exclusive: the first oracle call is the certificate.
+    g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
+    p_star = Path((0, 1, 2))
+    plan = run_attack(g, p_star, AttackConfig(method=method))
+    assert plan.removed_edges == frozenset()
+    assert plan.iterations == 0
+    assert plan.certificate == ((0, 2), 4, 2)

@@ -144,3 +144,39 @@ def test_exclusivity_predicate(case):
         assert not others
     else:
         assert (path_length(g, alt) > ranked[0][0]) == exclusive
+
+
+def test_banned_edges_equal_removed_edges():
+    # Banning edges must rank exactly as removing them from the graph:
+    # same oracle answer, same first k paths, with zero weights and masks.
+    from itertools import combinations, islice
+
+    rng = np.random.default_rng(2104)
+    for _ in range(40):
+        n = int(rng.integers(4, 9))
+        records = [
+            (u, v, int(rng.integers(0, 4)))
+            for u, v in combinations(range(n), 2)
+            if rng.random() < 0.5
+        ]
+        g = Graph(n, records)
+        ranked = brute_sorted_paths(g, 0, n - 1)
+        if not ranked:
+            continue
+        p_star = Path(ranked[int(rng.integers(len(ranked)))][1])
+        mask = None
+        if rng.random() < 0.5:
+            mask = {0, n - 1} | {u for u in range(n) if rng.random() < 0.7}
+        edges = g.edges()
+        for _ in range(4):
+            cut = [edges[i] for i in range(len(edges)) if rng.random() < 0.3]
+            # Either orientation names the same edge.
+            banned = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in cut]
+            residual = g.remove_edges(cut)
+            got = next_shortest_excluding(g, 0, n - 1, p_star, allowed_nodes=mask,
+                                          banned_edges=banned)
+            expect = next_shortest_excluding(residual, 0, n - 1, p_star, allowed_nodes=mask)
+            assert (got and got.nodes) == (expect and expect.nodes)
+            got = PathIterator(g, 0, n - 1, allowed_nodes=mask, banned_edges=banned)
+            expect = PathIterator(residual, 0, n - 1, allowed_nodes=mask)
+            assert [p.nodes for p in islice(got, 6)] == [p.nodes for p in islice(expect, 6)]
