@@ -202,6 +202,13 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
     symmetric) still converge; the residual test uses ``A`` itself:
     ``||Av - lambda*v|| <= tol * lambda`` with the Rayleigh-quotient
     estimate of ``lambda``.
+
+    Each step computes one product ``A @ v`` and uses it for the Rayleigh
+    quotient, the residual and the next iterate. The product is a dense
+    BLAS call whose summation order is part of the output: greedy
+    eigenscore breaks exact ties between edges on symmetric equal-weight
+    graphs by the last bits of this vector, so a product that sums in
+    another order (a sparse matvec, say) changes recorded plans.
     """
     n = g.node_count
     if n == 0:
@@ -211,12 +218,13 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
         A[u, v] = 1.0
         A[v, u] = 1.0
     v = np.full(n, 1.0 / math.sqrt(n))
+    av = A @ v
     for _ in range(max_iter):
-        av = A @ v
         nxt = av + v
         nxt /= np.linalg.norm(nxt)
-        lam = float(nxt @ (A @ nxt))
-        residual = float(np.linalg.norm(A @ nxt - lam * nxt))
+        av = A @ nxt
+        lam = float(nxt @ av)
+        residual = float(np.linalg.norm(av - lam * nxt))
         v = nxt
         if residual <= tol * max(lam, 1e-30):
             return v

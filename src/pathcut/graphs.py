@@ -12,6 +12,7 @@ mapped at ingestion (see :mod:`pathcut.harness`).
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ def _as_node(x) -> int:
 
 
 class Graph:
-    """Immutable undirected graph with nonnegative weights and removal costs.
+    """Immutable undirected graph with finite nonnegative weights and removal costs.
 
     Parameters
     ----------
@@ -82,8 +83,9 @@ class Graph:
             k = edge_key(u, v)
             if k in weights:
                 raise InputError(f"duplicate edge {k}")
-            if w < 0 or c < 0:
-                raise InputError(f"negative weight or cost on edge {k}")
+            # Comparisons, not math.isfinite: NaN fails them and huge ints pass.
+            if not (0 <= w < math.inf and 0 <= c < math.inf):
+                raise InputError(f"weight or cost on edge {k} is negative or not finite")
             weights[k] = w
             costs[k] = c
         self._weights = weights
@@ -261,6 +263,12 @@ def shortest_path(
     makes the result deterministic. The heap holds (length, node sequence)
     pairs so tuple comparison implements the tie-break directly.
 
+    A push for ``v`` is skipped when its length exceeds the smallest length
+    already pushed for ``v``. That is exact: the cheaper entry pops first
+    and finishes ``v``, so the skipped one could only have been popped and
+    discarded. Pushes of equal length are kept, since the node sequence
+    decides between them.
+
     ``banned_nodes``/``banned_edges``/``allowed_nodes`` restrict the search
     (used by the path-ranking iterator and by neighborhood-masked runs).
     """
@@ -274,6 +282,7 @@ def shortest_path(
         return Path((s,))
     heap: list[tuple] = [(0, (s,))]
     done: set[int] = set()
+    best: dict[int, float] = {}
     while heap:
         dist, nodes = heapq.heappop(heap)
         u = nodes[-1]
@@ -289,7 +298,11 @@ def shortest_path(
                 continue
             if banned_edges and ((u, v) if u < v else (v, u)) in banned_edges:
                 continue
-            heapq.heappush(heap, (dist + w, nodes + (v,)))
+            d = dist + w
+            if d > best.get(v, math.inf):
+                continue
+            best[v] = d
+            heapq.heappush(heap, (d, nodes + (v,)))
     return None
 
 

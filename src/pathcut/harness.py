@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -83,8 +84,8 @@ def load_edge_list(path) -> LoadedGraph:
                 raise InputError(f"{path}:{line_no}: expected 'u v [weight [cost]]'")
             w = _parse_number(parts[2], path, line_no) if len(parts) >= 3 else 1
             c = _parse_number(parts[3], path, line_no) if len(parts) == 4 else w
-            if w < 0 or c < 0:
-                raise InputError(f"{path}:{line_no}: negative weight or cost")
+            if not (0 <= w < math.inf and 0 <= c < math.inf):
+                raise InputError(f"{path}:{line_no}: weight or cost is negative or not finite")
             raw_edges.append((parts[0], parts[1], w, c, line_no))
             for lbl in parts[:2]:
                 integer_labels = integer_labels and lbl.isdigit()

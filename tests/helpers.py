@@ -1,10 +1,13 @@
 """Shared builders and independent oracles for the test suite."""
 
+import heapq
+import math
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
-from pathcut import Graph, Path
+from pathcut import ConvergenceError, Graph, Path
 from pathcut.reduction import enumerate_simple_paths
 
 
@@ -62,3 +65,62 @@ def small_graph_and_pair(draw, max_nodes=8, max_weight=6):
 
 def path_from_nodes(nodes):
     return Path(tuple(nodes))
+
+
+def reference_shortest_path(g, s, t, banned_nodes=frozenset(), banned_edges=frozenset(),
+                            allowed_nodes=None):
+    """``shortest_path`` without push pruning: every relaxation is pushed.
+
+    The library kernel must return the same node sequence (or None) on
+    every input; this loop is the reference it is checked against.
+    """
+    if s in banned_nodes or t in banned_nodes:
+        return None
+    if allowed_nodes is not None and (s not in allowed_nodes or t not in allowed_nodes):
+        return None
+    if s == t:
+        return Path((s,))
+    heap = [(0, (s,))]
+    done = set()
+    while heap:
+        dist, nodes = heapq.heappop(heap)
+        u = nodes[-1]
+        if u in done:
+            continue
+        done.add(u)
+        if u == t:
+            return Path(nodes)
+        for v, w in g.neighbors(u):
+            if v in done or v in banned_nodes:
+                continue
+            if allowed_nodes is not None and v not in allowed_nodes:
+                continue
+            if banned_edges and ((u, v) if u < v else (v, u)) in banned_edges:
+                continue
+            heapq.heappush(heap, (dist + w, nodes + (v,)))
+    return None
+
+
+def reference_principal_eigenvector(g, tol=1e-8, max_iter=10000):
+    """Power iteration computing ``A @ v`` three times per step (for the
+    next iterate, the Rayleigh quotient and the residual).
+
+    ``principal_eigenvector`` computes the product once per step and must
+    return a bit-identical vector.
+    """
+    n = g.node_count
+    A = np.zeros((n, n))
+    for u, v in g.edges():
+        A[u, v] = 1.0
+        A[v, u] = 1.0
+    v = np.full(n, 1.0 / math.sqrt(n))
+    for _ in range(max_iter):
+        av = A @ v
+        nxt = av + v
+        nxt /= np.linalg.norm(nxt)
+        lam = float(nxt @ (A @ nxt))
+        residual = float(np.linalg.norm(A @ nxt - lam * nxt))
+        v = nxt
+        if residual <= tol * max(lam, 1e-30):
+            return v
+    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")

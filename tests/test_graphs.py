@@ -1,8 +1,11 @@
+from itertools import combinations, islice
+
 import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import brute_shortest, random_graph, small_graph_and_pair
+import pathcut.paths
+from helpers import brute_shortest, random_graph, reference_shortest_path, small_graph_and_pair
 from pathcut import (
     Graph,
     InputError,
@@ -13,6 +16,8 @@ from pathcut import (
     shortest_path,
     strictly_longer,
 )
+from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
+from pathcut.paths import PathIterator
 
 
 def test_edge_key_is_order_insensitive():
@@ -30,6 +35,16 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1, -1)])
     with pytest.raises(InputError):
         Graph(2, [(0, 5, 1)])
+    with pytest.raises(InputError):
+        Graph(3, [(0, 1, float("nan"))])
+    with pytest.raises(InputError):
+        Graph(3, [(0, 2, float("inf"))])
+    with pytest.raises(InputError):
+        Graph(3, [(0, 1, 1, float("inf"))])
+    with pytest.raises(InputError):
+        Graph(3, [(0, 1, 1, float("nan"))])
+    # Huge integers are finite: the check must not overflow on them.
+    assert Graph(2, [(0, 1, 10**400)]).weight(0, 1) == 10**400
 
 
 def test_edge_lookup_both_orders():
@@ -100,6 +115,62 @@ def test_shortest_path_deterministic_tie_break():
     # Two length-2 routes; lexicographically smaller wins.
     g = Graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)])
     assert shortest_path(g, 0, 3).nodes == (0, 1, 3)
+
+
+def test_pruned_shortest_path_matches_unpruned_reference():
+    # Skipping dominated pushes must never change the returned path. Heavy
+    # ties (equal and zero weights) are where the (length, nodes) tie-break
+    # matters; the float weights make sums that tie or miss by rounding.
+    rng = np.random.default_rng(3003)
+    weight_draws = {
+        "zero": lambda: int(rng.integers(0, 3)),
+        "float": lambda: float(rng.choice([0.1, 0.2, 0.3, 0.7, 1.0])),
+        "equal": lambda: 1,
+    }
+    graphs = 0
+    for kind in ("zero", "float", "equal") * 80:
+        n = int(rng.integers(4, 15))
+        density = float(rng.uniform(0.2, 0.8))
+        g = Graph(n, [(u, v, weight_draws[kind]())
+                      for u, v in combinations(range(n), 2) if rng.random() < density])
+        graphs += 1
+        edges = g.edges()
+        for _ in range(5):
+            s, t = (int(x) for x in rng.integers(0, n, size=2))
+            restrict = {}
+            if rng.random() < 0.5:
+                restrict["banned_nodes"] = frozenset(
+                    int(x) for x in rng.integers(0, n, size=int(rng.integers(1, 3))))
+            if edges and rng.random() < 0.5:
+                restrict["banned_edges"] = frozenset(
+                    e for e in edges if rng.random() < 0.25)
+            if rng.random() < 0.4:
+                restrict["allowed_nodes"] = frozenset(
+                    {s, t} | {u for u in range(n) if rng.random() < 0.7})
+            got = shortest_path(g, s, t, **restrict)
+            expect = reference_shortest_path(g, s, t, **restrict)
+            assert (got and got.nodes) == (expect and expect.nodes), (kind, s, t, restrict)
+    assert graphs >= 200
+
+
+def test_pruned_shortest_path_matches_reference_in_spur_searches(monkeypatch):
+    # Every spur search of a ranking run on a weighted lattice agrees with
+    # the unpruned reference.
+    g = assign_weights(generate(GeneratorSpec("lattice", rows=6, cols=6)),
+                       WeightScheme("uniform", upper=3, seed=5))
+    calls = []
+
+    def checked(g, s, t, **restrict):
+        got = shortest_path(g, s, t, **restrict)
+        expect = reference_shortest_path(g, s, t, **restrict)
+        assert (got and got.nodes) == (expect and expect.nodes)
+        calls.append(restrict)
+        return got
+
+    monkeypatch.setattr(pathcut.paths, "shortest_path", checked)
+    ranked = list(islice(PathIterator(g, 0, 35), 40))
+    assert len(ranked) == 40
+    assert sum(1 for r in calls if r.get("banned_nodes")) > 100
 
 
 def test_remove_edges_identity_empty_and_triangle():

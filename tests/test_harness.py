@@ -54,6 +54,13 @@ def test_load_parse_error_reports_line_number(tmp_path):
     f2 = write(tmp_path, "0\n", name="short.edges")
     with pytest.raises(InputError, match=":1:"):
         load_edge_list(f2)
+    # NaN and infinity parse as floats but are not usable weights or costs.
+    f3 = write(tmp_path, "0 1 1\n1 2 nan\n", name="nan.edges")
+    with pytest.raises(InputError, match=":2:"):
+        load_edge_list(f3)
+    f4 = write(tmp_path, "0 1 1 inf\n", name="inf.edges")
+    with pytest.raises(InputError, match=":1:"):
+        load_edge_list(f4)
 
 
 def test_load_unweighted_two_column_file(tmp_path):
