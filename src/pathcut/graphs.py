@@ -3,7 +3,8 @@
 Edges are addressed everywhere by their canonical key: the endpoint pair
 sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
 are immutable after construction; derived graphs come from
-:meth:`Graph.remove_edges`.
+:meth:`Graph.remove_edges`. The one thing a graph caches is the distance
+bound :func:`shortest_path` uses for its last target (see there).
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -60,7 +61,7 @@ class Graph:
         duplicate unordered pairs are rejected.
     """
 
-    __slots__ = ("node_count", "_weights", "_costs", "_adj")
+    __slots__ = ("node_count", "_weights", "_costs", "_adj", "_bound")
 
     def __init__(self, node_count: int, edges: Iterable[tuple] = ()):
         node_count = _as_node(node_count)
@@ -97,6 +98,8 @@ class Graph:
         for lst in adj:
             lst.sort()
         self._adj = adj
+        # (t, allowed_nodes, bound list) of the last search target, or None.
+        self._bound = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -249,6 +252,42 @@ def path_length(g: Graph, p: Path):
     return total
 
 
+def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> list:
+    """Per-node lower bound on the distance to ``t`` in the subgraph induced
+    by ``allowed_nodes``, ignoring bans; ``math.inf`` where ``t`` is
+    unreachable. Cached on ``g`` for the last ``(t, allowed_nodes)``.
+
+    With all-``int`` weights the bound is the exact distance. Otherwise it
+    is 0 for every node that reaches ``t``: see :func:`shortest_path`.
+    """
+    cached = g._bound
+    if (cached is not None and cached[0] == t
+            and (cached[1] is allowed_nodes or cached[1] == allowed_nodes)):
+        return cached[2]
+    exact = all(type(w) is int for w in g._weights.values())
+    bound = [math.inf] * g.node_count
+    bound[t] = 0
+    heap = [(0, t)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > bound[u]:
+            continue
+        for v, w in g._adj[u]:
+            if allowed_nodes is not None and v not in allowed_nodes:
+                continue
+            dv = d + w if exact else 0
+            if dv < bound[v]:
+                bound[v] = dv
+                heapq.heappush(heap, (dv, v))
+    # One assignment of a fresh tuple: a concurrent reader sees the old
+    # entry or the new one, never a mix. The key is frozen so that a
+    # caller's set mutated later cannot match by identity.
+    if allowed_nodes is not None:
+        allowed_nodes = frozenset(allowed_nodes)
+    g._bound = (t, allowed_nodes, bound)
+    return bound
+
+
 def shortest_path(
     g: Graph,
     s: int,
@@ -260,14 +299,35 @@ def shortest_path(
     """Minimum-length simple s-t path, or None if t is unreachable.
 
     Ties are broken by the lexicographically smallest node sequence, which
-    makes the result deterministic. The heap holds (length, node sequence)
+    makes the result deterministic. The heap holds (key, node sequence)
     pairs so tuple comparison implements the tie-break directly.
+
+    The search is goal-directed (A*): an entry for ``v`` reached at length
+    ``d`` is keyed ``d + bound[v]``, where ``bound`` is the distance from
+    each node to ``t`` in the ``allowed_nodes`` subgraph with nothing
+    banned. Bans only lengthen paths, so the bound stays below the true
+    remaining distance and one bound, cached on ``g``, serves every search
+    to ``t``. Nodes with an infinite bound cannot reach ``t`` and are never
+    pushed. The first pop of each node is the one plain Dijkstra makes:
+    ``bound[u] <= w(u, v) + bound[v]`` on every edge, so each node first
+    pops at its shortest length, and a tight predecessor has a key no
+    larger, with a node sequence that is a proper prefix on a tie, so it
+    pops first. Hence the returned path is the same.
+
+    That argument needs exact sums, so the distances are used only when
+    every weight is a Python ``int``. For any other weights the bound is 0
+    or infinite (reachability only) and the keys are plain lengths. With
+    float distances a key rounds differently from the length it stands
+    for, so ties stop being ties: on a graph with weights 0.1-0.7 the
+    ranking put 3-5-0 before 3-4-2-5-0, which has the same float length
+    and the smaller node sequence (see ``tests/test_paths.py``).
 
     A push for ``v`` is skipped when its length exceeds the smallest length
     already pushed for ``v``. That is exact: the cheaper entry pops first
     and finishes ``v``, so the skipped one could only have been popped and
     discarded. Pushes of equal length are kept, since the node sequence
-    decides between them.
+    decides between them. So a node's first-popped entry has the smallest
+    length pushed, which is read back from ``best``.
 
     ``banned_nodes``/``banned_edges``/``allowed_nodes`` restrict the search
     (used by the path-ranking iterator and by neighborhood-masked runs).
@@ -280,29 +340,35 @@ def shortest_path(
         return None
     if s == t:
         return Path((s,))
-    heap: list[tuple] = [(0, (s,))]
+    bound = _distance_bound(g, t, allowed_nodes)
+    inf = math.inf
+    if bound[s] == inf:
+        return None
+    heap: list[tuple] = [(bound[s], (s,))]
     done: set[int] = set()
-    best: dict[int, float] = {}
+    best: dict[int, float] = {s: 0}
     while heap:
-        dist, nodes = heapq.heappop(heap)
+        _, nodes = heapq.heappop(heap)
         u = nodes[-1]
         if u in done:
             continue
         done.add(u)
         if u == t:
             return Path(nodes)
+        dist = best[u]
         for v, w in g._adj[u]:
             if v in done or v in banned_nodes:
                 continue
-            if allowed_nodes is not None and v not in allowed_nodes:
+            h = bound[v]
+            if h == inf:
                 continue
             if banned_edges and ((u, v) if u < v else (v, u)) in banned_edges:
                 continue
             d = dist + w
-            if d > best.get(v, math.inf):
+            if d > best.get(v, inf):
                 continue
             best[v] = d
-            heapq.heappush(heap, (d, nodes + (v,)))
+            heapq.heappush(heap, (d + h, nodes + (v,)))
     return None
 
 

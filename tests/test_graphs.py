@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations, islice
 
 import numpy as np
@@ -171,6 +172,71 @@ def test_pruned_shortest_path_matches_reference_in_spur_searches(monkeypatch):
     ranked = list(islice(PathIterator(g, 0, 35), 40))
     assert len(ranked) == 40
     assert sum(1 for r in calls if r.get("banned_nodes")) > 100
+
+
+def test_distance_bound_cache_holds_one_target():
+    g = assign_weights(generate(GeneratorSpec("lattice", rows=5, cols=5)),
+                       WeightScheme("uniform", upper=4, seed=2))
+    assert g._bound is None
+    for t in range(1, 11):
+        assert shortest_path(g, 0, t) == reference_shortest_path(g, 0, t)
+        target, allowed, bound = g._bound
+        assert (target, allowed, len(bound)) == (t, None, g.node_count)
+    # Exact distances on integer weights: the bound at the source is the
+    # length of the path found.
+    assert bound[0] == path_length(g, shortest_path(g, 0, 10))
+    assert g.remove_edges([(0, 1)])._bound is None
+
+
+def test_distance_bound_cache_ignored_by_eq_and_kept_by_pickle():
+    g = random_graph(np.random.default_rng(11), 9, 0.5)
+    fresh = Graph(g.node_count, g.edge_records())
+    first = shortest_path(g, 0, 8)
+    assert g._bound is not None and fresh._bound is None
+    assert g == fresh
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._bound == g._bound
+    assert shortest_path(copy, 0, 8) == first
+    assert [p.nodes for p in islice(PathIterator(copy, 0, 8), 10)] == \
+        [p.nodes for p in islice(PathIterator(fresh, 0, 8), 10)]
+
+
+def test_distance_bound_unreachable_and_masked_terminals():
+    g = Graph(5, [(0, 1, 2), (1, 2, 2), (3, 4, 1)])
+    assert shortest_path(g, 0, 4) is None
+    assert g._bound[2][0] == float("inf")
+    assert shortest_path(g, 0, 2, allowed_nodes=frozenset({1, 2})) is None
+    assert shortest_path(g, 0, 2, allowed_nodes=frozenset({0, 2})) is None
+    assert shortest_path(g, 0, 2).nodes == (0, 1, 2)
+
+
+def test_distance_bound_cache_not_fooled_by_mutated_mask():
+    g = Graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 5)])
+    mask = {0, 2, 3}
+    assert shortest_path(g, 0, 3, allowed_nodes=mask).nodes == (0, 2, 3)
+    mask.add(1)
+    assert shortest_path(g, 0, 3, allowed_nodes=mask).nodes == (0, 1, 3)
+
+
+def test_bans_after_cached_unbanned_bound_match_reference():
+    # The cached bound comes from an unbanned search; bans only lengthen
+    # paths, so later banned searches to the same target stay exact.
+    rng = np.random.default_rng(812)
+    for _ in range(60):
+        n = int(rng.integers(5, 12))
+        g = random_graph(rng, n, float(rng.uniform(0.3, 0.8)), max_weight=4)
+        s, t = 0, n - 1
+        shortest_path(g, s, t)
+        edges = g.edges()
+        for _ in range(4):
+            restrict = {
+                "banned_nodes": frozenset(int(x) for x in rng.integers(1, n - 1, size=2)),
+                "banned_edges": frozenset(e for e in edges if rng.random() < 0.3),
+            }
+            got = shortest_path(g, s, t, **restrict)
+            expect = reference_shortest_path(g, s, t, **restrict)
+            assert (got and got.nodes) == (expect and expect.nodes)
+            assert g._bound[0] == t
 
 
 def test_remove_edges_identity_empty_and_triangle():

@@ -1,8 +1,11 @@
+from itertools import combinations, islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import brute_sorted_paths, random_graph, small_graph_and_pair
+import pathcut.paths
+from helpers import brute_sorted_paths, random_graph, reference_shortest_path, small_graph_and_pair
 from pathcut import Graph, InputError, Path, path_length, shortest_path
 from pathcut.paths import PathIterator, k_shortest_paths, next_shortest_excluding
 
@@ -149,8 +152,6 @@ def test_exclusivity_predicate(case):
 def test_banned_edges_equal_removed_edges():
     # Banning edges must rank exactly as removing them from the graph:
     # same oracle answer, same first k paths, with zero weights and masks.
-    from itertools import combinations, islice
-
     rng = np.random.default_rng(2104)
     for _ in range(40):
         n = int(rng.integers(4, 9))
@@ -180,3 +181,53 @@ def test_banned_edges_equal_removed_edges():
             got = PathIterator(g, 0, n - 1, allowed_nodes=mask, banned_edges=banned)
             expect = PathIterator(residual, 0, n - 1, allowed_nodes=mask)
             assert [p.nodes for p in islice(got, 6)] == [p.nodes for p in islice(expect, 6)]
+
+
+def _ranked(g, s, t, count, **restrict):
+    return [p.nodes for p in islice(PathIterator(g, s, t, **restrict), count)]
+
+
+def test_ranked_paths_match_unbounded_reference(monkeypatch):
+    # The goal-directed search must rank exactly as plain Dijkstra does:
+    # the iterator with the library kernel against the same iterator with
+    # the unbounded reference kernel. Integer kinds run with the exact
+    # distance bound, the float kind with the reachability-only bound.
+    rng = np.random.default_rng(4406)
+    weight_draws = {
+        "int": lambda: int(rng.integers(1, 6)),
+        "zero": lambda: int(rng.choice([0, 0, 1])),
+        "equal": lambda: 4,
+        "huge": lambda: int(rng.integers(1, 10**12 + 1)),
+        "float": lambda: float(rng.choice([0.1, 0.2, 0.3, 0.6, 0.7])),
+    }
+    graphs = compared = 0
+    for kind in list(weight_draws) * 60:
+        n = int(rng.integers(5, 10))
+        density = float(rng.uniform(0.4, 0.9))
+        g = Graph(n, [(u, v, weight_draws[kind]())
+                      for u, v in combinations(range(n), 2) if rng.random() < density])
+        s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+        restrict = {}
+        if rng.random() < 0.4:
+            restrict["allowed_nodes"] = {s, t} | {u for u in range(n) if rng.random() < 0.7}
+        if rng.random() < 0.5:
+            restrict["banned_edges"] = [e for e in g.edges() if rng.random() < 0.2]
+        got = _ranked(g, s, t, 60, **restrict)
+        with monkeypatch.context() as m:
+            m.setattr(pathcut.paths, "shortest_path", reference_shortest_path)
+            expect = _ranked(g, s, t, 60, **restrict)
+        assert got == expect, (kind, s, t, restrict)
+        graphs += 1
+        compared += len(got)
+    assert graphs >= 300 and compared > 5000
+
+
+def test_float_weights_rank_without_distance_bound():
+    # 3-4-2-5-0 and 3-5-0 both sum to 0.7999999999999999, so node order
+    # ranks 3-4-2-5-0 first. With float distances as the bound, node 4 is
+    # keyed 0.3 + 0.5 = 0.8 and 3-5-0 came out first; the reachability-only
+    # bound keeps plain Dijkstra's order.
+    g = Graph(6, [(0, 1, .7), (0, 3, .6), (0, 5, .1), (1, 3, .7), (1, 4, .1), (1, 5, .6),
+                  (2, 3, .2), (2, 4, .1), (2, 5, .3), (3, 4, .3), (3, 5, .7), (4, 5, .6)])
+    assert _ranked(g, 3, 0, 5, banned_edges=[(1, 5), (2, 3)]) == [
+        (3, 0), (3, 4, 2, 5, 0), (3, 5, 0), (3, 4, 5, 0), (3, 4, 1, 0)]
