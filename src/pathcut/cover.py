@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -136,12 +137,13 @@ def lp_path_cover(
     while attempts < retry_cap:
         attempts += 1
         mask = (rng.random((n_draws, len(probs))) < probs).any(axis=0)
+        kept = mask.tolist()
+        if not all(any(map(kept.__getitem__, row)) for row in lp.rows):
+            continue
         cost = float(cvec[mask].sum())
-        covered = all(mask[list(row)].any() for row in lp.rows)
-        if covered and cost <= bound + 1e-9:
-            edges = frozenset(e for e, m in zip(lp.edge_order, mask) if m)
+        if cost <= bound + 1e-9:
             return LPCoverResult(
-                edges=edges,
+                edges=frozenset(compress(lp.edge_order, kept)),
                 retries=attempts - 1,
                 lp=lp,
                 solution=sol,

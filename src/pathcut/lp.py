@@ -22,11 +22,21 @@ line each, for cross-checking against external solvers::
     end
 
 Variables are bounded to [0, 1]; the objective is min sum(cost * var).
+``parse_lp_text`` raises :class:`~pathcut.errors.InputError` naming the
+line for a malformed document: a missing or bad ``vars`` line, or one
+declaring more variables than the document has lines for; a ``var``
+line without exactly 5 tokens, with an index out of range or repeated,
+with ``u == v``, or with a cost outside ``0 <= c < inf`` (NaN included,
+the rule :class:`~pathcut.graphs.Graph` applies); a ``row`` index out of
+range; a row that is not strictly increasing (the solver counts a row's
+entries as distinct variables).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,16 +84,16 @@ def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutL
     path with no cuttable edge is rejected.
     """
     protected = frozenset(p_star.edges)
-    edge_order = tuple(e for e in g.edges() if e not in protected)
-    index = {e: j for j, e in enumerate(edge_order)}
-    costs = g.costs
-    cvec = tuple(costs[e] for e in edge_order)
+    edge_order = tuple(filterfalse(protected.__contains__, g.edges()))
+    index = dict(zip(edge_order, range(len(edge_order))))
+    cvec = tuple(map(g.costs.__getitem__, edge_order))
     rows = []
     for p in paths:
-        row = sorted({index[e] for e in p.edges if e not in protected and e in index})
-        for e in p.edges:
-            if e not in protected and e not in index:
-                raise InputError(f"constraint path uses unknown edge {e}")
+        cuttable = filterfalse(protected.__contains__, p.edges)
+        try:
+            row = sorted(set(map(index.__getitem__, cuttable)))
+        except KeyError as exc:
+            raise InputError(f"constraint path uses unknown edge {exc.args[0]}") from None
         if not row:
             raise InputError(f"uncuttable constraint: {p!r} has only protected edges")
         rows.append(tuple(row))
@@ -96,6 +106,23 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
     Full-tableau bounded-variable simplex, Bland's rule for entering and
     leaving, upper-bound flips handled separately (a flip always moves a
     full unit, so it strictly improves the objective and cannot cycle).
+    ``rows`` must hold sorted, distinct, in-range indices (the starting
+    surplus ``len(row) - 1`` counts them).
+
+    Exactness rule: the pivot sequence and every bit of the result are
+    those of a plain numpy loop over the same tableau. The two expressions
+    whose summation order reaches the output stay numpy, as written: the
+    pricing ``c - c[basis] @ T`` and the pivot update (divide the pivot
+    row, then subtract ``factors[:, None] * T[leave]``, the elementwise
+    product ``np.outer`` forms). The per-step bookkeeping -- the Bland
+    scan over the reduced costs, the ratio test over the entering column
+    and the update of the basic values -- runs on Python floats; per
+    element these are the same IEEE-754 multiplies, adds and divides
+    numpy performs (no fused multiply-add), so nothing changes but the
+    interpreter overhead. Prices are recomputed only after a pivot: a
+    flip changes neither the basis nor the tableau, so the reduced costs
+    stay the same, and it leaves the flipped variable ineligible, so
+    Bland's scan resumes just past it.
     """
     m = len(rows)
     n = len(costs)
@@ -105,44 +132,48 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
         A[i, list(row)] = 1.0
         A[i, n + i] = -1.0
     c = np.concatenate([costs, np.zeros(m)])
-    ub = np.concatenate([np.ones(n), np.full(m, np.inf)])
+    inf = math.inf
+    ub = [1.0] * n + [inf] * m
 
     # Start: every structural variable nonbasic at its upper bound 1;
     # surplus basic with value (row size - 1) >= 0, so B = -I.
-    basis = np.arange(n, total)
+    basis = list(range(n, total))
     T = -A
-    xB = np.array([len(r) - 1.0 for r in rows])
-    at_upper = np.zeros(total, dtype=bool)
-    at_upper[:n] = True
-    nonbasic = np.ones(total, dtype=bool)
-    nonbasic[n:] = False
+    xB = [len(r) - 1.0 for r in rows]
+    at_upper = [True] * n + [False] * m
+    nonbasic = [True] * n + [False] * m
 
     tol = FEAS_TOL
     max_pivots = 200 * (m + n + 1)
+    start = 0  # Bland's scan resumes here; 0 means "re-price first"
     for _ in range(max_pivots):
-        rc = c - c[basis] @ T
-        eligible = nonbasic & (
-            (~at_upper & (rc < -tol)) | (at_upper & (rc > tol))
-        )
-        if not eligible.any():
+        if start == 0:
+            rc = (c - c[basis] @ T).tolist()
+        j = -1
+        for k in range(start, total):
+            if nonbasic[k]:
+                r = rc[k]
+                if (r > tol) if at_upper[k] else (r < -tol):
+                    j = k
+                    break
+        if j < 0:
             break
-        j = int(np.argmax(eligible))  # first True: Bland's smallest index
         increase = not at_upper[j]
-        col = T[:, j]
-        delta = -col if increase else col
+        col = T[:, j].tolist()
+        delta = [-d for d in col] if increase else col
         # Ratio test: largest step keeping every basic variable in bounds,
         # Bland's rule (smallest leaving variable) among tied rows.
-        best = np.inf
+        best = inf
         leave = -1
-        for i in range(m):
-            di = delta[i]
+        for i, di in enumerate(delta):
             if di < -tol:
                 cand = xB[i] / -di
-            elif di > tol and np.isfinite(ub[basis[i]]):
+            elif di > tol and ub[basis[i]] < inf:
                 cand = (ub[basis[i]] - xB[i]) / di
             else:
                 continue
-            cand = max(cand, 0.0)
+            if 0.0 > cand:  # max(cand, 0.0)
+                cand = 0.0
             if cand < best - tol:
                 best = cand
                 leave = i
@@ -152,46 +183,50 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
             # The entering variable reaches its other bound first: flip it.
             # A flip moves a full unit, strictly improving the objective,
             # so flips cannot cycle.
-            if not np.isfinite(ub[j]):
+            if ub[j] == inf:
                 raise PathCutError("cover LP is unbounded; this cannot happen")
-            xB = xB + ub[j] * delta
+            step = ub[j]
+            xB = [x + step * d for x, d in zip(xB, delta)]
             at_upper[j] = not at_upper[j]
+            start = j + 1
             continue
         if leave < 0:
             raise PathCutError("cover LP is unbounded; this cannot happen")
-        theta = max(best, 0.0)
-        xB = xB + theta * delta
+        theta = 0.0 if 0.0 > best else best  # max(best, 0.0)
+        xB = [x + theta * d for x, d in zip(xB, delta)]
         entering_value = theta if increase else (ub[j] - theta)
         leaving = basis[leave]
         # Leaving variable rests at whichever of its bounds was hit.
-        hit_upper = delta[leave] > tol
-        at_upper[leaving] = bool(hit_upper and np.isfinite(ub[leaving]))
+        at_upper[leaving] = delta[leave] > tol and ub[leaving] < inf
         nonbasic[leaving] = True
         nonbasic[j] = False
         at_upper[j] = False
         basis[leave] = j
-        pivot = T[leave, j]
-        T[leave] = T[leave] / pivot
+        T[leave] = T[leave] / T[leave, j]
         factors = T[:, j].copy()
         factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
+        T -= factors[:, None] * T[leave]
         xB[leave] = entering_value
+        start = 0
     else:
         raise PathCutError("simplex failed to terminate within the pivot cap")
 
-    x = np.where(at_upper[:total], np.where(np.isfinite(ub), ub, 0.0), 0.0)
+    # Only structural variables (bound 1) ever rest at their upper bound.
+    x = np.array(at_upper, dtype=float)
     x[basis] = xB
-    out = np.clip(x[:n], 0.0, 1.0)
-    return out
+    return np.clip(x[:n], 0.0, 1.0)
 
 
 def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     """Optimal basic solution of the relaxed LP, or infeasible status.
 
-    Variables absent from every row are fixed at 0 (their cost is
-    nonnegative, so this is optimal and keeps the solution a vertex); the
-    simplex runs on the active variables only. Row feasibility of the
-    result is re-checked and asserted.
+    Every row must be a sorted tuple of distinct variable indices in
+    ``range(len(lp.edge_order))`` (as :func:`build_cover_lp` and
+    :func:`parse_lp_text` produce); an index out of range raises
+    :class:`InputError`. Variables absent from every row are fixed at 0
+    (their cost is nonnegative, so this is optimal and keeps the solution
+    a vertex); the simplex runs on the active variables only. Row
+    feasibility of the result is re-checked and asserted.
     """
     n = len(lp.edge_order)
     if any(len(r) == 0 for r in lp.rows):
@@ -199,17 +234,18 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     values = np.zeros(n)
     if lp.rows:
         active = sorted({j for row in lp.rows for j in row})
+        if active[0] < 0 or active[-1] >= n:
+            raise InputError(f"row index out of range for {n} variables")
         remap = {j: i for i, j in enumerate(active)}
-        reduced_rows = [tuple(remap[j] for j in row) for row in lp.rows]
+        reduced_rows = [tuple(map(remap.__getitem__, row)) for row in lp.rows]
         reduced_costs = np.asarray([lp.costs[j] for j in active], dtype=float)
-        sol = _bounded_simplex(reduced_rows, reduced_costs)
-        for j, i in remap.items():
-            values[j] = sol[i]
+        values[active] = _bounded_simplex(reduced_rows, reduced_costs)
+    vals = values.tolist()
     for row in lp.rows:
-        if values[list(row)].sum() < 1.0 - FEAS_TOL:
+        if sum(map(vals.__getitem__, row)) < 1.0 - FEAS_TOL:
             raise PathCutError("solver returned an infeasible point")
     objective = float(np.dot(values, np.asarray(lp.costs, dtype=float)))
-    return LPSolution(values=tuple(float(v) for v in values), objective_value=objective, status="optimal")
+    return LPSolution(values=tuple(vals), objective_value=objective, status="optimal")
 
 
 def is_integral(sol: LPSolution, tol: float = INTEGRALITY_TOL) -> bool:
@@ -231,30 +267,65 @@ def write_lp_text(lp: RelaxedCutLP) -> str:
 
 
 def parse_lp_text(text: str) -> RelaxedCutLP:
-    """Inverse of :func:`write_lp_text`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["coverlp", "1"]:
+    """Inverse of :func:`write_lp_text`; rejects malformed documents.
+
+    Raises :class:`InputError` naming the offending line (numbered from 1
+    in ``text``) for every check listed in the module docstring.
+    """
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].split() != ["coverlp", "1"]:
         raise InputError("not a coverlp-1 document")
-    if lines[-1] != "end":
+    if lines[-1][1] != "end":
         raise InputError("missing 'end' line")
+
+    def bad(no: int, ln: str, why: str) -> InputError:
+        return InputError(f"line {no}: {why}: {ln!r}")
+
+    no, ln = lines[1]
+    parts = ln.split()
     try:
-        nvars = int(lines[1].split()[1])
-    except (IndexError, ValueError):
-        raise InputError("bad vars line") from None
+        nvars = int(parts[1]) if len(parts) == 2 and parts[0] == "vars" else -1
+    except ValueError:
+        nvars = -1
+    if nvars < 0:
+        raise bad(no, ln, "bad vars line")
+    if nvars > len(lines) - 3:  # each variable needs its own var line
+        raise bad(no, ln, f"more variables than the {len(lines) - 3} lines that follow")
     edge_order: list[Optional[EdgeKey]] = [None] * nvars
     costs: list[float] = [0.0] * nvars
     rows: list[tuple[int, ...]] = []
-    for ln in lines[2:-1]:
+    for no, ln in lines[2:-1]:
         parts = ln.split()
         if parts[0] == "var":
-            j, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+            if len(parts) != 5:
+                raise bad(no, ln, "a var line has exactly 5 tokens")
+            try:
+                j, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+                cost = float(parts[4])
+            except ValueError:
+                raise bad(no, ln, "malformed var line") from None
+            if not 0 <= j < nvars:
+                raise bad(no, ln, f"var index {j} out of range for {nvars} variables")
+            if edge_order[j] is not None:
+                raise bad(no, ln, f"var index {j} repeated")
+            if u == v:
+                raise bad(no, ln, "an edge needs two distinct endpoints")
+            if not 0 <= cost < math.inf:
+                raise bad(no, ln, "cost must be finite and nonnegative")
             edge_order[j] = (u, v) if u < v else (v, u)
-            cost = float(parts[4])
             costs[j] = int(cost) if cost.is_integer() else cost
         elif parts[0] == "row":
-            rows.append(tuple(int(p) for p in parts[1:]))
+            try:
+                row = tuple(int(p) for p in parts[1:])
+            except ValueError:
+                raise bad(no, ln, "malformed row line") from None
+            if any(a >= b for a, b in zip(row, row[1:])):
+                raise bad(no, ln, "row indices must be strictly increasing")
+            if row and (row[0] < 0 or row[-1] >= nvars):
+                raise bad(no, ln, f"row index out of range for {nvars} variables")
+            rows.append(row)
         else:
-            raise InputError(f"unknown line: {ln!r}")
+            raise bad(no, ln, "unknown line")
     if any(e is None for e in edge_order):
         raise InputError("var lines do not cover every index")
     return RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(costs), rows=tuple(rows))

@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from pathcut import ConvergenceError, Graph, Path
+from pathcut import ConvergenceError, Graph, Path, PathCutError
+from pathcut.lp import FEAS_TOL
 from pathcut.reduction import enumerate_simple_paths
 
 
@@ -124,3 +125,101 @@ def reference_principal_eigenvector(g, tol=1e-8, max_iter=10000):
         if residual <= tol * max(lam, 1e-30):
             return v
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+
+
+def reference_bounded_simplex(rows, costs):
+    """Minimize ``costs @ x`` s.t. per-row sums >= 1 and ``0 <= x <= 1``.
+
+    Full-tableau bounded-variable simplex, Bland's rule for entering and
+    leaving, upper-bound flips handled separately (a flip always moves a
+    full unit, so it strictly improves the objective and cannot cycle).
+
+    This is the all-numpy loop: ``pathcut.lp._bounded_simplex`` keeps its
+    bookkeeping in Python floats and must return the same bytes.
+    """
+    m = len(rows)
+    n = len(costs)
+    total = n + m  # structural + surplus
+    A = np.zeros((m, total))
+    for i, row in enumerate(rows):
+        A[i, list(row)] = 1.0
+        A[i, n + i] = -1.0
+    c = np.concatenate([costs, np.zeros(m)])
+    ub = np.concatenate([np.ones(n), np.full(m, np.inf)])
+
+    # Start: every structural variable nonbasic at its upper bound 1;
+    # surplus basic with value (row size - 1) >= 0, so B = -I.
+    basis = np.arange(n, total)
+    T = -A
+    xB = np.array([len(r) - 1.0 for r in rows])
+    at_upper = np.zeros(total, dtype=bool)
+    at_upper[:n] = True
+    nonbasic = np.ones(total, dtype=bool)
+    nonbasic[n:] = False
+
+    tol = FEAS_TOL
+    max_pivots = 200 * (m + n + 1)
+    for _ in range(max_pivots):
+        rc = c - c[basis] @ T
+        eligible = nonbasic & (
+            (~at_upper & (rc < -tol)) | (at_upper & (rc > tol))
+        )
+        if not eligible.any():
+            break
+        j = int(np.argmax(eligible))  # first True: Bland's smallest index
+        increase = not at_upper[j]
+        col = T[:, j]
+        delta = -col if increase else col
+        # Ratio test: largest step keeping every basic variable in bounds,
+        # Bland's rule (smallest leaving variable) among tied rows.
+        best = np.inf
+        leave = -1
+        for i in range(m):
+            di = delta[i]
+            if di < -tol:
+                cand = xB[i] / -di
+            elif di > tol and np.isfinite(ub[basis[i]]):
+                cand = (ub[basis[i]] - xB[i]) / di
+            else:
+                continue
+            cand = max(cand, 0.0)
+            if cand < best - tol:
+                best = cand
+                leave = i
+            elif cand < best + tol and leave >= 0 and basis[i] < basis[leave]:
+                leave = i
+        if ub[j] <= best + tol:
+            # The entering variable reaches its other bound first: flip it.
+            # A flip moves a full unit, strictly improving the objective,
+            # so flips cannot cycle.
+            if not np.isfinite(ub[j]):
+                raise PathCutError("cover LP is unbounded; this cannot happen")
+            xB = xB + ub[j] * delta
+            at_upper[j] = not at_upper[j]
+            continue
+        if leave < 0:
+            raise PathCutError("cover LP is unbounded; this cannot happen")
+        theta = max(best, 0.0)
+        xB = xB + theta * delta
+        entering_value = theta if increase else (ub[j] - theta)
+        leaving = basis[leave]
+        # Leaving variable rests at whichever of its bounds was hit.
+        hit_upper = delta[leave] > tol
+        at_upper[leaving] = bool(hit_upper and np.isfinite(ub[leaving]))
+        nonbasic[leaving] = True
+        nonbasic[j] = False
+        at_upper[j] = False
+        basis[leave] = j
+        pivot = T[leave, j]
+        T[leave] = T[leave] / pivot
+        factors = T[:, j].copy()
+        factors[leave] = 0.0
+        T -= np.outer(factors, T[leave])
+        xB[leave] = entering_value
+    else:
+        raise PathCutError("simplex failed to terminate within the pivot cap")
+
+    x = np.where(at_upper[:total], np.where(np.isfinite(ub), ub, 0.0), 0.0)
+    x[basis] = xB
+    out = np.clip(x[:n], 0.0, 1.0)
+    return out

@@ -3,10 +3,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from helpers import random_graph, reachable_pair, reference_bounded_simplex
 from scipy.optimize import linprog
 
-from pathcut import Graph, InputError, Path
+import pathcut.lp
+from pathcut import AttackConfig, Graph, InputError, PathCutError, Path, run_attack
+from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
+from pathcut.harness import select_p_star
 from pathcut.lp import (
+    _bounded_simplex,
     RelaxedCutLP,
     build_cover_lp,
     is_integral,
@@ -138,6 +143,8 @@ def test_build_cover_lp_excludes_protected_edges():
     assert lp.rows == ((0,), (1,))
     with pytest.raises(InputError):
         build_cover_lp(g, p_star, [Path((0, 1, 2))])  # only protected edges
+    with pytest.raises(InputError, match=r"unknown edge \(1, 3\)"):
+        build_cover_lp(g, p_star, [Path((0, 2, 3)), Path((0, 1, 3))])
 
 
 def test_rows_sum_to_at_least_one():
@@ -163,3 +170,128 @@ def test_text_round_trip():
     assert parse_lp_text(text) == lp
     with pytest.raises(InputError):
         parse_lp_text("not a document\n")
+
+
+DOC_HEAD = "coverlp 1\nvars 2\nvar 0 0 1 3\nvar 1 1 2 4\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("coverlp 1\nvar 0 0 1 3\nrow 0\nend\n", 2),  # no vars line
+    ("coverlp 1\nvars x\nend\n", 2),
+    ("coverlp 1\nvars -1\nend\n", 2),
+    ("coverlp 1\nvars 1 2\nvar 0 0 1 3\nend\n", 2),
+    ("coverlp 1\nend\n", 2),
+    ("coverlp 1\nvars 10000000000\nvar 0 0 1 3\nend\n", 2),
+    ("coverlp 1\nvars 1\nvar 0 0 1\nend\n", 3),  # 4 tokens
+    ("coverlp 1\nvars 1\nvar 0 0 1 3 7\nend\n", 3),  # 6 tokens
+    ("coverlp 1\nvars 1\nvar 0 0 one 3\nend\n", 3),
+    ("coverlp 1\nvars 1\nvar 5 0 1 3\nend\n", 3),  # index out of range
+    ("coverlp 1\nvars 1\nvar -1 0 1 3\nend\n", 3),
+    ("coverlp 1\nvars 2\nvar 0 0 1 3\nvar 0 1 2 4\nend\n", 4),  # repeated
+    ("coverlp 1\nvars 1\nvar 0 2 2 3\nend\n", 3),  # u == v
+    ("coverlp 1\nvars 1\nvar 0 0 1 nan\nend\n", 3),
+    ("coverlp 1\nvars 1\nvar 0 0 1 1e400\nend\n", 3),
+    ("coverlp 1\nvars 1\nvar 0 0 1 inf\nend\n", 3),
+    ("coverlp 1\nvars 1\nvar 0 0 1 -3\nend\n", 3),
+    (DOC_HEAD + "row 2\nend\n", 5),  # row index out of range
+    (DOC_HEAD + "row -1 0\nend\n", 5),
+    ("coverlp 1\nvars 1\nvar 0 0 1 3\nrow 3\nend\n", 4),
+    (DOC_HEAD + "row 1 0 0\nend\n", 5),  # not increasing, repeated
+    (DOC_HEAD + "row 0 0\nend\n", 5),
+    (DOC_HEAD + "row 1 0\nend\n", 5),
+    (DOC_HEAD + "row 0 x\nend\n", 5),
+    (DOC_HEAD + "vars 2\nend\n", 5),  # a second vars line is unknown
+], ids=[
+    "missing-vars", "vars-not-int", "vars-negative", "vars-extra-token", "vars-is-end", "vars-too-many",
+    "var-4-tokens", "var-6-tokens", "var-not-int", "var-index-too-large",
+    "var-index-negative", "var-index-repeated", "var-self-loop", "cost-nan",
+    "cost-overflow", "cost-inf", "cost-negative", "row-index-too-large",
+    "row-index-negative", "row-3-of-1-var", "row-unsorted-repeated", "row-repeated",
+    "row-decreasing", "row-not-int", "second-vars-line",
+])
+def test_parse_rejects_malformed_document(text, line):
+    with pytest.raises(InputError, match=f"^line {line}: "):
+        parse_lp_text(text)
+
+
+def test_parse_accepts_zero_cost_and_empty_row():
+    lp = parse_lp_text(DOC_HEAD.replace("var 1 1 2 4", "var 1 2 1 0") + "row 0 1\nrow\nend\n")
+    assert lp.edge_order == ((0, 1), (1, 2))
+    assert lp.costs == (3, 0)
+    assert lp.rows == ((0, 1), ())
+
+
+@pytest.mark.parametrize("row", [(3,), (0, 1), (-1, 0)])
+def test_solve_rejects_row_index_out_of_range(row):
+    with pytest.raises(InputError, match="out of range"):
+        solve_relaxed(lp_of([(0,), row], [1]))
+
+
+def test_feasibility_recheck_fires(monkeypatch):
+    monkeypatch.setattr(pathcut.lp, "_bounded_simplex", lambda rows, costs: np.zeros(len(costs)))
+    with pytest.raises(PathCutError, match="infeasible point"):
+        solve_relaxed(lp_of([(0, 1)], [1, 1]))
+
+
+COST_KINDS = ("ones", "small-int", "uniform", "log-uniform")
+
+
+def random_cover_lp(rng, kind):
+    """Seeded cover LP with m <= 40 rows of 2 to 4 variables out of n <= 60;
+    small pairwise rows make odd cycles, hence fractional optima, common."""
+    n = int(rng.integers(2, 21)) if rng.random() < 0.5 else int(rng.integers(2, 61))
+    m = int(rng.integers(1, 41))
+    rows = [
+        tuple(sorted(rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)), replace=False).tolist()))
+        for _ in range(m)
+    ]
+    if kind == "ones":
+        costs = np.ones(n)
+    elif kind == "small-int":
+        costs = rng.integers(0, 5, size=n).astype(float)
+    elif kind == "uniform":
+        costs = rng.uniform(0, 5, size=n)
+    else:
+        costs = 10.0 ** rng.uniform(-6, 6, size=n)
+        costs[rng.random(n) < 0.1] = 0.0
+    return rows, costs
+
+
+def test_simplex_bit_identical_to_numpy_loop_on_random_lps():
+    rng = np.random.default_rng(2024)
+    fractional = 0
+    for k in range(2000):
+        rows, costs = random_cover_lp(rng, COST_KINDS[k % len(COST_KINDS)])
+        got = _bounded_simplex(rows, costs)
+        want = reference_bounded_simplex(rows, costs)
+        assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
+        fractional += bool(np.any((want > 1e-6) & (want < 1 - 1e-6)))
+    assert fractional >= 300
+
+
+def _lp_attack_instances():
+    rng = np.random.default_rng(8)
+    k8 = assign_weights(generate(GeneratorSpec("complete", n=8)), WeightScheme("equal"))
+    yield k8, select_p_star(k8, 0, 7, 8)
+    er = random_graph(rng, 30, 0.2)
+    s, t = reachable_pair(rng, er)
+    yield er, select_p_star(er, s, t, 40)
+    lattice = assign_weights(generate(GeneratorSpec("lattice", rows=6, cols=6)),
+                             WeightScheme("uniform", upper=5, seed=3))
+    yield lattice, select_p_star(lattice, 0, 35, 60)
+
+
+def test_simplex_bit_identical_to_numpy_loop_inside_pathattack(monkeypatch):
+    solved = []
+
+    def both(rows, costs):
+        got = _bounded_simplex(rows, costs)
+        solved.append(got.tobytes() == reference_bounded_simplex(rows, costs).tobytes())
+        return got
+
+    monkeypatch.setattr(pathcut.lp, "_bounded_simplex", both)
+    for seed, (g, p_star) in enumerate(_lp_attack_instances()):
+        before = len(solved)
+        run_attack(g, p_star, AttackConfig(method="pathattack-lp", rng_seed=seed))
+        assert len(solved) > before
+    assert all(solved)
