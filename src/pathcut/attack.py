@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, filterfalse
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .cover import LPCoverResult, greedy_path_cover, lp_path_cover
 from .errors import ConvergenceError, InputError, IterationLimitError
-from .graphs import CutPlan, Graph, Path, make_cut_plan, path_length, strictly_longer
+from .graphs import CutPlan, Graph, Path, edge_key, make_cut_plan, path_length, strictly_longer
 from .lp import is_integral
 from .paths import next_shortest_excluding
 
@@ -30,22 +31,20 @@ METHODS = (
     METHOD_GREEDY_COST,
     METHOD_GREEDY_EIGENSCORE,
 )
+#: Relative tolerance of greedy eigenscore's tie rule (see greedy_eigenscore).
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class AttackConfig:
     """Method selection and knobs for one attack run.
 
-    ``budget`` never steers the optimization; it is only compared against
-    the final cost by whoever reads the plan. ``iteration_cap`` defaults
-    to ``10 * edge_count`` at runtime.
+    ``iteration_cap`` defaults to ``10 * edge_count`` at runtime.
     """
 
     method: str = METHOD_PATHATTACK_LP
     rng_seed: int = 0
-    budget: Optional[float] = None
     iteration_cap: Optional[int] = None
-    recompute_eigenscores: bool = False
     rounding_retry_cap: int = 64
 
     def __post_init__(self):
@@ -176,12 +175,26 @@ def greedy_eigenscore(g: Graph, p_star: Path, recompute: bool = False,
     adjacency-eigenvector entries at its endpoints.
 
     Scores are computed once on the input graph; ``recompute=True``
-    refreshes them on the residual graph before every cut instead.
+    refreshes them on the residual graph (the input graph with the cut
+    banned) before every cut instead.
+
+    Ties: among the candidates whose ratio is at least
+    ``top * (1 - TIE_RTOL)``, where ``top`` is the largest ratio, the
+    smallest edge key is cut. Edges with equal scores in exact arithmetic
+    (every edge of a clique, mirror images on a lattice) get ratios that
+    differ in the last bits, and which one comes out larger depends on
+    the order in which the power iteration's products were summed. Any
+    such order follows the same iterates, so two orders give vectors a
+    few units in the last place apart (about 1e-16 relative); 1e-9 only
+    has to absorb that, and ratios further apart are ranked as they are.
+    So the plan depends neither on the summation order nor on the numpy
+    build. Zero-cost edges (ratio ``inf``) tie only with each other, and
+    when every ratio is 0 all tie.
     """
     frozen = None if recompute else principal_eigenvector(g)
 
     def choose(candidates, removed):
-        vector = principal_eigenvector(g.remove_edges(removed)) if recompute else frozen
+        vector = principal_eigenvector(g, banned_edges=removed) if recompute else frozen
 
         def ratio(e):
             u, v = e
@@ -189,14 +202,35 @@ def greedy_eigenscore(g: Graph, p_star: Path, recompute: bool = False,
             cost = g.cost(u, v)
             return math.inf if cost == 0 else score / cost
 
-        return min(candidates, key=lambda e: (-ratio(e), e))
+        ratios = [ratio(e) for e in candidates]
+        floor = max(ratios) * (1.0 - TIE_RTOL)
+        return min(e for e, r in zip(candidates, ratios) if r >= floor)
 
     return _greedy_baseline(g, p_star, choose, METHOD_GREEDY_EIGENSCORE, iteration_cap)
 
 
-def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) -> np.ndarray:
+def _adjacency_product(g: Graph, banned_edges: Iterable = ()):
+    """``x -> A @ x`` for the unweighted adjacency matrix ``A`` of ``g``
+    without ``banned_edges``, in O(n + m) per product."""
+    banned = {edge_key(*e) for e in banned_edges}
+    kept = list(filterfalse(banned.__contains__, g.edges()))
+    ends = np.fromiter(chain.from_iterable(kept), dtype=np.intp, count=2 * len(kept))
+    u, v = ends[0::2], ends[1::2]
+    # Both orientations: (A @ x)[d] sums x[s] over every arc s -> d.
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    n = g.node_count
+    return lambda x: np.bincount(dst, weights=x[src], minlength=n)
+
+
+def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000,
+                          banned_edges: Iterable = ()) -> np.ndarray:
     """Unit-norm nonnegative principal eigenvector of the unweighted
     adjacency matrix, by power iteration.
+
+    ``banned_edges`` (edges of ``g``, either orientation) are left out of
+    the matrix: this is the eigenvector of the residual graph, expressed
+    the way the path oracle takes it, without building a new graph.
 
     Iterates with ``A + I`` so bipartite graphs (whose spectrum is
     symmetric) still converge; the residual test uses ``A`` itself:
@@ -204,25 +238,23 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
     estimate of ``lambda``.
 
     Each step computes one product ``A @ v`` and uses it for the Rayleigh
-    quotient, the residual and the next iterate. The product is a dense
-    BLAS call whose summation order is part of the output: greedy
-    eigenscore breaks exact ties between edges on symmetric equal-weight
-    graphs by the last bits of this vector, so a product that sums in
-    another order (a sparse matvec, say) changes recorded plans.
+    quotient, the residual and the next iterate. The product runs over the
+    edge list in both orientations (``np.bincount``), O(n + m) time and
+    memory per step instead of a dense n x n matrix. Its summation order
+    differs from a dense product's, so the vector can differ from one by a
+    few units in the last place; greedy eigenscore's tie rule absorbs
+    that, so plans do not depend on it.
     """
     n = g.node_count
     if n == 0:
         raise InputError("eigenvector of an empty graph is undefined")
-    A = np.zeros((n, n))
-    for u, v in g.edges():
-        A[u, v] = 1.0
-        A[v, u] = 1.0
+    product = _adjacency_product(g, banned_edges)
     v = np.full(n, 1.0 / math.sqrt(n))
-    av = A @ v
+    av = product(v)
     for _ in range(max_iter):
         nxt = av + v
         nxt /= np.linalg.norm(nxt)
-        av = A @ nxt
+        av = product(nxt)
         lam = float(nxt @ av)
         residual = float(np.linalg.norm(av - lam * nxt))
         v = nxt
@@ -237,9 +269,4 @@ def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
         return pathattack(g, p_star, cfg)
     if cfg.method == METHOD_GREEDY_COST:
         return greedy_cost(g, p_star, iteration_cap=cfg.iteration_cap)
-    return greedy_eigenscore(
-        g,
-        p_star,
-        recompute=cfg.recompute_eigenscores,
-        iteration_cap=cfg.iteration_cap,
-    )
+    return greedy_eigenscore(g, p_star, iteration_cap=cfg.iteration_cap)

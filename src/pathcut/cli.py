@@ -166,7 +166,7 @@ def _cmd_attack(args) -> dict:
             raise InputError("--rank needs --source and --target")
         mask = neighborhood_mask(g, args.source, args.neighborhood_cap)
         p_star = select_p_star(g, args.source, args.target, args.rank, allowed_nodes=mask)
-    cfg = AttackConfig(method=args.method, rng_seed=args.seed, budget=args.budget,
+    cfg = AttackConfig(method=args.method, rng_seed=args.seed,
                        iteration_cap=args.iteration_cap)
     plan = run_attack(g, p_star, cfg)
     out = _plan_dict(plan, budget=args.budget)

@@ -63,9 +63,6 @@ class RelaxedCutLP:
     costs: tuple[float, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def var_index(self) -> dict[EdgeKey, int]:
-        return {e: j for j, e in enumerate(self.edge_order)}
-
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -226,7 +223,8 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     :class:`InputError`. Variables absent from every row are fixed at 0
     (their cost is nonnegative, so this is optimal and keeps the solution
     a vertex); the simplex runs on the active variables only. Row
-    feasibility of the result is re-checked and asserted.
+    feasibility of the result is re-checked; when the check fails because
+    a row repeats an index, :class:`InputError` names that row.
     """
     n = len(lp.edge_order)
     if any(len(r) == 0 for r in lp.rows):
@@ -243,6 +241,11 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     vals = values.tolist()
     for row in lp.rows:
         if sum(map(vals.__getitem__, row)) < 1.0 - FEAS_TOL:
+            # The simplex counts a row's entries as distinct variables, so
+            # a row that repeats an index can end here; name it.
+            for i, r in enumerate(lp.rows):
+                if len(set(r)) < len(r):
+                    raise InputError(f"row {i} repeats a variable index: {r}")
             raise PathCutError("solver returned an infeasible point")
     objective = float(np.dot(values, np.asarray(lp.costs, dtype=float)))
     return LPSolution(values=tuple(vals), objective_value=objective, status="optimal")

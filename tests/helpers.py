@@ -102,25 +102,56 @@ def reference_shortest_path(g, s, t, banned_nodes=frozenset(), banned_edges=froz
     return None
 
 
-def reference_principal_eigenvector(g, tol=1e-8, max_iter=10000):
-    """Power iteration computing ``A @ v`` three times per step (for the
-    next iterate, the Rayleigh quotient and the residual).
-
-    ``principal_eigenvector`` computes the product once per step and must
-    return a bit-identical vector.
-    """
+def dense_adjacency_product(g, banned_edges=()):
+    """``x -> A @ x`` through a dense n x n adjacency matrix (one BLAS
+    matvec), with ``banned_edges`` left out: the product the power
+    iteration used before it went sparse."""
+    banned = {(min(e), max(e)) for e in banned_edges}
     n = g.node_count
     A = np.zeros((n, n))
     for u, v in g.edges():
-        A[u, v] = 1.0
-        A[v, u] = 1.0
+        if (u, v) not in banned:
+            A[u, v] = 1.0
+            A[v, u] = 1.0
+    return lambda x: A @ x
+
+
+def shuffled_adjacency_product(g, banned_edges=()):
+    """``x -> A @ x`` over the edge list in a seeded random order, with
+    about half the edges listed as ``(v, u)``, summing each orientation
+    separately and adding the two: the same matrix as ``pathcut.attack``'s
+    product, summed in another order. On a clique the split sums differ
+    per node, so even the uniform vector picks up last-bit noise."""
+    banned = {(min(e), max(e)) for e in banned_edges}
+    edges = [e for e in g.edges() if e not in banned]
+    rng = np.random.default_rng(len(edges))
+    arcs = [(v, u) if flip else (u, v)
+            for (u, v), flip in zip(edges, rng.random(len(edges)) < 0.5)]
+    arcs = [arcs[i] for i in rng.permutation(len(arcs))]
+    u, v = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
+    n = g.node_count
+    return lambda x: (np.bincount(u, weights=x[v], minlength=n)
+                      + np.bincount(v, weights=x[u], minlength=n))
+
+
+def reference_principal_eigenvector(g, tol=1e-8, max_iter=10000, product=None):
+    """Power iteration computing ``A @ v`` three times per step (for the
+    next iterate, the Rayleigh quotient and the residual).
+
+    ``product(g)`` builds the ``x -> A @ x`` callable; the default is
+    :func:`dense_adjacency_product`. ``principal_eigenvector`` computes the
+    product once per step and must return a bit-identical vector when
+    given the same product, and a close one under the dense product.
+    """
+    n = g.node_count
+    mul = (product or dense_adjacency_product)(g)
     v = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(max_iter):
-        av = A @ v
+        av = mul(v)
         nxt = av + v
         nxt /= np.linalg.norm(nxt)
-        lam = float(nxt @ (A @ nxt))
-        residual = float(np.linalg.norm(A @ nxt - lam * nxt))
+        lam = float(nxt @ mul(nxt))
+        residual = float(np.linalg.norm(mul(nxt) - lam * nxt))
         v = nxt
         if residual <= tol * max(lam, 1e-30):
             return v

@@ -1,18 +1,30 @@
+import json
+
 import numpy as np
 import pytest
 
-from helpers import random_graph, reference_principal_eigenvector
+import pathcut.attack
+import pathcut.harness
+from helpers import (
+    dense_adjacency_product,
+    random_graph,
+    reference_principal_eigenvector,
+    shuffled_adjacency_product,
+)
 from pathcut import Graph, InputError, Path, path_length, strictly_longer
 from pathcut.attack import (
     METHODS,
     AttackConfig,
+    _adjacency_product,
     greedy_cost,
     greedy_eigenscore,
     pathattack,
     principal_eigenvector,
     run_attack,
 )
-from pathcut.generators import GeneratorSpec, generate
+from pathcut.cli import main
+from pathcut.generators import GeneratorSpec, WeightScheme, generate
+from pathcut.harness import ExperimentConfig, run_experiments, save_edge_list
 from pathcut.paths import next_shortest_excluding
 from pathcut.reduction import brute_force_force_path_cut
 from pathcut.sweeps import clique_instance
@@ -110,11 +122,21 @@ def test_greedy_cost_prefers_cheap_edges():
     assert plan.total_cost == 1
 
 
-def test_budget_never_alters_optimization():
+def test_budget_never_alters_optimization(tmp_path, capsys):
+    # --budget is only compared against the final cost; the attack never
+    # sees it.
     g, p_star = clique_instance(8)
-    free = run_attack(g, p_star, AttackConfig(method="greedy-cost"))
-    tight = run_attack(g, p_star, AttackConfig(method="greedy-cost", budget=1.0))
-    assert free.removed_edges == tight.removed_edges
+    f = str(tmp_path / "k8.edges")
+    save_edge_list(f, g)
+    argv = ["attack", "--graph", f, "--method", "greedy-cost",
+            "--p-star", ",".join(map(str, p_star.nodes))]
+    plans = []
+    for extra in ([], ["--budget", "1"]):
+        assert main(argv + extra) == 0
+        plans.append(json.loads(capsys.readouterr().out))
+    free, tight = plans
+    assert free["removed_edges"] == tight["removed_edges"]
+    assert tight["within_budget"] is False
 
 
 def test_eigenvector_single_edge_and_clique():
@@ -140,26 +162,83 @@ def test_eigenvector_matches_dense_solver():
     assert v == pytest.approx(ref, abs=1e-6)
 
 
-@pytest.mark.parametrize("tol", [1e-8, 1e-10])
-@pytest.mark.parametrize("g", [
+EIGEN_GRAPHS = [
     generate(GeneratorSpec("lattice", rows=10, cols=10)),
     random_graph(np.random.default_rng(60), 60, 0.1),
     Graph(7, [(u, w, 1) for u in range(7) for w in range(u + 1, 7)]),
     Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 2, 1)]),
     Graph(4),
-], ids=["lattice-10x10", "er-60", "k7", "isolated-node", "no-edges"])
+]
+EIGEN_IDS = ["lattice-10x10", "er-60", "k7", "isolated-node", "no-edges"]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("g", EIGEN_GRAPHS, ids=EIGEN_IDS)
 def test_eigenvector_bit_identical_to_three_product_loop(g, tol):
-    # Bit identity, not closeness: greedy eigenscore breaks exact ties by
-    # the vector's last bits. A sparse matvec that differed by about 3e-17
-    # flipped such a tie on a 10x10 equal-weight lattice (desk --quick block
-    # lattice-n100-equal, rep 2, rank 5: greedy-eigenscore cost 8 became 7),
-    # and a per-edge np.bincount product moved 5 greedy-eigenscore costs on
-    # K100 (block complete-n100-uniform), where the dense product keeps the
-    # uniform vector exact. A different product means re-recording outputs,
-    # not relaxing this test.
+    # Bit identity, not closeness: on the same product, computing A @ v
+    # once per step and reusing it must not change a single iterate.
+    got = principal_eigenvector(g, tol=tol)
+    expect = reference_principal_eigenvector(g, tol=tol, product=_adjacency_product)
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("g", EIGEN_GRAPHS, ids=EIGEN_IDS)
+def test_eigenvector_close_to_dense_three_product_loop(g, tol):
+    # The sparse product sums in another order than a dense matvec, so the
+    # vectors may differ in the last bits (greedy eigenscore's tie rule
+    # absorbs that), but no more.
     got = principal_eigenvector(g, tol=tol)
     expect = reference_principal_eigenvector(g, tol=tol)
-    assert np.array_equal(got, expect)
+    assert np.max(np.abs(got - expect)) <= 1e-12
+    av = dense_adjacency_product(g)(got)
+    lam = float(got @ av)
+    assert np.linalg.norm(av - lam * got) <= tol * lam
+
+
+def test_eigenvector_banned_edges_equal_removed_edges():
+    g = random_graph(np.random.default_rng(61), 40, 0.15)
+    cut = g.edges()[::3]
+    flipped = [(v, u) for u, v in cut]
+    expect = principal_eigenvector(g.remove_edges(cut), tol=1e-10)
+    assert np.array_equal(principal_eigenvector(g, tol=1e-10, banned_edges=flipped), expect)
+
+
+DESK_BLOCKS = {
+    # The two desk --quick blocks whose greedy-eigenscore plans flipped
+    # when only the product's summation order changed.
+    "complete-n100-uniform": (GeneratorSpec("complete", n=100), WeightScheme("uniform")),
+    "lattice-n100-equal": (GeneratorSpec("lattice", rows=10, cols=10), WeightScheme("equal")),
+}
+
+
+@pytest.mark.parametrize("block", sorted(DESK_BLOCKS))
+def test_eigenscore_plans_independent_of_product_order(block, monkeypatch):
+    spec, scheme = DESK_BLOCKS[block]
+    cfg = ExperimentConfig(generator=spec, weight_scheme=scheme, p_star_ranks=(5, 20),
+                           repetitions=3, methods=("greedy-eigenscore",))
+    k7, k7_target = clique_instance(7)
+
+    def plans():
+        got = []
+
+        def recording_run_attack(g, p_star, acfg):
+            plan = run_attack(g, p_star, acfg)
+            got.append(plan.removed_edges)
+            return plan
+
+        with monkeypatch.context() as m:
+            m.setattr(pathcut.harness, "run_attack", recording_run_attack)
+            run_experiments(cfg)
+        for recompute in (False, True):
+            got.append(greedy_eigenscore(k7, k7_target, recompute=recompute).removed_edges)
+        return got
+
+    sparse = plans()
+    assert len(sparse) == 6 + 2
+    for product in (dense_adjacency_product, shuffled_adjacency_product):
+        monkeypatch.setattr(pathcut.attack, "_adjacency_product", product)
+        assert plans() == sparse, product.__name__
 
 
 def test_eigenscore_choice_on_star_with_chord():

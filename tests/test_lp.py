@@ -233,6 +233,14 @@ def test_feasibility_recheck_fires(monkeypatch):
         solve_relaxed(lp_of([(0, 1)], [1, 1]))
 
 
+@pytest.mark.parametrize("rows", [[(1, 0, 0)], [(0, 0)]])
+def test_solve_names_row_repeating_an_index(rows):
+    # The simplex counts a row's entries as distinct variables; the
+    # failed feasibility re-check reports the row, not the solver.
+    with pytest.raises(InputError, match=r"row 0 repeats a variable index"):
+        solve_relaxed(lp_of(rows, [1, 1]))
+
+
 COST_KINDS = ("ones", "small-int", "uniform", "log-uniform")
 
 
