@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, filterfalse
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
 from .cover import LPCoverResult, greedy_path_cover, lp_path_cover
 from .errors import ConvergenceError, InputError, IterationLimitError
-from .graphs import CutPlan, Graph, Path, edge_key, make_cut_plan, path_length, strictly_longer
+from .graphs import CutPlan, Graph, Path, make_cut_plan, path_length, strictly_longer
 from .lp import is_integral
 from .paths import next_shortest_excluding
 
@@ -175,26 +175,28 @@ def greedy_eigenscore(g: Graph, p_star: Path, recompute: bool = False,
     adjacency-eigenvector entries at its endpoints.
 
     Scores are computed once on the input graph; ``recompute=True``
-    refreshes them on the residual graph (the input graph with the cut
-    banned) before every cut instead.
+    refreshes them on the residual graph before every cut instead.
 
     Ties: among the candidates whose ratio is at least
     ``top * (1 - TIE_RTOL)``, where ``top`` is the largest ratio, the
     smallest edge key is cut. Edges with equal scores in exact arithmetic
     (every edge of a clique, mirror images on a lattice) get ratios that
     differ in the last bits, and which one comes out larger depends on
-    the order in which the power iteration's products were summed. Any
-    such order follows the same iterates, so two orders give vectors a
-    few units in the last place apart (about 1e-16 relative); 1e-9 only
-    has to absorb that, and ratios further apart are ranked as they are.
-    So the plan depends neither on the summation order nor on the numpy
-    build. Zero-cost edges (ratio ``inf``) tie only with each other, and
+    the order in which the power iteration's products were summed. When
+    two orders stop at the same iterate, their vectors are a few units in
+    the last place apart (about 1e-16 relative); 1e-9 only has to absorb
+    that, and ratios further apart are ranked as they are. This does not
+    make plans independent of the summation order or the numpy build in
+    every case: an order can make the residual test pass one iterate
+    earlier or later (vectors about ``tol`` apart), and a ratio lying
+    right at the ``top * (1 - TIE_RTOL)`` floor can fall on either side
+    of it. Zero-cost edges (ratio ``inf``) tie only with each other, and
     when every ratio is 0 all tie.
     """
     frozen = None if recompute else principal_eigenvector(g)
 
     def choose(candidates, removed):
-        vector = principal_eigenvector(g, banned_edges=removed) if recompute else frozen
+        vector = principal_eigenvector(g.remove_edges(removed)) if recompute else frozen
 
         def ratio(e):
             u, v = e
@@ -209,12 +211,11 @@ def greedy_eigenscore(g: Graph, p_star: Path, recompute: bool = False,
     return _greedy_baseline(g, p_star, choose, METHOD_GREEDY_EIGENSCORE, iteration_cap)
 
 
-def _adjacency_product(g: Graph, banned_edges: Iterable = ()):
-    """``x -> A @ x`` for the unweighted adjacency matrix ``A`` of ``g``
-    without ``banned_edges``, in O(n + m) per product."""
-    banned = {edge_key(*e) for e in banned_edges}
-    kept = list(filterfalse(banned.__contains__, g.edges()))
-    ends = np.fromiter(chain.from_iterable(kept), dtype=np.intp, count=2 * len(kept))
+def _adjacency_product(g: Graph):
+    """``x -> A @ x`` for the unweighted adjacency matrix ``A`` of ``g``,
+    in O(n + m) per product."""
+    edges = g.edges()
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
     u, v = ends[0::2], ends[1::2]
     # Both orientations: (A @ x)[d] sums x[s] over every arc s -> d.
     src = np.concatenate([u, v])
@@ -223,14 +224,9 @@ def _adjacency_product(g: Graph, banned_edges: Iterable = ()):
     return lambda x: np.bincount(dst, weights=x[src], minlength=n)
 
 
-def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000,
-                          banned_edges: Iterable = ()) -> np.ndarray:
+def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) -> np.ndarray:
     """Unit-norm nonnegative principal eigenvector of the unweighted
     adjacency matrix, by power iteration.
-
-    ``banned_edges`` (edges of ``g``, either orientation) are left out of
-    the matrix: this is the eigenvector of the residual graph, expressed
-    the way the path oracle takes it, without building a new graph.
 
     Iterates with ``A + I`` so bipartite graphs (whose spectrum is
     symmetric) still converge; the residual test uses ``A`` itself:
@@ -243,12 +239,12 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000,
     memory per step instead of a dense n x n matrix. Its summation order
     differs from a dense product's, so the vector can differ from one by a
     few units in the last place; greedy eigenscore's tie rule absorbs
-    that, so plans do not depend on it.
+    that noise (see its docstring for the limits).
     """
     n = g.node_count
     if n == 0:
         raise InputError("eigenvector of an empty graph is undefined")
-    product = _adjacency_product(g, banned_edges)
+    product = _adjacency_product(g)
     v = np.full(n, 1.0 / math.sqrt(n))
     av = product(v)
     for _ in range(max_iter):

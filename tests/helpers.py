@@ -102,28 +102,24 @@ def reference_shortest_path(g, s, t, banned_nodes=frozenset(), banned_edges=froz
     return None
 
 
-def dense_adjacency_product(g, banned_edges=()):
+def dense_adjacency_product(g):
     """``x -> A @ x`` through a dense n x n adjacency matrix (one BLAS
-    matvec), with ``banned_edges`` left out: the product the power
-    iteration used before it went sparse."""
-    banned = {(min(e), max(e)) for e in banned_edges}
+    matvec): the product the power iteration used before it went sparse."""
     n = g.node_count
     A = np.zeros((n, n))
     for u, v in g.edges():
-        if (u, v) not in banned:
-            A[u, v] = 1.0
-            A[v, u] = 1.0
+        A[u, v] = 1.0
+        A[v, u] = 1.0
     return lambda x: A @ x
 
 
-def shuffled_adjacency_product(g, banned_edges=()):
+def shuffled_adjacency_product(g):
     """``x -> A @ x`` over the edge list in a seeded random order, with
     about half the edges listed as ``(v, u)``, summing each orientation
     separately and adding the two: the same matrix as ``pathcut.attack``'s
     product, summed in another order. On a clique the split sums differ
     per node, so even the uniform vector picks up last-bit noise."""
-    banned = {(min(e), max(e)) for e in banned_edges}
-    edges = [e for e in g.edges() if e not in banned]
+    edges = g.edges()
     rng = np.random.default_rng(len(edges))
     arcs = [(v, u) if flip else (u, v)
             for (u, v), flip in zip(edges, rng.random(len(edges)) < 0.5)]

@@ -196,14 +196,6 @@ def test_eigenvector_close_to_dense_three_product_loop(g, tol):
     assert np.linalg.norm(av - lam * got) <= tol * lam
 
 
-def test_eigenvector_banned_edges_equal_removed_edges():
-    g = random_graph(np.random.default_rng(61), 40, 0.15)
-    cut = g.edges()[::3]
-    flipped = [(v, u) for u, v in cut]
-    expect = principal_eigenvector(g.remove_edges(cut), tol=1e-10)
-    assert np.array_equal(principal_eigenvector(g, tol=1e-10, banned_edges=flipped), expect)
-
-
 DESK_BLOCKS = {
     # The two desk --quick blocks whose greedy-eigenscore plans flipped
     # when only the product's summation order changed.
