@@ -45,7 +45,6 @@ class AttackConfig:
     method: str = METHOD_PATHATTACK_LP
     rng_seed: int = 0
     iteration_cap: Optional[int] = None
-    rounding_retry_cap: int = 64
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -100,9 +99,7 @@ def pathattack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
                 partial={"constraints": len(constraints), "removed_edges": removed},
             )
         if cfg.method == METHOD_PATHATTACK_LP:
-            last_lp = lp_path_cover(
-                g, p_star, constraints, rng, retry_cap=cfg.rounding_retry_cap
-            )
+            last_lp = lp_path_cover(g, p_star, constraints, rng)
             removed = last_lp.edges
             retries += last_lp.retries
         else:
@@ -127,7 +124,7 @@ def _greedy_baseline(g: Graph, p_star: Path, choose, method_tag: str,
                      iteration_cap: Optional[int] = None) -> CutPlan:
     """Shared loop of the two baselines: while the current best competing
     path is not longer than the target, cut one of its unprotected edges
-    chosen by ``choose(candidates, removed)``."""
+    chosen by ``choose(candidates)``."""
     _validate_target_path(g, p_star)
     s, t = p_star.source, p_star.target
     p_len = path_length(g, p_star)
@@ -141,7 +138,7 @@ def _greedy_baseline(g: Graph, p_star: Path, choose, method_tag: str,
         candidates = [e for e in p.edges if e not in protected]
         # Two simple paths with the same endpoints cannot share all edges,
         # so there is always something to cut.
-        removed.add(choose(candidates, removed))
+        removed.add(choose(candidates))
         if len(removed) > cap:
             raise IterationLimitError(
                 f"no feasible plan within {cap} removals",
@@ -162,20 +159,18 @@ def greedy_cost(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> 
     """Baseline: always cut the cheapest unprotected edge of the current
     best competing path (ties: smallest edge key)."""
 
-    def choose(candidates, removed):
+    def choose(candidates):
         return min(candidates, key=lambda e: (g.cost(*e), e))
 
     return _greedy_baseline(g, p_star, choose, METHOD_GREEDY_COST, iteration_cap)
 
 
-def greedy_eigenscore(g: Graph, p_star: Path, recompute: bool = False,
-                      iteration_cap: Optional[int] = None) -> CutPlan:
+def greedy_eigenscore(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> CutPlan:
     """Baseline: cut the unprotected edge with the largest eigenscore per
     unit cost, where an edge's eigenscore is the product of the principal
     adjacency-eigenvector entries at its endpoints.
 
-    Scores are computed once on the input graph; ``recompute=True``
-    refreshes them on the residual graph before every cut instead.
+    Scores are computed once, on the input graph.
 
     Ties: among the candidates whose ratio is at least
     ``top * (1 - TIE_RTOL)``, where ``top`` is the largest ratio, the
@@ -193,11 +188,9 @@ def greedy_eigenscore(g: Graph, p_star: Path, recompute: bool = False,
     of it. Zero-cost edges (ratio ``inf``) tie only with each other, and
     when every ratio is 0 all tie.
     """
-    frozen = None if recompute else principal_eigenvector(g)
+    vector = principal_eigenvector(g)
 
-    def choose(candidates, removed):
-        vector = principal_eigenvector(g.remove_edges(removed)) if recompute else frozen
-
+    def choose(candidates):
         def ratio(e):
             u, v = e
             score = float(vector[u] * vector[v])

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, InputError, RoundingFailureError
+from .errors import InputError, RoundingFailureError
 from .graphs import EdgeKey, Graph, Path
 from .lp import LPSolution, RelaxedCutLP, build_cover_lp, solve_relaxed
 
@@ -117,9 +117,9 @@ def lp_path_cover(
 
     ``rng`` is an integer seed or a ``numpy.random.Generator``. ``solver``
     is the seam for substituting an external LP engine: any callable
-    taking a :class:`~pathcut.lp.RelaxedCutLP` and returning an
-    :class:`~pathcut.lp.LPSolution` (see the text interchange format in
-    :mod:`pathcut.lp` for driving out-of-process solvers).
+    taking a :class:`~pathcut.lp.RelaxedCutLP` and returning an optimal
+    :class:`~pathcut.lp.LPSolution`, or raising
+    :class:`~pathcut.errors.InfeasibleError` when the LP is infeasible.
     """
     if not paths:
         raise InputError("lp_path_cover needs at least one constraint path")
@@ -127,8 +127,6 @@ def lp_path_cover(
         rng = np.random.default_rng(rng)
     lp = build_cover_lp(g, p_star, paths)
     sol = solver(lp)
-    if sol.status != "optimal":
-        raise InfeasibleError("relaxed cut LP is infeasible")
     n_draws = math.ceil(math.log(4 * len(paths)))
     bound = 4.0 * math.log(4 * len(paths)) * sol.objective_value
     probs = np.asarray(sol.values)

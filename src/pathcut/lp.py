@@ -9,27 +9,9 @@ The solver is a self-contained bounded-variable primal simplex with
 Bland's rule, so it terminates, is deterministic, and returns a vertex
 (basic) solution -- which is what makes integrality of the optimum
 detectable by inspection. No phase-1 is needed: with every row nonempty,
-starting all edge variables at their upper bound 1 is feasible.
-
-Text interchange format (``write_lp_text``/``parse_lp_text``), one ASCII
-line each, for cross-checking against external solvers::
-
-    coverlp 1
-    vars <n>
-    var <index> <u> <v> <cost>      # one per variable, index order
-    row <i1> <i2> ...               # one per constraint; sum of the listed
-                                    # variables >= 1, coefficients all 1
-    end
-
-Variables are bounded to [0, 1]; the objective is min sum(cost * var).
-``parse_lp_text`` raises :class:`~pathcut.errors.InputError` naming the
-line for a malformed document: a missing or bad ``vars`` line, or one
-declaring more variables than the document has lines for; a ``var``
-line without exactly 5 tokens, with an index out of range or repeated,
-with ``u == v``, or with a cost outside ``0 <= c < inf`` (NaN included,
-the rule :class:`~pathcut.graphs.Graph` applies); a ``row`` index out of
-range; a row that is not strictly increasing (the solver counts a row's
-entries as distinct variables).
+starting all edge variables at their upper bound 1 is feasible. An empty
+row makes the program infeasible; :func:`solve_relaxed` raises
+:class:`~pathcut.errors.InfeasibleError` for it.
 """
 
 from __future__ import annotations
@@ -37,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, PathCutError
+from .errors import InfeasibleError, InputError, PathCutError
 from .graphs import EdgeKey, Graph, Path
 
 #: Row-feasibility tolerance of the solver.
@@ -66,11 +48,10 @@ class RelaxedCutLP:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal basic solution (or infeasibility report) of a RelaxedCutLP."""
+    """Optimal basic solution of a RelaxedCutLP."""
 
     values: tuple[float, ...]
     objective_value: float
-    status: str  # "optimal" | "infeasible"
 
 
 def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutLP:
@@ -116,7 +97,7 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
     and the update of the basic values -- runs on Python floats; per
     element these are the same IEEE-754 multiplies, adds and divides
     numpy performs (no fused multiply-add), so nothing changes but the
-    interpreter overhead. Prices are recomputed only after a pivot: a
+    interpreter overhead. Prices are computed afresh only after a pivot: a
     flip changes neither the basis nor the tableau, so the reduced costs
     stay the same, and it leaves the flipped variable ineligible, so
     Bland's scan resumes just past it.
@@ -215,20 +196,22 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
 
 
 def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
-    """Optimal basic solution of the relaxed LP, or infeasible status.
+    """Optimal basic solution of the relaxed LP.
 
-    Every row must be a sorted tuple of distinct variable indices in
-    ``range(len(lp.edge_order))`` (as :func:`build_cover_lp` and
-    :func:`parse_lp_text` produce); an index out of range raises
-    :class:`InputError`. Variables absent from every row are fixed at 0
-    (their cost is nonnegative, so this is optimal and keeps the solution
-    a vertex); the simplex runs on the active variables only. Row
-    feasibility of the result is re-checked; when the check fails because
-    a row repeats an index, :class:`InputError` names that row.
+    Every row must be a nonempty sorted tuple of distinct variable indices
+    in ``range(len(lp.edge_order))``, as :func:`build_cover_lp` produces.
+    An empty row raises :class:`InfeasibleError` naming the first one; an
+    index out of range raises :class:`InputError`. Variables absent from
+    every row are fixed at 0 (their cost is nonnegative, so this is
+    optimal and keeps the solution a vertex); the simplex runs on the
+    active variables only. Row feasibility of the result is re-checked;
+    when the check fails because a row repeats an index,
+    :class:`InputError` names that row.
     """
     n = len(lp.edge_order)
-    if any(len(r) == 0 for r in lp.rows):
-        return LPSolution(values=(0.0,) * n, objective_value=0.0, status="infeasible")
+    for i, row in enumerate(lp.rows):
+        if not row:
+            raise InfeasibleError(f"row {i} is empty")
     values = np.zeros(n)
     if lp.rows:
         active = sorted({j for row in lp.rows for j in row})
@@ -248,87 +231,10 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
                     raise InputError(f"row {i} repeats a variable index: {r}")
             raise PathCutError("solver returned an infeasible point")
     objective = float(np.dot(values, np.asarray(lp.costs, dtype=float)))
-    return LPSolution(values=tuple(vals), objective_value=objective, status="optimal")
+    return LPSolution(values=tuple(vals), objective_value=objective)
 
 
 def is_integral(sol: LPSolution, tol: float = INTEGRALITY_TOL) -> bool:
     """True iff every variable is within ``tol`` of 0 or 1."""
-    if sol.status != "optimal":
-        raise InputError("integrality is defined for optimal solutions only")
     return all(v <= tol or v >= 1.0 - tol for v in sol.values)
 
-
-def write_lp_text(lp: RelaxedCutLP) -> str:
-    """Serialize to the line-based interchange format (see module docs)."""
-    lines = ["coverlp 1", f"vars {len(lp.edge_order)}"]
-    for j, (u, v) in enumerate(lp.edge_order):
-        lines.append(f"var {j} {u} {v} {lp.costs[j]!r}")
-    for row in lp.rows:
-        lines.append("row " + " ".join(map(str, row)))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def parse_lp_text(text: str) -> RelaxedCutLP:
-    """Inverse of :func:`write_lp_text`; rejects malformed documents.
-
-    Raises :class:`InputError` naming the offending line (numbered from 1
-    in ``text``) for every check listed in the module docstring.
-    """
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1].split() != ["coverlp", "1"]:
-        raise InputError("not a coverlp-1 document")
-    if lines[-1][1] != "end":
-        raise InputError("missing 'end' line")
-
-    def bad(no: int, ln: str, why: str) -> InputError:
-        return InputError(f"line {no}: {why}: {ln!r}")
-
-    no, ln = lines[1]
-    parts = ln.split()
-    try:
-        nvars = int(parts[1]) if len(parts) == 2 and parts[0] == "vars" else -1
-    except ValueError:
-        nvars = -1
-    if nvars < 0:
-        raise bad(no, ln, "bad vars line")
-    if nvars > len(lines) - 3:  # each variable needs its own var line
-        raise bad(no, ln, f"more variables than the {len(lines) - 3} lines that follow")
-    edge_order: list[Optional[EdgeKey]] = [None] * nvars
-    costs: list[float] = [0.0] * nvars
-    rows: list[tuple[int, ...]] = []
-    for no, ln in lines[2:-1]:
-        parts = ln.split()
-        if parts[0] == "var":
-            if len(parts) != 5:
-                raise bad(no, ln, "a var line has exactly 5 tokens")
-            try:
-                j, u, v = int(parts[1]), int(parts[2]), int(parts[3])
-                cost = float(parts[4])
-            except ValueError:
-                raise bad(no, ln, "malformed var line") from None
-            if not 0 <= j < nvars:
-                raise bad(no, ln, f"var index {j} out of range for {nvars} variables")
-            if edge_order[j] is not None:
-                raise bad(no, ln, f"var index {j} repeated")
-            if u == v:
-                raise bad(no, ln, "an edge needs two distinct endpoints")
-            if not 0 <= cost < math.inf:
-                raise bad(no, ln, "cost must be finite and nonnegative")
-            edge_order[j] = (u, v) if u < v else (v, u)
-            costs[j] = int(cost) if cost.is_integer() else cost
-        elif parts[0] == "row":
-            try:
-                row = tuple(int(p) for p in parts[1:])
-            except ValueError:
-                raise bad(no, ln, "malformed row line") from None
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise bad(no, ln, "row indices must be strictly increasing")
-            if row and (row[0] < 0 or row[-1] >= nvars):
-                raise bad(no, ln, f"row index out of range for {nvars} variables")
-            rows.append(row)
-        else:
-            raise bad(no, ln, "unknown line")
-    if any(e is None for e in edge_order):
-        raise InputError("var lines do not cover every index")
-    return RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(costs), rows=tuple(rows))

@@ -188,7 +188,7 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, max_cuttable: int = MAX_B
     Enumerates every simple path between the endpoints, keeps those that
     are not strictly longer than the target, and solves the resulting
     hitting-set problem exactly. The feasibility certificate (shortest
-    surviving competitor) is recomputed from the enumeration itself.
+    surviving competitor) is derived from the enumeration itself.
     """
     for u, v in p_star.edges:
         if not g.has_edge(u, v):

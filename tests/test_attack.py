@@ -11,7 +11,7 @@ from helpers import (
     reference_principal_eigenvector,
     shuffled_adjacency_product,
 )
-from pathcut import Graph, InputError, Path, path_length, strictly_longer
+from pathcut import Graph, InputError, IterationLimitError, Path, path_length, strictly_longer
 from pathcut.attack import (
     METHODS,
     AttackConfig,
@@ -50,6 +50,23 @@ def test_already_exclusive_yields_empty_plan(method):
     assert plan.removed_edges == frozenset()
     assert plan.total_cost == 0
     assert plan.iterations == 0
+
+
+ITERATION_CAP_PARTIAL = {
+    "pathattack-lp": {"constraints": 2, "removed_edges": {(1, 2)}},
+    "pathattack-greedy": {"constraints": 2, "removed_edges": {(0, 2)}},
+    "greedy-cost": {"removed_edges": {(0, 2), (0, 3)}},
+    "greedy-eigenscore": {"removed_edges": {(0, 2), (0, 3)}},
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_iteration_cap_raises_with_partial_state(method):
+    g, p_star = clique_instance(6)
+    with pytest.raises(IterationLimitError) as info:
+        run_attack(g, p_star, AttackConfig(method=method, iteration_cap=1))
+    assert info.value.category == "iteration-limit"
+    assert info.value.partial == ITERATION_CAP_PARTIAL[method]
 
 
 @pytest.mark.parametrize("n", range(5, 21))
@@ -222,12 +239,11 @@ def test_eigenscore_plans_independent_of_product_order(block, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(pathcut.harness, "run_attack", recording_run_attack)
             run_experiments(cfg)
-        for recompute in (False, True):
-            got.append(greedy_eigenscore(k7, k7_target, recompute=recompute).removed_edges)
+        got.append(greedy_eigenscore(k7, k7_target).removed_edges)
         return got
 
     sparse = plans()
-    assert len(sparse) == 6 + 2
+    assert len(sparse) == 6 + 1
     for product in (dense_adjacency_product, shuffled_adjacency_product):
         monkeypatch.setattr(pathcut.attack, "_adjacency_product", product)
         assert plans() == sparse, product.__name__
@@ -260,21 +276,8 @@ def test_eigenscore_equals_greedy_cost_on_clique():
     assert a.removed_edges == b.removed_edges
 
 
-def test_eigenscore_recompute_flag_runs():
-    # Refreshed scores break the clique's symmetry, so the plan may be
-    # costlier than the frozen-score variant, but stays feasible.
-    g, p_star = clique_instance(6)
-    plan = greedy_eigenscore(g, p_star, recompute=True)
-    assert plan.total_cost >= 4
-    assert_exclusive(g, p_star, plan)
-    assert plan.removed_edges == frozenset({
-        (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4),
-    })
-
-
-def test_eigenscore_recompute_pinned_on_random_instance():
-    # A seeded instance where refreshed scores pick a different plan from
-    # frozen ones; both plans are pinned.
+def test_eigenscore_plan_pinned_on_random_instance():
+    # A seeded instance with several competing paths; the plan is pinned.
     from pathcut.paths import k_shortest_paths
 
     rng = np.random.default_rng(6)
@@ -285,11 +288,9 @@ def test_eigenscore_recompute_pinned_on_random_instance():
             break
     p_star = ranked[5]
     assert p_star.nodes == (0, 2, 9, 11)
-    fresh = greedy_eigenscore(g, p_star, recompute=True)
     frozen = greedy_eigenscore(g, p_star)
-    assert fresh.removed_edges == frozenset({(0, 7), (6, 11), (10, 11)})
     assert frozen.removed_edges == frozenset({(6, 11), (7, 11), (10, 11)})
-    assert_exclusive(g, p_star, fresh)
+    assert_exclusive(g, p_star, frozen)
 
 
 def test_feasibility_and_protection_on_random_instances():

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from pathcut.cli import main
+from pathcut.harness import save_edge_list
+from pathcut.sweeps import clique_instance
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +59,16 @@ def test_input_error_exit_code_and_category(tmp_path, capsys):
     code, _, err = run_cli(capsys, "brute-force", "--graph", str(f), "--p-star", "0,2")
     assert code == 2
     assert json.loads(err)["error"] == "input"
+
+
+def test_iteration_limit_exit_code(tmp_path, capsys):
+    g, _ = clique_instance(6)
+    f = str(tmp_path / "k6.edges")
+    save_edge_list(f, g)
+    code, _, err = run_cli(capsys, "attack", "--graph", f, "--p-star", "0,1",
+                           "--iteration-cap", "1")
+    assert code == 6
+    assert json.loads(err)["error"] == "iteration-limit"
 
 
 def test_size_error_exit_code(tmp_path, capsys):
