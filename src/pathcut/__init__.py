@@ -51,7 +51,15 @@ from .harness import (
     select_terminals,
     summarize,
 )
-from .lp import LPSolution, RelaxedCutLP, build_cover_lp, is_integral, solve_relaxed
+from .lp import (
+    LPSolution,
+    RelaxedCutLP,
+    build_cover_lp,
+    is_integral,
+    parse_lp_text,
+    solve_relaxed,
+    write_lp_text,
+)
 from .paths import PathIterator, k_shortest_paths, next_shortest_excluding
 from .reduction import (
     ForcePathInstance,
