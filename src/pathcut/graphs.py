@@ -3,8 +3,10 @@
 Edges are addressed everywhere by their canonical key: the endpoint pair
 sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
 are immutable after construction; derived graphs come from
-:meth:`Graph.remove_edges`. The one thing a graph caches is the distance
-bound :func:`shortest_path` uses for its last target (see there).
+:meth:`Graph.remove_edges`. A graph caches two things, one entry each:
+the distance bound :func:`shortest_path` uses for its last target, and
+the cut LP's columns for its last protected path (see
+:func:`pathcut.lp.build_cover_lp`).
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -61,7 +63,7 @@ class Graph:
         duplicate unordered pairs are rejected.
     """
 
-    __slots__ = ("node_count", "_weights", "_costs", "_adj", "_bound")
+    __slots__ = ("node_count", "_weights", "_costs", "_adj", "_bound", "_columns")
 
     def __init__(self, node_count: int, edges: Iterable[tuple] = ()):
         node_count = _as_node(node_count)
@@ -100,6 +102,8 @@ class Graph:
         self._adj = adj
         # (t, allowed_nodes, bound list) of the last search target, or None.
         self._bound = None
+        # (protected edges, edge_order, index, costs) of the last cut LP, or None.
+        self._columns = None
 
     # -- lookups ---------------------------------------------------------
 

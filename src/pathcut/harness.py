@@ -208,6 +208,13 @@ class ExperimentConfig:
                 raise InputError(f"unknown method {m!r}")
         if self.terminal_mode not in TERMINAL_MODES:
             raise InputError(f"unknown terminal mode {self.terminal_mode!r}")
+        # Checked here, not per instance: a bad rank would otherwise abort
+        # the batch midway, after the instances before it had run.
+        for k in self.p_star_ranks:
+            if k < 1:
+                raise InputError(f"rank must be >= 1, got {k}")
+        if self.repetitions < 0:
+            raise InputError(f"repetitions must be >= 0, got {self.repetitions}")
 
     def to_dict(self) -> dict:
         d = {
@@ -235,8 +242,11 @@ class ExperimentConfig:
         for key in ("p_star_ranks", "methods"):
             if key in d and d[key] is not None:
                 d[key] = tuple(d[key])
+        # A null means "the default", except where None is itself a
+        # setting: the source fields and neighborhood_cap (no mask).
+        nullable = ("generator", "edge_list", "neighborhood_cap")
         try:
-            return cls(**{k: v for k, v in d.items() if v is not None or k in ("generator", "edge_list")})
+            return cls(**{k: v for k, v in d.items() if v is not None or k in nullable})
         except TypeError as exc:
             raise InputError(f"bad experiment config: {exc}") from None
 

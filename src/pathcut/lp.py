@@ -81,11 +81,23 @@ def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutL
     Variables are all edges of ``g`` except the protected path's edges;
     objective coefficients are the graph's removal costs. A constraint
     path with no cuttable edge is rejected.
+
+    The columns -- ``edge_order``, the edge -> variable index map and
+    ``costs`` -- depend only on ``g`` and the protected edge set, so they
+    are cached on ``g`` for the last protected set: constraint generation
+    calls this once per iteration with one more path, and only the rows
+    are built again. The cache is written whole by one assignment, like
+    the distance bound of :func:`~pathcut.graphs.shortest_path`.
     """
     protected = frozenset(p_star.edges)
-    edge_order = tuple(filterfalse(protected.__contains__, g.edges()))
-    index = dict(zip(edge_order, range(len(edge_order))))
-    cvec = tuple(map(g.costs.__getitem__, edge_order))
+    cached = g._columns
+    if cached is not None and cached[0] == protected:
+        _, edge_order, index, cvec = cached
+    else:
+        edge_order = tuple(filterfalse(protected.__contains__, g.edges()))
+        index = dict(zip(edge_order, range(len(edge_order))))
+        cvec = tuple(map(g.costs.__getitem__, edge_order))
+        g._columns = (protected, edge_order, index, cvec)
     rows = []
     for p in paths:
         cuttable = filterfalse(protected.__contains__, p.edges)
@@ -221,8 +233,9 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
 
     Every row must be a nonempty sorted tuple of distinct variable indices
     in ``range(len(lp.edge_order))``, as :func:`build_cover_lp` produces
-    (:func:`parse_lp_text` may also yield empty rows). An empty row raises :class:`InfeasibleError` naming the first one; an
-    index out of range raises :class:`InputError`. Variables absent from
+    (:func:`parse_lp_text` may also yield empty rows). An empty row
+    raises :class:`InfeasibleError` naming the first one; an index out of
+    range raises :class:`InputError`. Variables absent from
     every row are fixed at 0 (their cost is nonnegative, so this is
     optimal and keeps the solution a vertex); the simplex runs on the
     active variables only. Row feasibility of the result is re-checked;

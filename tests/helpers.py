@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pathcut import ConvergenceError, Graph, Path, PathCutError
-from pathcut.lp import FEAS_TOL
+from pathcut.lp import FEAS_TOL, RelaxedCutLP
 from pathcut.reduction import enumerate_simple_paths
 
 
@@ -250,3 +250,21 @@ def reference_bounded_simplex(rows, costs):
     x[basis] = xB
     out = np.clip(x[:n], 0.0, 1.0)
     return out
+
+
+def reference_build_cover_lp(g, p_star, paths):
+    """The cut LP built in full on every call, with no column cache:
+    ``pathcut.lp.build_cover_lp`` must return an equal LP."""
+    protected = frozenset(p_star.edges)
+    edge_order = tuple(e for e in g.edges() if e not in protected)
+    index = {e: j for j, e in enumerate(edge_order)}
+    rows = []
+    for p in paths:
+        row = sorted({index[e] for e in p.edges if e not in protected})
+        assert row, f"uncuttable constraint {p!r}"
+        rows.append(tuple(row))
+    return RelaxedCutLP(
+        edge_order=edge_order,
+        costs=tuple(g.cost(u, v) for u, v in edge_order),
+        rows=tuple(rows),
+    )

@@ -159,6 +159,27 @@ def test_config_round_trips_through_json():
     assert again == cfg
 
 
+def test_config_round_trip_keeps_no_mask_in_hop_mode():
+    # neighborhood_cap=None means "no mask"; a null must not turn into
+    # the default radius.
+    cfg = small_config(terminal_mode="hop", neighborhood_cap=None)
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg and again.neighborhood_cap is None
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"p_star_ranks": (2, 0)}, "rank must be >= 1, got 0"),
+    ({"repetitions": -3}, "repetitions must be >= 0, got -3"),
+])
+def test_config_rejects_bad_ranks_and_repetitions(over, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        small_config(**over)
+    d = small_config().to_dict()
+    d.update({k: list(v) if isinstance(v, tuple) else v for k, v in over.items()})
+    with pytest.raises(InputError, match=f"^{message}$"):
+        ExperimentConfig.from_dict(d)
+
+
 def test_run_experiments_ratios_and_records(tmp_path):
     cfg = small_config()
     records = run_experiments(cfg, output_dir=tmp_path)

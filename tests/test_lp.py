@@ -1,9 +1,10 @@
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import random_graph, reachable_pair, reference_bounded_simplex
+from helpers import random_graph, reachable_pair, reference_bounded_simplex, reference_build_cover_lp
 from scipy.optimize import linprog
 
 import pathcut.lp
@@ -19,6 +20,7 @@ from pathcut.lp import (
     solve_relaxed,
     write_lp_text,
 )
+from pathcut.paths import k_shortest_paths
 
 
 def lp_of(rows, costs):
@@ -134,16 +136,74 @@ def test_monotone_in_added_rows():
 
 
 def test_build_cover_lp_excludes_protected_edges():
-    g = Graph(4, [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 1, 5), (2, 3, 1, 7), (0, 3, 1, 11)])
+    records = [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 1, 5), (2, 3, 1, 7), (0, 3, 1, 11)]
+    g = Graph(4, records)
     p_star = Path((0, 1, 2, 3))
     lp = build_cover_lp(g, p_star, [Path((0, 2, 3)), Path((0, 3))])
     assert lp.edge_order == ((0, 2), (0, 3))
     assert lp.costs == (5, 11)
     assert lp.rows == ((0,), (1,))
-    with pytest.raises(InputError):
-        build_cover_lp(g, p_star, [Path((0, 1, 2))])  # only protected edges
-    with pytest.raises(InputError, match=r"unknown edge \(1, 3\)"):
-        build_cover_lp(g, p_star, [Path((0, 2, 3)), Path((0, 1, 3))])
+    # Each error reads the same with the column cache warm (g) and cold.
+    assert g._columns is not None
+    for paths, message in (
+        ([Path((0, 1, 2))], r"^uncuttable constraint: Path\(0-1-2\) has only protected edges$"),
+        ([Path((0, 2, 3)), Path((0, 1, 3))], r"^constraint path uses unknown edge \(1, 3\)$"),
+    ):
+        for graph in (g, Graph(4, records)):
+            with pytest.raises(InputError, match=message):
+                build_cover_lp(graph, p_star, paths)
+
+
+def _zero_cost_graph(rng, n, p):
+    """Seeded graph whose removal costs include zeros."""
+    g = random_graph(rng, n, p, costs_equal_weights=False)
+    return Graph(n, [(u, v, w, 0 if rng.random() < 0.3 else c) for u, v, w, c in g.edge_records()])
+
+
+def test_build_cover_lp_matches_uncached_reference():
+    # Two protected paths alternate on one graph, so a cache that served
+    # the columns of the other p* would fail the comparison.
+    rng = np.random.default_rng(808)
+    checked = zero_costs = 0
+    for _ in range(30):
+        g = _zero_cost_graph(rng, int(rng.integers(6, 12)), float(rng.uniform(0.3, 0.7)))
+        pair = reachable_pair(rng, g)
+        if pair is None:
+            continue
+        ranked = k_shortest_paths(g, *pair, 8)
+        if len(ranked) < 4:
+            continue
+        stars = ranked[:2]
+        assert frozenset(stars[0].edges) != frozenset(stars[1].edges)
+        for i in range(1, len(ranked)):
+            p_star = stars[i % 2]
+            paths = [p for p in ranked[:i + 1] if p != p_star]
+            got = build_cover_lp(g, p_star, paths)
+            assert got == reference_build_cover_lp(g, p_star, paths)
+            assert g._columns[0] == frozenset(p_star.edges)
+            checked += 1
+            zero_costs += got.costs.count(0)
+    assert checked > 50 and zero_costs > 0
+
+
+def test_cover_lp_column_cache_holds_one_entry():
+    g = _zero_cost_graph(np.random.default_rng(809), 9, 0.6)
+    fresh = Graph(g.node_count, g.edge_records())
+    s, t = 0, 8
+    first, second, *others = k_shortest_paths(g, s, t, 6)
+    assert g._columns is None
+    lp = build_cover_lp(g, first, others)
+    key, edge_order, index, costs = g._columns
+    assert key == frozenset(first.edges)
+    assert (edge_order, costs) == (lp.edge_order, lp.costs)
+    assert index == {e: j for j, e in enumerate(edge_order)}
+    build_cover_lp(g, second, others)
+    assert g._columns[0] == frozenset(second.edges)
+    assert g == fresh and fresh._columns is None
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._columns == g._columns
+    assert build_cover_lp(copy, first, others) == lp
+    assert g.remove_edges([first.edges[0]])._columns is None
 
 
 def test_rows_sum_to_at_least_one():
