@@ -1,9 +1,12 @@
-"""Attack drivers: the constraint-generation outer loop and greedy baselines.
+"""Attack drivers: one constraint-generation loop and its four cut rules.
 
-All four methods share the success predicate: after removing the plan's
-edges, the protected path must be *strictly* shorter than every other
-simple path between its endpoints. An equal-length competitor counts as a
-violated constraint and keeps the loop running.
+All four methods run :func:`_force_path`: ask the oracle for the shortest
+competitor to the protected path in the graph minus the current cut and,
+while it is not *strictly* longer (an equal-length competitor counts as a
+violated constraint), record it and update the cut. PATHATTACK re-covers
+every constraint found so far (LP rounding or greedy set cover); a
+baseline adds one edge of the newest competitor. Every method makes at
+most ``iteration_cap`` cut updates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ TIE_RTOL = 1e-9
 class AttackConfig:
     """Method selection and knobs for one attack run.
 
-    ``iteration_cap`` defaults to ``10 * edge_count`` at runtime.
+    ``iteration_cap`` bounds the cut updates of every method and defaults
+    to ``10 * edge_count`` at runtime.
     """
 
     method: str = METHOD_PATHATTACK_LP
@@ -51,43 +55,22 @@ class AttackConfig:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
 
 
-def _validate_target_path(g: Graph, p_star: Path) -> None:
+def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
+    """The loop of the module docstring; ``cut(constraints, removed)``
+    returns the next cut. The oracle gets the cut as banned edges, so the
+    residual graph is never built. Returns ``(removed, iterations,
+    certificate)``; the certificate is the final oracle call."""
     if p_star.num_edges == 0:
         raise InputError("target path must have at least one edge")
     for u, v in p_star.edges:
         if not g.has_edge(u, v):
             raise InputError(f"target path edge ({u}, {v}) is not in the graph")
-
-
-def _certificate(g: Graph, competitor: Optional[Path], p_len):
-    if competitor is None:
-        return (None, None, p_len)
-    return (competitor.nodes, path_length(g, competitor), p_len)
-
-
-def pathattack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
-    """Constraint-generation attack (LP or greedy subproblem per ``cfg``).
-
-    Starting from an empty constraint set, alternate between covering the
-    constraints found so far (a fresh subproblem over the original graph)
-    and asking the oracle for the next competing path in the residual
-    graph. The residual is never built: it is ``g`` with the current cut
-    passed to the oracle as banned edges. Stops when the oracle's path is
-    strictly longer than the target (or absent); that final oracle call is
-    the feasibility certificate.
-    """
-    if cfg.method not in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY):
-        raise InputError(f"pathattack does not implement {cfg.method!r}")
-    _validate_target_path(g, p_star)
     s, t = p_star.source, p_star.target
     p_len = path_length(g, p_star)
-    cap = cfg.iteration_cap if cfg.iteration_cap is not None else 10 * g.edge_count
-    rng = np.random.default_rng(cfg.rng_seed)
+    cap = iteration_cap if iteration_cap is not None else 10 * g.edge_count
 
     constraints: list[Path] = []
     removed: frozenset = frozenset()
-    retries = 0
-    last_lp: Optional[LPCoverResult] = None
     while True:
         p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed)
         if p is None or strictly_longer(path_length(g, p), p_len):
@@ -98,66 +81,66 @@ def pathattack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
                 f"no feasible plan within {cap} iterations",
                 partial={"constraints": len(constraints), "removed_edges": removed},
             )
-        if cfg.method == METHOD_PATHATTACK_LP:
-            last_lp = lp_path_cover(g, p_star, constraints, rng)
-            removed = last_lp.edges
-            retries += last_lp.retries
-        else:
-            removed = greedy_path_cover(g, p_star, constraints)
+        removed = cut(constraints, removed)
+    certificate = (None, None, p_len) if p is None else (p.nodes, path_length(g, p), p_len)
+    return removed, len(constraints), certificate
 
+
+def pathattack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
+    """PATHATTACK: each cut update re-covers every constraint found so far
+    over the original graph, by LP relaxation and randomized rounding
+    (``pathattack-lp``) or by greedy set cover (``pathattack-greedy``)."""
+    if cfg.method not in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY):
+        raise InputError(f"pathattack does not implement {cfg.method!r}")
+    rng = np.random.default_rng(cfg.rng_seed)
+    retries = 0
+    last_lp: Optional[LPCoverResult] = None
+
+    def cover(constraints, removed):
+        nonlocal retries, last_lp
+        if cfg.method == METHOD_PATHATTACK_GREEDY:
+            return greedy_path_cover(g, p_star, constraints)
+        last_lp = lp_path_cover(g, p_star, constraints, rng)
+        retries += last_lp.retries
+        return last_lp.edges
+
+    removed, iterations, certificate = _force_path(g, p_star, cfg.iteration_cap, cover)
     return make_cut_plan(
         g,
         p_star,
         removed,
         cfg.method,
-        iterations=len(constraints),
-        constraints_generated=len(constraints),
+        iterations=iterations,
+        constraints_generated=iterations,
         rounding_retries=retries,
         rng_seed=cfg.rng_seed,
         lp_objective=last_lp.solution.objective_value if last_lp else None,
         lp_integral=is_integral(last_lp.solution) if last_lp else None,
-        certificate=_certificate(g, p, p_len),
+        certificate=certificate,
     )
 
 
 def _greedy_baseline(g: Graph, p_star: Path, choose, method_tag: str,
-                     iteration_cap: Optional[int] = None) -> CutPlan:
-    """Shared loop of the two baselines: while the current best competing
-    path is not longer than the target, cut one of its unprotected edges
-    chosen by ``choose(candidates)``."""
-    _validate_target_path(g, p_star)
-    s, t = p_star.source, p_star.target
-    p_len = path_length(g, p_star)
+                     iteration_cap: Optional[int]) -> CutPlan:
+    """The two baselines: each cut update adds ``choose(candidates)``, one
+    unprotected edge of the newest competing path."""
     protected = frozenset(p_star.edges)
-    cap = iteration_cap if iteration_cap is not None else 10 * g.edge_count
-    removed: set = set()
-    while True:
-        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed)
-        if p is None or strictly_longer(path_length(g, p), p_len):
-            break
-        candidates = [e for e in p.edges if e not in protected]
+
+    def cut_one(constraints, removed):
         # Two simple paths with the same endpoints cannot share all edges,
         # so there is always something to cut.
-        removed.add(choose(candidates))
-        if len(removed) > cap:
-            raise IterationLimitError(
-                f"no feasible plan within {cap} removals",
-                partial={"removed_edges": frozenset(removed)},
-            )
+        return removed | {choose([e for e in constraints[-1].edges if e not in protected])}
+
+    removed, iterations, certificate = _force_path(g, p_star, iteration_cap, cut_one)
     return make_cut_plan(
-        g,
-        p_star,
-        removed,
-        method_tag,
-        iterations=len(removed),
-        rng_seed=None,
-        certificate=_certificate(g, p, p_len),
+        g, p_star, removed, method_tag, iterations=iterations, rng_seed=None,
+        certificate=certificate,
     )
 
 
 def greedy_cost(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> CutPlan:
-    """Baseline: always cut the cheapest unprotected edge of the current
-    best competing path (ties: smallest edge key)."""
+    """Baseline: each cut update adds the cheapest unprotected edge of the
+    newest competing path (ties: smallest edge key)."""
 
     def choose(candidates):
         return min(candidates, key=lambda e: (g.cost(*e), e))
@@ -166,9 +149,10 @@ def greedy_cost(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> 
 
 
 def greedy_eigenscore(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> CutPlan:
-    """Baseline: cut the unprotected edge with the largest eigenscore per
-    unit cost, where an edge's eigenscore is the product of the principal
-    adjacency-eigenvector entries at its endpoints.
+    """Baseline: each cut update adds the unprotected edge of the newest
+    competing path with the largest eigenscore per unit cost, where an
+    edge's eigenscore is the product of the principal adjacency-eigenvector
+    entries at its endpoints.
 
     Scores are computed once, on the input graph.
 

@@ -40,20 +40,23 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("-v", "--verbose", action="store_true")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    gen = sub.add_parser("generate", help="write a synthetic graph edge list")
+    # Generator and weight-scheme arguments of generate and experiment.
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--n", type=int)
+    graph.add_argument("--p", type=float)
+    graph.add_argument("--m", type=int)
+    graph.add_argument("--iterations", type=int)
+    graph.add_argument("--density", type=float)
+    graph.add_argument("--rows", type=int)
+    graph.add_argument("--cols", type=int)
+    graph.add_argument("--weights", choices=WEIGHT_KINDS)
+    graph.add_argument("--rate", type=float, default=20.0)
+    graph.add_argument("--upper", type=int, default=41)
+    graph.add_argument("--value", type=int, default=1)
+
+    gen = sub.add_parser("generate", parents=[graph], help="write a synthetic graph edge list")
     gen.add_argument("--family", required=True, choices=FAMILIES)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--iterations", type=int)
-    gen.add_argument("--density", type=float)
-    gen.add_argument("--rows", type=int)
-    gen.add_argument("--cols", type=int)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--weights", choices=WEIGHT_KINDS)
-    gen.add_argument("--rate", type=float, default=20.0)
-    gen.add_argument("--upper", type=int, default=41)
-    gen.add_argument("--value", type=int, default=1)
     gen.add_argument("--weight-seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
@@ -70,21 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--budget", type=float)
     atk.add_argument("--iteration-cap", type=int)
 
-    exp = sub.add_parser("experiment", help="run a seeded experiment batch")
+    exp = sub.add_parser("experiment", parents=[graph], help="run a seeded experiment batch")
     exp.add_argument("--config", help="JSON file with an ExperimentConfig")
     exp.add_argument("--family", choices=FAMILIES)
-    exp.add_argument("--n", type=int)
-    exp.add_argument("--p", type=float)
-    exp.add_argument("--m", type=int)
-    exp.add_argument("--iterations", type=int)
-    exp.add_argument("--density", type=float)
-    exp.add_argument("--rows", type=int)
-    exp.add_argument("--cols", type=int)
     exp.add_argument("--edge-list")
-    exp.add_argument("--weights", choices=WEIGHT_KINDS)
-    exp.add_argument("--rate", type=float, default=20.0)
-    exp.add_argument("--upper", type=int, default=41)
-    exp.add_argument("--value", type=int, default=1)
     exp.add_argument("--terminal-mode", choices=("uniform", "hop"), default="uniform")
     exp.add_argument("--hop-distance", type=int, default=50)
     exp.add_argument("--neighborhood-cap", type=int, default=60)

@@ -30,7 +30,8 @@ class ConvergenceError(PathCutError):
 
 
 class IterationLimitError(PathCutError):
-    """Attack outer loop exceeded its iteration cap; carries partial state."""
+    """Attack outer loop exceeded its iteration cap. ``partial`` is
+    ``{"constraints": cap + 1, "removed_edges": <cut in force>}``."""
 
     category = "iteration-limit"
 

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -209,7 +210,18 @@ class ExperimentConfig:
         if self.terminal_mode not in TERMINAL_MODES:
             raise InputError(f"unknown terminal mode {self.terminal_mode!r}")
         # Checked here, not per instance: a bad rank would otherwise abort
-        # the batch midway, after the instances before it had run.
+        # the batch midway, after the instances before it had run, and a
+        # float hop distance would skip every instance.
+        integers = [("repetitions", self.repetitions), ("master_seed", self.master_seed),
+                    ("hop_distance", self.hop_distance)]
+        integers += [("rank", k) for k in self.p_star_ranks]
+        integers += [(name, getattr(self, name)) for name in ("iteration_cap", "neighborhood_cap")
+                     if getattr(self, name) is not None]
+        for name, value in integers:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {value!r}") from None
         for k in self.p_star_ranks:
             if k < 1:
                 raise InputError(f"rank must be >= 1, got {k}")

@@ -112,9 +112,7 @@ def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> li
     return out
 
 
-def next_shortest_excluding(
-    g: Graph, s: int, t: int, p_star: Path, allowed_nodes=None, banned_edges=()
-) -> Optional[Path]:
+def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges=()) -> Optional[Path]:
     """Minimum-length simple s-t path whose node sequence differs from
     ``p_star``, or None if no such path exists.
 
@@ -122,10 +120,12 @@ def next_shortest_excluding(
     violated constraint iff it is not strictly longer than ``p_star``.
     ``p_star`` only needs to be a node-sequence descriptor; its edges are
     not required to exist in ``g``. ``banned_edges`` are treated as
-    removed from ``g``.
+    removed from ``g``. The search spans all of ``g``: a node mask limits
+    only the choice of ``p_star`` (:func:`k_shortest_paths`), never the
+    competitors an attack must cut.
     """
     skip = p_star.nodes
-    for p in PathIterator(g, s, t, allowed_nodes=allowed_nodes, banned_edges=banned_edges):
+    for p in PathIterator(g, s, t, banned_edges=banned_edges):
         if p.nodes != skip:
             return p
     return None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from pathcut.attack import (
 from pathcut.cli import main
 from pathcut.generators import GeneratorSpec, WeightScheme, generate
 from pathcut.harness import ExperimentConfig, run_experiments, save_edge_list
-from pathcut.paths import next_shortest_excluding
+from pathcut.paths import k_shortest_paths, next_shortest_excluding
 from pathcut.reduction import brute_force_force_path_cut
 from pathcut.sweeps import clique_instance
 
@@ -55,8 +56,8 @@ def test_already_exclusive_yields_empty_plan(method):
 ITERATION_CAP_PARTIAL = {
     "pathattack-lp": {"constraints": 2, "removed_edges": {(1, 2)}},
     "pathattack-greedy": {"constraints": 2, "removed_edges": {(0, 2)}},
-    "greedy-cost": {"removed_edges": {(0, 2), (0, 3)}},
-    "greedy-eigenscore": {"removed_edges": {(0, 2), (0, 3)}},
+    "greedy-cost": {"constraints": 2, "removed_edges": {(0, 2)}},
+    "greedy-eigenscore": {"constraints": 2, "removed_edges": {(0, 2)}},
 }
 
 
@@ -67,6 +68,33 @@ def test_iteration_cap_raises_with_partial_state(method):
         run_attack(g, p_star, AttackConfig(method=method, iteration_cap=1))
     assert info.value.category == "iteration-limit"
     assert info.value.partial == ITERATION_CAP_PARTIAL[method]
+
+
+def cap_boundary_instances():
+    yield clique_instance(6)
+    g = random_graph(np.random.default_rng(0), 12, 0.35, costs_equal_weights=False)
+    yield g, k_shortest_paths(g, 0, 11, 5)[4]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_iteration_cap_bounds_cut_updates(method):
+    # A cap equal to the uncapped run's iteration count k changes nothing;
+    # a cap of k - 1 stops at constraint k with the cut of k - 1 updates.
+    for g, p_star in cap_boundary_instances():
+        cfg = AttackConfig(method=method, rng_seed=3)
+        plan = run_attack(g, p_star, cfg)
+        k = plan.iterations
+        assert k >= 1
+        capped = run_attack(g, p_star, dataclasses.replace(cfg, iteration_cap=k))
+        assert (capped.removed_edges, capped.total_cost, capped.iterations) == (
+            plan.removed_edges, plan.total_cost, k)
+        with pytest.raises(IterationLimitError, match=f"within {k - 1} iterations") as info:
+            run_attack(g, p_star, dataclasses.replace(cfg, iteration_cap=k - 1))
+        partial = info.value.partial
+        assert partial["constraints"] == k
+        if method in ("greedy-cost", "greedy-eigenscore"):
+            assert len(partial["removed_edges"]) == k - 1
+            assert partial["removed_edges"] <= plan.removed_edges
 
 
 @pytest.mark.parametrize("n", range(5, 21))

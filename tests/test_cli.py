@@ -111,6 +111,17 @@ def test_experiment_verb_accepts_config_file(tmp_path, capsys):
     assert json.loads(out)["records"] == 1
 
 
+def test_experiment_config_file_rejects_float_repetitions(tmp_path, capsys):
+    cfg = {"generator": {"family": "complete", "n": 8, "seed": 0}, "repetitions": 2.5}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg), encoding="ascii")
+    code, _, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_file), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
+
+
 def test_reduce_check_verb(capsys):
     code, out, _ = run_cli(
         capsys, "reduce-check", "--max-nodes", "3", "--random-instances", "3",

@@ -170,6 +170,13 @@ def test_config_round_trip_keeps_no_mask_in_hop_mode():
 @pytest.mark.parametrize("over, message", [
     ({"p_star_ranks": (2, 0)}, "rank must be >= 1, got 0"),
     ({"repetitions": -3}, "repetitions must be >= 0, got -3"),
+    ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+    ({"repetitions": "3"}, "repetitions must be an integer, got '3'"),
+    ({"p_star_ranks": (2.5,)}, "rank must be an integer, got 2.5"),
+    ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+    ({"hop_distance": 2.5}, "hop_distance must be an integer, got 2.5"),
+    ({"iteration_cap": 4.0}, "iteration_cap must be an integer, got 4.0"),
+    ({"neighborhood_cap": 2.5}, "neighborhood_cap must be an integer, got 2.5"),
 ])
 def test_config_rejects_bad_ranks_and_repetitions(over, message):
     with pytest.raises(InputError, match=f"^{message}$"):

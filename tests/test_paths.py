@@ -174,9 +174,8 @@ def test_banned_edges_equal_removed_edges():
             # Either orientation names the same edge.
             banned = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in cut]
             residual = g.remove_edges(cut)
-            got = next_shortest_excluding(g, 0, n - 1, p_star, allowed_nodes=mask,
-                                          banned_edges=banned)
-            expect = next_shortest_excluding(residual, 0, n - 1, p_star, allowed_nodes=mask)
+            got = next_shortest_excluding(g, 0, n - 1, p_star, banned_edges=banned)
+            expect = next_shortest_excluding(residual, 0, n - 1, p_star)
             assert (got and got.nodes) == (expect and expect.nodes)
             got = PathIterator(g, 0, n - 1, allowed_nodes=mask, banned_edges=banned)
             expect = PathIterator(residual, 0, n - 1, allowed_nodes=mask)
