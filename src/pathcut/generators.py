@@ -119,10 +119,17 @@ def _er(spec: GeneratorSpec) -> Graph:
     _require(spec.p is not None and 0.0 <= spec.p <= 1.0, "er needs 0 <= p <= 1")
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.shape[0]) < spec.p
-    edges = [(int(u), int(v), 1, 1) for u, v in zip(iu[mask], ju[mask])]
-    return Graph(n, edges)
+    # One draw per pair u < v in row-major order, the order of
+    # ``np.triu_indices(n, 1)``. Only the kept flat indices are decoded:
+    # row u starts at offset u(n-1) - u(u-1)/2, so u is found by binary
+    # search over the row offsets and v follows from the offset within
+    # the row. This avoids two index arrays of n(n-1)/2 entries each.
+    kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < spec.p)
+    rows = np.arange(n)
+    offsets = rows * (n - 1) - rows * (rows - 1) // 2
+    u = np.searchsorted(offsets, kept, side="right") - 1
+    v = kept - offsets[u] + u + 1
+    return Graph(n, [(a, b, 1, 1) for a, b in zip(u.tolist(), v.tolist())])
 
 
 def _ba(spec: GeneratorSpec) -> Graph:
@@ -209,5 +216,6 @@ def assign_weights(g: Graph, scheme: WeightScheme) -> Graph:
         draws = np.full(len(keys), int(scheme.value))
     else:
         raise InputError(f"unknown weight scheme {scheme.kind!r}; choose from {WEIGHT_KINDS}")
-    records = [(u, v, int(w), int(w)) for (u, v), w in zip(keys, draws)]
+    # ``tolist`` yields Python ints, which the A* distance bound needs.
+    records = [(u, v, w, w) for (u, v), w in zip(keys, draws.tolist())]
     return Graph(g.node_count, records)

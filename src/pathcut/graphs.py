@@ -72,31 +72,45 @@ class Graph:
         self.node_count = node_count
         weights: dict[EdgeKey, float] = {}
         costs: dict[EdgeKey, float] = {}
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
+        inf = math.inf
+        # One loop validates each record and files it in the adjacency
+        # lists; each list is sorted once at the end. Node ids that are
+        # already ``int`` skip ``operator.index``, the common case, and the
+        # edge key is formed inline with the checks and messages of
+        # ``edge_key``.
         for rec in edges:
-            if len(rec) == 3:
+            n_fields = len(rec)
+            if n_fields == 4:
+                u, v, w, c = rec
+            elif n_fields == 3:
                 u, v, w = rec
                 c = w
-            elif len(rec) == 4:
-                u, v, w, c = rec
             else:
                 raise InputError(f"edge record must be (u, v, w[, c]): {rec!r}")
-            u, v = _as_node(u), _as_node(v)
+            if type(u) is not int:
+                u = _as_node(u)
+            if type(v) is not int:
+                v = _as_node(v)
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise InputError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            k = edge_key(u, v)
+            if u < v:
+                k = (u, v)
+            elif u > v:
+                k = (v, u)
+            else:
+                raise InputError(f"self-loop at node {u}")
             if k in weights:
                 raise InputError(f"duplicate edge {k}")
             # Comparisons, not math.isfinite: NaN fails them and huge ints pass.
-            if not (0 <= w < math.inf and 0 <= c < math.inf):
+            if not (0 <= w < inf and 0 <= c < inf):
                 raise InputError(f"weight or cost on edge {k} is negative or not finite")
             weights[k] = w
             costs[k] = c
-        self._weights = weights
-        self._costs = costs
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
-        for (u, v), w in weights.items():
             adj[u].append((v, w))
             adj[v].append((u, w))
+        self._weights = weights
+        self._costs = costs
         for lst in adj:
             lst.sort()
         self._adj = adj

@@ -227,6 +227,16 @@ class ExperimentConfig:
                 raise InputError(f"rank must be >= 1, got {k}")
         if self.repetitions < 0:
             raise InputError(f"repetitions must be >= 0, got {self.repetitions}")
+        # In hop mode either would skip every instance: t must lie at
+        # least one hop from s, and a mask of smaller radius than the hop
+        # distance leaves t out.
+        if self.terminal_mode == "hop":
+            if self.hop_distance < 1:
+                raise InputError(f"hop_distance must be >= 1, got {self.hop_distance}")
+            if self.neighborhood_cap is not None and self.neighborhood_cap < self.hop_distance:
+                raise InputError(
+                    f"neighborhood_cap must be >= hop_distance ({self.hop_distance}), "
+                    f"got {self.neighborhood_cap}")
 
     def to_dict(self) -> dict:
         d = {
@@ -252,8 +262,14 @@ class ExperimentConfig:
         if d.get("weight_scheme"):
             d["weight_scheme"] = WeightScheme.from_dict(d["weight_scheme"])
         for key in ("p_star_ranks", "methods"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
+            value = d.get(key)
+            if value is None:
+                continue
+            # tuple() would split a string into characters and fail on a
+            # number with a bare TypeError.
+            if not isinstance(value, (list, tuple)):
+                raise InputError(f"{key} must be a list, got {value!r}")
+            d[key] = tuple(value)
         # A null means "the default", except where None is itself a
         # setting: the source fields and neighborhood_cap (no mask).
         nullable = ("generator", "edge_list", "neighborhood_cap")

@@ -10,6 +10,13 @@ Candidates are popped from a heap keyed by ``(length, nodes)``, so ties
 resolve to the lexicographically smallest sequence. Generation is lazy;
 the constraint-generation oracle (:func:`next_shortest_excluding`)
 materializes at most two paths per call.
+
+Spur searches follow Lawler's rule: a path spawns deviations only from
+its own deviation index onward, the position where it left the yielded
+path that first pushed it (0 for the first shortest path). Searches at
+earlier positions would repeat ones already made, so the ranking is the
+same as when every position is searched (see
+:meth:`PathIterator._spawn_deviations`).
 """
 
 from __future__ import annotations
@@ -43,15 +50,18 @@ class PathIterator:
         self._heap: list[tuple] = []
         self._seen: set[tuple] = set()
         self._yielded: list[tuple] = []  # (length, nodes) in pop order
-        self._pending: tuple | None = None  # yielded path awaiting deviation spawn
+        # (nodes, deviation index) of the yielded path awaiting its spawn.
+        self._pending: tuple | None = None
         first = shortest_path(g, s, t, banned_edges=self._banned, allowed_nodes=self._allowed)
         if first is not None:
-            self._push(path_length(g, first), first.nodes)
+            self._push(path_length(g, first), first.nodes, 0)
 
-    def _push(self, length, nodes: tuple) -> None:
+    def _push(self, length, nodes: tuple, dev: int) -> None:
+        # Node sequences are unique in the heap, so ``dev`` never decides
+        # the order: it only records where the first push deviated.
         if nodes not in self._seen:
             self._seen.add(nodes)
-            heapq.heappush(self._heap, (length, nodes))
+            heapq.heappush(self._heap, (length, nodes, dev))
 
     def __iter__(self) -> Iterator[Path]:
         return self
@@ -61,21 +71,34 @@ class PathIterator:
         # next path is actually requested, so a consumer that stops after
         # one path (the oracle, usually) pays for one search only.
         if self._pending is not None:
-            self._spawn_deviations(self._pending)
+            self._spawn_deviations(*self._pending)
             self._pending = None
         if not self._heap:
             raise StopIteration
-        length, nodes = heapq.heappop(self._heap)
+        length, nodes, dev = heapq.heappop(self._heap)
         self._yielded.append((length, nodes))
-        self._pending = nodes
+        self._pending = (nodes, dev)
         return Path(nodes)
 
-    def _spawn_deviations(self, parent: tuple) -> None:
+    def _spawn_deviations(self, parent: tuple, dev: int) -> None:
+        """Push the shortest deviation of ``parent`` at each spur index from
+        its deviation index ``dev`` onward (Lawler's rule).
+
+        Skipping the indices ``i < dev`` is exact. The search at root
+        ``parent[:i + 1]`` bans the edge at ``i`` of every yielded path with
+        that root. A yielded path that deviated after ``i`` shares its edge
+        at ``i`` with its parent, which has the same root, so each banned
+        edge belongs to a yielded path with that root and deviation index at
+        most ``i``. The last such path spawned at ``i`` after it was
+        yielded, with every one of these edges banned, so its search found
+        the same spur path this one would, and that candidate is already in
+        ``_seen``.
+        """
         g = self._g
         prefix_len = [0]
         for a, b in zip(parent, parent[1:]):
             prefix_len.append(prefix_len[-1] + g.weight(a, b))
-        for i in range(len(parent) - 1):
+        for i in range(dev, len(parent) - 1):
             root = parent[: i + 1]
             spur = parent[i]
             banned_edges = set(self._banned)
@@ -93,7 +116,7 @@ class PathIterator:
             if spur_path is None:
                 continue
             candidate = root[:-1] + spur_path.nodes
-            self._push(prefix_len[i] + path_length(g, spur_path), candidate)
+            self._push(prefix_len[i] + path_length(g, spur_path), candidate, i)
 
 
 def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> list[Path]:

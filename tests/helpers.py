@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from pathcut import ConvergenceError, Graph, Path, PathCutError
+from pathcut import ConvergenceError, Graph, Path, PathCutError, edge_key, path_length, shortest_path
 from pathcut.lp import FEAS_TOL, RelaxedCutLP
 from pathcut.reduction import enumerate_simple_paths
 
@@ -100,6 +100,74 @@ def reference_shortest_path(g, s, t, banned_nodes=frozenset(), banned_edges=froz
                 continue
             heapq.heappush(heap, (dist + w, nodes + (v,)))
     return None
+
+
+def reference_path_iterator(g, s, t, allowed_nodes=None, banned_edges=()):
+    """``PathIterator`` without Lawler's rule: every yielded path runs a
+    spur search at every index, not only from its deviation index on.
+
+    The library iterator must yield the same paths in the same order. Spur
+    searches call this module's ``shortest_path``, so a test can count them.
+    """
+    allowed = frozenset(allowed_nodes) if allowed_nodes is not None else None
+    banned = frozenset(edge_key(*e) for e in banned_edges)
+    heap, seen, yielded = [], set(), []
+
+    def push(length, nodes):
+        if nodes not in seen:
+            seen.add(nodes)
+            heapq.heappush(heap, (length, nodes))
+
+    first = shortest_path(g, s, t, banned_edges=banned, allowed_nodes=allowed)
+    if first is not None:
+        push(path_length(g, first), first.nodes)
+    while heap:
+        length, parent = heapq.heappop(heap)
+        yielded.append((length, parent))
+        # Deviations are spawned when the next path is requested.
+        yield Path(parent)
+        prefix_len = [0]
+        for a, b in zip(parent, parent[1:]):
+            prefix_len.append(prefix_len[-1] + g.weight(a, b))
+        for i in range(len(parent) - 1):
+            root = parent[: i + 1]
+            spur = parent[i]
+            spur_banned = set(banned)
+            for _, nodes in yielded:
+                if len(nodes) > i + 1 and nodes[: i + 1] == root:
+                    spur_banned.add(edge_key(nodes[i], nodes[i + 1]))
+            spur_path = shortest_path(
+                g,
+                spur,
+                t,
+                banned_nodes=frozenset(root[:-1]),
+                banned_edges=frozenset(spur_banned),
+                allowed_nodes=allowed,
+            )
+            if spur_path is None:
+                continue
+            push(prefix_len[i] + path_length(g, spur_path), root[:-1] + spur_path.nodes)
+
+
+def reference_er(n, p, seed):
+    """Erdos-Renyi graph with its pairs listed by ``np.triu_indices``: the
+    construction ``generators._er`` must reproduce record for record."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    mask = rng.random(iu.shape[0]) < p
+    return Graph(n, [(int(u), int(v), 1, 1) for u, v in zip(iu[mask], ju[mask])])
+
+
+def reference_adjacency(g):
+    """Adjacency lists built from the finished weight map and sorted, as
+    ``Graph`` built them before it filed edges while validating."""
+    adj = [[] for _ in range(g.node_count)]
+    for (u, v), w in g.weights.items():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    for lst in adj:
+        lst.sort()
+    return adj
 
 
 def dense_adjacency_product(g):

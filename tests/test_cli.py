@@ -122,6 +122,18 @@ def test_experiment_config_file_rejects_float_repetitions(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("key, value", [("p_star_ranks", 5), ("methods", "greedy-cost")])
+def test_experiment_config_file_rejects_non_list_sequences(tmp_path, capsys, key, value):
+    cfg = {"generator": {"family": "complete", "n": 8, "seed": 0}, key: value}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg), encoding="ascii")
+    code, _, err = run_cli(
+        capsys, "experiment", "--config", str(cfg_file), "--out", str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
+
+
 def test_reduce_check_verb(capsys):
     code, out, _ = run_cli(
         capsys, "reduce-check", "--max-nodes", "3", "--random-instances", "3",

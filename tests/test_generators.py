@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from helpers import reference_er
 from pathcut import Graph, InputError
-from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
+from pathcut.generators import WEIGHT_KINDS, GeneratorSpec, WeightScheme, assign_weights, generate
 
 
 def test_lattice_counts():
@@ -109,3 +110,24 @@ def test_spec_round_trips_through_dict():
     assert GeneratorSpec.from_dict(spec.to_dict()) == spec
     scheme = WeightScheme(kind="poisson", rate=20.0, seed=8)
     assert WeightScheme.from_dict(scheme.to_dict()) == scheme
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+@pytest.mark.parametrize("p", [0, 0.05, 0.5, 1])
+def test_er_matches_triu_indices_reference(n, p):
+    # The flat-index decoding must give the pairs np.triu_indices gives.
+    g = generate(GeneratorSpec(family="er", n=n, p=p, seed=n))
+    ref = reference_er(n, p, seed=n)
+    assert g.edge_records() == ref.edge_records()
+    assert g._adj == ref._adj
+    assert all(type(u) is int and type(v) is int for u, v in g.edges())
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_assigned_weights_are_python_ints(kind):
+    # The A* distance bound is exact only for Python int weights.
+    g = assign_weights(generate(GeneratorSpec(family="er", n=60, p=0.2, seed=1)),
+                       WeightScheme(kind=kind, seed=2))
+    assert g.edge_count > 0
+    assert all(type(w) is int for w in g.weights.values())
+    assert all(type(c) is int for c in g.costs.values())

@@ -1,4 +1,5 @@
 import pickle
+import re
 from itertools import combinations, islice
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given
 
 import pathcut.paths
-from helpers import brute_shortest, random_graph, reference_shortest_path, small_graph_and_pair
+from helpers import (
+    brute_shortest,
+    random_graph,
+    reference_adjacency,
+    reference_shortest_path,
+    small_graph_and_pair,
+)
 from pathcut import (
     Graph,
     InputError,
@@ -55,6 +62,42 @@ def test_edge_lookup_both_orders():
     assert g.has_edge(2, 0) and not g.has_edge(0, 1)
     with pytest.raises(InputError):
         g.weight(0, 1)
+
+
+@pytest.mark.parametrize("records, message", [
+    ([(0, 1)], "edge record must be (u, v, w[, c]): (0, 1)"),
+    ([("a", 1, -1)], "node id must be an integer, got 'a'"),
+    ([(0, 1.0, -1)], "node id must be an integer, got 1.0"),
+    ([(0, 5, -1)], "edge (0, 5) out of range for 3 nodes"),
+    ([(1, 1, -1)], "self-loop at node 1"),
+    ([(0, 1, 1), (1, 0, -1)], "duplicate edge (0, 1)"),
+    ([(2, 0, 1, float("nan"))], "weight or cost on edge (0, 2) is negative or not finite"),
+])
+def test_graph_checks_run_in_order_with_their_messages(records, message):
+    # Each record fails several checks at once where it can; the first
+    # check in order names the error.
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Graph(3, records)
+
+
+def test_graph_adjacency_matches_sorted_weight_map():
+    # Records in any order and orientation file into the same sorted
+    # adjacency lists as building them from the finished weight map.
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        records = [(v, u, float(rng.random())) if rng.random() < 0.5 else (u, v, int(rng.integers(0, 9)))
+                   for u, v in combinations(range(n), 2) if rng.random() < 0.4]
+        records = [records[i] for i in rng.permutation(len(records))]
+        g = Graph(n, records)
+        assert g._adj == reference_adjacency(g)
+
+
+def test_numpy_and_bool_node_ids_become_int():
+    g = Graph(4, [(np.int64(0), True, 2), (np.int32(3), np.uint8(1), 1, 5), (False, 2, 1)])
+    assert g.edges() == [(0, 1), (0, 2), (1, 3)]
+    assert all(type(x) is int for k in g.edges() for x in k)
+    assert all(type(v) is int for u in range(4) for v, _ in g.neighbors(u))
 
 
 def test_path_requires_simple_sequence():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -185,6 +186,48 @@ def test_config_rejects_bad_ranks_and_repetitions(over, message):
     d.update({k: list(v) if isinstance(v, tuple) else v for k, v in over.items()})
     with pytest.raises(InputError, match=f"^{message}$"):
         ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("p_star_ranks", 5),
+    ("p_star_ranks", "5"),
+    ("methods", "greedy-cost"),
+    ("methods", {"greedy-cost": 1}),
+])
+def test_config_from_dict_rejects_non_list_sequences(key, value):
+    d = small_config().to_dict()
+    d[key] = value
+    with pytest.raises(InputError, match=f"^{key} must be a list, got {re.escape(repr(value))}$"):
+        ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"hop_distance": 0}, "hop_distance must be >= 1, got 0"),
+    ({"hop_distance": -1}, "hop_distance must be >= 1, got -1"),
+    ({"hop_distance": 2, "neighborhood_cap": 1},
+     "neighborhood_cap must be >= hop_distance (2), got 1"),
+    ({"hop_distance": 2, "neighborhood_cap": 0},
+     "neighborhood_cap must be >= hop_distance (2), got 0"),
+])
+def test_hop_config_rejects_settings_that_skip_every_instance(over, message):
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(InputError, match=pattern):
+        small_config(terminal_mode="hop", **over)
+    d = small_config().to_dict()
+    d.update(terminal_mode="hop", **over)
+    with pytest.raises(InputError, match=pattern):
+        ExperimentConfig.from_dict(d)
+    # Uniform mode uses neither setting.
+    assert small_config(**over).terminal_mode == "uniform"
+
+
+@pytest.mark.parametrize("cap", [2, None])
+def test_hop_config_with_cap_reaching_t_runs_every_instance(cap):
+    cfg = small_config(generator=GeneratorSpec(family="lattice", rows=5, cols=5),
+                       terminal_mode="hop", hop_distance=2, neighborhood_cap=cap,
+                       p_star_ranks=(1,), methods=("greedy-cost",))
+    records = run_experiments(cfg)
+    assert len(records) == 3 and all(r.status == "ok" for r in records)
 
 
 def test_run_experiments_ratios_and_records(tmp_path):

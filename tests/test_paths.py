@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import helpers
 import pathcut.paths
-from helpers import brute_sorted_paths, random_graph, reference_shortest_path, small_graph_and_pair
+from helpers import (
+    brute_sorted_paths,
+    random_graph,
+    reference_path_iterator,
+    reference_shortest_path,
+    small_graph_and_pair,
+)
 from pathcut import Graph, InputError, Path, path_length, shortest_path
+from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
 from pathcut.paths import PathIterator, k_shortest_paths, next_shortest_excluding
 
 
@@ -230,3 +238,55 @@ def test_float_weights_rank_without_distance_bound():
                   (2, 3, .2), (2, 4, .1), (2, 5, .3), (3, 4, .3), (3, 5, .7), (4, 5, .6)])
     assert _ranked(g, 3, 0, 5, banned_edges=[(1, 5), (2, 3)]) == [
         (3, 0), (3, 4, 2, 5, 0), (3, 5, 0), (3, 4, 5, 0), (3, 4, 1, 0)]
+
+
+def test_lawler_ranking_matches_full_spur_reference():
+    # Spawning deviations only from a path's deviation index must rank
+    # exactly as spawning at every index: the first 80 paths against the
+    # reference iterator, over weight kinds with ties, zeros, floats and
+    # 1e12 magnitudes, with and without masks and bans.
+    rng = np.random.default_rng(1010)
+    weight_draws = {
+        "int": lambda: int(rng.integers(1, 6)),
+        "zero": lambda: int(rng.choice([0, 0, 1])),
+        "equal": lambda: 3,
+        "float": lambda: float(rng.choice([0.1, 0.2, 0.3, 0.6, 0.7])),
+        "huge": lambda: int(rng.integers(10**12 - 5, 10**12 + 5)),
+    }
+    graphs = compared = 0
+    for kind in list(weight_draws) * 64:
+        n = int(rng.integers(6, 11))
+        density = float(rng.uniform(0.4, 0.9))
+        g = Graph(n, [(u, v, weight_draws[kind]())
+                      for u, v in combinations(range(n), 2) if rng.random() < density])
+        s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+        restrict = {}
+        if rng.random() < 0.4:
+            restrict["allowed_nodes"] = {s, t} | {u for u in range(n) if rng.random() < 0.7}
+        if rng.random() < 0.5:
+            restrict["banned_edges"] = [e for e in g.edges() if rng.random() < 0.2]
+        got = _ranked(g, s, t, 80, **restrict)
+        expect = [p.nodes for p in islice(reference_path_iterator(g, s, t, **restrict), 80)]
+        assert got == expect, (kind, s, t, restrict)
+        graphs += 1
+        compared += len(got)
+    assert graphs >= 300 and compared > 10000
+
+
+def test_lawler_ranking_runs_fewer_spur_searches(monkeypatch):
+    g = assign_weights(generate(GeneratorSpec(family="lattice", rows=6, cols=6)),
+                       WeightScheme(kind="uniform", upper=9, seed=3))
+    calls = {"library": 0, "reference": 0}
+
+    def counting(side):
+        def search(*args, **kwargs):
+            calls[side] += 1
+            return shortest_path(*args, **kwargs)
+        return search
+
+    monkeypatch.setattr(pathcut.paths, "shortest_path", counting("library"))
+    monkeypatch.setattr(helpers, "shortest_path", counting("reference"))
+    got = _ranked(g, 0, 35, 40)
+    expect = [p.nodes for p in islice(reference_path_iterator(g, 0, 35), 40)]
+    assert got == expect and len(got) == 40
+    assert calls["library"] < calls["reference"], calls
