@@ -12,6 +12,7 @@ most ``iteration_cap`` cut updates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -42,8 +43,9 @@ TIE_RTOL = 1e-9
 class AttackConfig:
     """Method selection and knobs for one attack run.
 
-    ``iteration_cap`` bounds the cut updates of every method and defaults
-    to ``10 * edge_count`` at runtime.
+    ``rng_seed`` is a nonnegative integer (numpy's seeding rule).
+    ``iteration_cap`` is a nonnegative integer that bounds the cut updates
+    of every method; None means ``10 * edge_count``.
     """
 
     method: str = METHOD_PATHATTACK_LP
@@ -53,6 +55,18 @@ class AttackConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if not _nonnegative_int(self.rng_seed):
+            raise InputError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
+        if self.iteration_cap is not None and not _nonnegative_int(self.iteration_cap):
+            raise InputError(
+                f"iteration_cap must be a nonnegative integer, got {self.iteration_cap!r}")
+
+
+def _nonnegative_int(value) -> bool:
+    try:
+        return operator.index(value) >= 0
+    except TypeError:
+        return False
 
 
 def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):

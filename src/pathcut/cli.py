@@ -24,6 +24,7 @@ from .harness import (
     ExperimentConfig,
     load_edge_list,
     neighborhood_mask,
+    read_ascii,
     run_experiments,
     save_edge_list,
     select_p_star,
@@ -33,6 +34,15 @@ from .harness import (
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
+
+
+def _p_star(text: str) -> Path:
+    # Not an argparse type= (which would exit with a usage message): a bad
+    # node id is an input error, reported as JSON like the others.
+    try:
+        return Path(_int_list(text))
+    except ValueError as exc:
+        raise InputError(f"--p-star {text!r}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,7 +162,7 @@ def _plan_dict(plan, budget=None) -> dict:
 def _cmd_attack(args) -> dict:
     g = load_edge_list(args.graph).graph
     if args.p_star:
-        p_star = Path(_int_list(args.p_star))
+        p_star = _p_star(args.p_star)
     else:
         if args.source is None or args.target is None:
             raise InputError("--rank needs --source and --target")
@@ -169,8 +179,11 @@ def _cmd_attack(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
+        try:
+            data = json.loads(read_ascii(args.config))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{args.config}: not a JSON document: {exc}") from None
+        cfg = ExperimentConfig.from_dict(data)
     else:
         generator = _generator_spec(args) if args.family else None
         cfg = ExperimentConfig(
@@ -211,7 +224,7 @@ def _cmd_reduce_check(args) -> dict:
 
 def _cmd_brute_force(args) -> dict:
     g = load_edge_list(args.graph).graph
-    p_star = Path(_int_list(args.p_star))
+    p_star = _p_star(args.p_star)
     plan = reduction.brute_force_force_path_cut(g, p_star, max_cuttable=args.max_cuttable)
     out = _plan_dict(plan)
     out["p_star"] = list(p_star.nodes)

@@ -1,11 +1,12 @@
 """Covering a set of paths by edge removals.
 
-Two approximation subroutines over the same data model: competing paths
-are the universe elements, edges are the sets (an edge covers every path
-it lies on), and protected-path edges take part in nothing.
+One weighted set-cover instance, solved two ways: competing paths are
+the universe, edges are the sets (an edge covers every path it lies on)
+and protected-path edges take part in nothing. Both covers read it as the
+cut LP's :class:`~pathcut.lp.RelaxedCutLP`, rows for paths, columns for edges.
 
-``greedy_path_cover`` repeatedly takes the most cost-effective edge
-(live-path count per unit cost). ``lp_path_cover`` solves the relaxed LP
+``greedy_path_cover`` repeatedly takes the most cost-effective column
+(live-row count per unit cost). ``lp_path_cover`` solves the relaxed LP
 and rounds it randomly, retrying until the result both covers everything
 and stays within ``4*ln(4|P|)`` times the fractional cost.
 """
@@ -21,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, RoundingFailureError
-from .graphs import EdgeKey, Graph, Path
-from .lp import LPSolution, RelaxedCutLP, build_cover_lp, solve_relaxed
+from .graphs import Graph, Path
+from .lp import LPSolution, RelaxedCutLP, _cover_lp, build_cover_lp, solve_relaxed
 
 #: Rounding attempts before giving up; success probability per attempt
 #: exceeds 1/2, so hitting this cap indicates a bug, not bad luck.
@@ -38,50 +39,41 @@ def _cost_effectiveness(count: int, cost) -> float:
 def greedy_path_cover(g: Graph, p_star: Path, paths: Sequence[Path]) -> frozenset:
     """Edge set intersecting every path in ``paths``, built greedily.
 
-    Tables are initialized lazily (only edges that occur on some path get
-    entries); the heap uses stale-entry skipping instead of decrease-key.
-    Ties on cost-effectiveness go to the smallest canonical edge key.
+    Runs on the instance and input checks of :func:`~pathcut.lp.build_cover_lp`;
+    the heap skips stale entries instead of decreasing keys. Ties on
+    cost-effectiveness go to the smallest column index = the smallest edge
+    key, since columns are the cuttable edges in sorted edge-key order.
     """
-    costs = g.costs
-    protected = frozenset(p_star.edges)
-    paths_on_edge: dict[EdgeKey, set[int]] = {}
-    edges_of_path: dict[int, set[EdgeKey]] = {}
-    live_count: dict[EdgeKey, int] = {}
-    for pid, p in enumerate(paths):
-        cuttable = set()
-        for e in p.edges:
-            if e in protected:
-                continue
-            if e not in costs:
-                raise InputError(f"constraint path uses unknown edge {e}")
-            cuttable.add(e)
-            paths_on_edge.setdefault(e, set()).add(pid)
-            live_count[e] = live_count.get(e, 0) + 1
-        if not cuttable:
-            raise InputError(f"uncuttable constraint: {p!r} has only protected edges")
-        edges_of_path[pid] = cuttable
+    lp = _cover_lp(g, p_star, paths)
+    costs, rows = lp.costs, lp.rows
+    rows_on: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            rows_on.setdefault(j, []).append(i)
+    live = {j: len(ids) for j, ids in rows_on.items()}
+    covered = [False] * len(rows)
 
-    heap = [(-_cost_effectiveness(live_count[e], costs[e]), e) for e in live_count]
+    heap = [(-_cost_effectiveness(count, costs[j]), j) for j, count in live.items()]
     heapq.heapify(heap)
-    chosen: list[EdgeKey] = []
-    remaining = len(edges_of_path)
+    chosen: list[int] = []
+    remaining = len(rows)
     while remaining > 0:
-        neg_ratio, e = heapq.heappop(heap)
-        count = live_count[e]
+        neg_ratio, j = heapq.heappop(heap)
+        count = live[j]
         if count == 0:
             continue
-        current = -_cost_effectiveness(count, costs[e])
+        current = -_cost_effectiveness(count, costs[j])
         if current != neg_ratio:
-            heapq.heappush(heap, (current, e))
+            heapq.heappush(heap, (current, j))
             continue
-        chosen.append(e)
-        for pid in list(paths_on_edge[e]):
-            for e1 in edges_of_path[pid]:
-                live_count[e1] -= 1
-                paths_on_edge[e1].discard(pid)
-            edges_of_path[pid] = set()
-            remaining -= 1
-    return frozenset(chosen)
+        chosen.append(j)
+        for i in rows_on[j]:
+            if not covered[i]:
+                covered[i] = True
+                remaining -= 1
+                for j1 in rows[i]:
+                    live[j1] -= 1
+    return frozenset(map(lp.edge_order.__getitem__, chosen))
 
 
 @dataclass(frozen=True)
@@ -95,8 +87,6 @@ class LPCoverResult:
     retries: int
     lp: RelaxedCutLP
     solution: LPSolution
-    cost: float
-    cost_bound: float
 
 
 def lp_path_cover(
@@ -145,8 +135,6 @@ def lp_path_cover(
                 retries=attempts - 1,
                 lp=lp,
                 solution=sol,
-                cost=cost,
-                cost_bound=bound,
             )
     raise RoundingFailureError(
         f"randomized rounding failed {retry_cap} times", solution=sol

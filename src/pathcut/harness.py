@@ -58,6 +58,20 @@ def _parse_number(token: str, path, line_no: int):
         raise InputError(f"{path}:{line_no}: not a number: {token!r}") from None
 
 
+def read_ascii(path) -> str:
+    """Text of an ASCII file, newlines translated as in text mode. A file
+    that cannot be read or holds a non-ASCII byte raises
+    :class:`InputError` naming it."""
+    try:
+        return FsPath(path).read_text(encoding="ascii")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: non-ASCII byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+
+
 def load_edge_list(path) -> LoadedGraph:
     """Parse an edge-list file (format above) into a graph.
 
@@ -70,26 +84,25 @@ def load_edge_list(path) -> LoadedGraph:
     node_hint = 0
     integer_labels = True
     raw_edges: list[tuple[str, str, object, object, int]] = []
-    with path.open("r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            comment = raw.split("#", 1)
-            body = comment[0].strip()
-            if len(comment) > 1:
-                tail = comment[1].split()
-                if tail[:1] == ["nodes"] and len(tail) >= 2 and tail[1].isdigit():
-                    node_hint = max(node_hint, int(tail[1]))
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) < 2 or len(parts) > 4:
-                raise InputError(f"{path}:{line_no}: expected 'u v [weight [cost]]'")
-            w = _parse_number(parts[2], path, line_no) if len(parts) >= 3 else 1
-            c = _parse_number(parts[3], path, line_no) if len(parts) == 4 else w
-            if not (0 <= w < math.inf and 0 <= c < math.inf):
-                raise InputError(f"{path}:{line_no}: weight or cost is negative or not finite")
-            raw_edges.append((parts[0], parts[1], w, c, line_no))
-            for lbl in parts[:2]:
-                integer_labels = integer_labels and lbl.isdigit()
+    for line_no, raw in enumerate(read_ascii(path).split("\n"), start=1):
+        comment = raw.split("#", 1)
+        body = comment[0].strip()
+        if len(comment) > 1:
+            tail = comment[1].split()
+            if tail[:1] == ["nodes"] and len(tail) >= 2 and tail[1].isdigit():
+                node_hint = max(node_hint, int(tail[1]))
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) < 2 or len(parts) > 4:
+            raise InputError(f"{path}:{line_no}: expected 'u v [weight [cost]]'")
+        w = _parse_number(parts[2], path, line_no) if len(parts) >= 3 else 1
+        c = _parse_number(parts[3], path, line_no) if len(parts) == 4 else w
+        if not (0 <= w < math.inf and 0 <= c < math.inf):
+            raise InputError(f"{path}:{line_no}: weight or cost is negative or not finite")
+        raw_edges.append((parts[0], parts[1], w, c, line_no))
+        for lbl in parts[:2]:
+            integer_labels = integer_labels and lbl.isdigit()
 
     def node_id(lbl: str) -> int:
         if integer_labels:
@@ -225,8 +238,10 @@ class ExperimentConfig:
         for k in self.p_star_ranks:
             if k < 1:
                 raise InputError(f"rank must be >= 1, got {k}")
-        if self.repetitions < 0:
-            raise InputError(f"repetitions must be >= 0, got {self.repetitions}")
+        for name in ("repetitions", "master_seed", "iteration_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InputError(f"{name} must be >= 0, got {value}")
         # In hop mode either would skip every instance: t must lie at
         # least one hop from s, and a mask of smaller radius than the hop
         # distance leaves t out.
@@ -256,6 +271,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise InputError(f"experiment config must be an object, got {d!r}")
         d = dict(d)
         if d.get("generator"):
             d["generator"] = GeneratorSpec.from_dict(d["generator"])

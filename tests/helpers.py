@@ -7,7 +7,9 @@ from itertools import combinations
 import numpy as np
 from hypothesis import strategies as st
 
-from pathcut import ConvergenceError, Graph, Path, PathCutError, edge_key, path_length, shortest_path
+from pathcut import (
+    ConvergenceError, Graph, InputError, Path, PathCutError, edge_key, path_length, shortest_path,
+)
 from pathcut.lp import FEAS_TOL, RelaxedCutLP
 from pathcut.reduction import enumerate_simple_paths
 
@@ -336,3 +338,57 @@ def reference_build_cover_lp(g, p_star, paths):
         costs=tuple(g.cost(u, v) for u, v in edge_order),
         rows=tuple(rows),
     )
+
+
+def _reference_cost_effectiveness(count, cost):
+    return math.inf if cost == 0 else count / cost
+
+
+def reference_greedy_path_cover(g, p_star, paths):
+    """Greedy set cover over its own edge-keyed tables, as
+    ``pathcut.cover.greedy_path_cover`` ran before it read the cut LP's
+    rows and columns: the library cover must return the same edge set, or
+    raise an :class:`InputError` with the same message, on every input.
+
+    Ties on cost-effectiveness go to the smallest canonical edge key.
+    """
+    costs = g.costs
+    protected = frozenset(p_star.edges)
+    paths_on_edge = {}
+    edges_of_path = {}
+    live_count = {}
+    for pid, p in enumerate(paths):
+        cuttable = set()
+        for e in p.edges:
+            if e in protected:
+                continue
+            if e not in costs:
+                raise InputError(f"constraint path uses unknown edge {e}")
+            cuttable.add(e)
+            paths_on_edge.setdefault(e, set()).add(pid)
+            live_count[e] = live_count.get(e, 0) + 1
+        if not cuttable:
+            raise InputError(f"uncuttable constraint: {p!r} has only protected edges")
+        edges_of_path[pid] = cuttable
+
+    heap = [(-_reference_cost_effectiveness(live_count[e], costs[e]), e) for e in live_count]
+    heapq.heapify(heap)
+    chosen = []
+    remaining = len(edges_of_path)
+    while remaining > 0:
+        neg_ratio, e = heapq.heappop(heap)
+        count = live_count[e]
+        if count == 0:
+            continue
+        current = -_reference_cost_effectiveness(count, costs[e])
+        if current != neg_ratio:
+            heapq.heappush(heap, (current, e))
+            continue
+        chosen.append(e)
+        for pid in list(paths_on_edge[e]):
+            for e1 in edges_of_path[pid]:
+                live_count[e1] -= 1
+                paths_on_edge[e1].discard(pid)
+            edges_of_path[pid] = set()
+            remaining -= 1
+    return frozenset(chosen)

@@ -125,6 +125,21 @@ def test_attack_config_validates_method():
         AttackConfig(method="nope")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", None), ("rng_seed", "3"),
+    ("iteration_cap", -1), ("iteration_cap", 2.0),
+])
+def test_attack_config_rejects_negative_or_non_integer_seed_and_cap(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be a nonnegative integer, got "):
+        AttackConfig(**{field: value})
+
+
+def test_attack_config_accepts_zero_seed_and_zero_cap():
+    cfg = AttackConfig(rng_seed=np.int64(0), iteration_cap=0)
+    assert (cfg.rng_seed, cfg.iteration_cap) == (0, 0)
+    assert AttackConfig(iteration_cap=None).iteration_cap is None
+
+
 def test_lp_matches_brute_force_when_integral():
     rng = np.random.default_rng(1234)
     from pathcut.paths import k_shortest_paths

@@ -141,3 +141,69 @@ def test_reduce_check_verb(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["disagreements"] == 0 and report["checked"] > 100
+
+
+def _bad_inputs(tmp_path):
+    good = tmp_path / "path.edges"
+    good.write_text("0 1 1\n1 2 1\n", encoding="ascii")
+    latin = tmp_path / "latin.edges"
+    latin.write_bytes(b"0 1 1\n1 2 \xe9\n")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"repetitions": 1,', encoding="ascii")
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]", encoding="ascii")
+    out = str(tmp_path / "r")
+    return {
+        "bad node id": (["attack", "--graph", str(good), "--p-star", "0,x"], "'x'"),
+        "bad brute-force node id": (["brute-force", "--graph", str(good), "--p-star", "0,y"], "'y'"),
+        "missing graph": (["attack", "--graph", str(tmp_path / "none.edges"), "--p-star", "0,1"],
+                          "none.edges: cannot read"),
+        "non-ASCII graph": (["attack", "--graph", str(latin), "--p-star", "0,1"],
+                            "latin.edges: non-ASCII byte 0xe9"),
+        "malformed config": (["experiment", "--config", str(truncated), "--out", out],
+                             "truncated.json: not a JSON document"),
+        "config not an object": (["experiment", "--config", str(array), "--out", out],
+                                 "experiment config must be an object"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "bad node id", "bad brute-force node id", "missing graph", "non-ASCII graph",
+    "malformed config", "config not an object",
+])
+def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
+    argv, named = _bad_inputs(tmp_path)[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "input"
+    assert named in report["message"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "rng_seed must be a nonnegative integer, got -1"),
+    (["--iteration-cap", "-1"], "iteration_cap must be a nonnegative integer, got -1"),
+])
+def test_attack_rejects_negative_seed_and_cap(tmp_path, capsys, flags, message):
+    g, _ = clique_instance(4)
+    f = str(tmp_path / "k4.edges")
+    save_edge_list(f, g)
+    code, _, err = run_cli(capsys, "attack", "--graph", f, "--p-star", "0,1", *flags)
+    assert code == 2
+    assert json.loads(err) == {"error": "input", "message": message}
+
+
+def test_experiment_rejects_negative_master_seed(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "experiment", "--family", "complete", "--n", "5", "--master-seed", "-3",
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "input", "message": "master_seed must be >= 0, got -3"}
+
+
+def test_bad_ranks_keep_argparse_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--family", "complete", "--ranks", "1,x", "--out", "unused"])
+    assert exc.value.code == 2
+    assert "argument --ranks: invalid _int_list value: '1,x'" in capsys.readouterr().err

@@ -178,6 +178,8 @@ def test_config_round_trip_keeps_no_mask_in_hop_mode():
     ({"hop_distance": 2.5}, "hop_distance must be an integer, got 2.5"),
     ({"iteration_cap": 4.0}, "iteration_cap must be an integer, got 4.0"),
     ({"neighborhood_cap": 2.5}, "neighborhood_cap must be an integer, got 2.5"),
+    ({"master_seed": -3}, "master_seed must be >= 0, got -3"),
+    ({"iteration_cap": -1}, "iteration_cap must be >= 0, got -1"),
 ])
 def test_config_rejects_bad_ranks_and_repetitions(over, message):
     with pytest.raises(InputError, match=f"^{message}$"):
@@ -311,3 +313,32 @@ def test_summary_mentions_methods_and_counts():
     text = summarize(records)
     assert "greedy-cost" in text and "pathattack-lp" in text
     assert "ok:" in text
+
+
+def test_config_accepts_zero_seed_and_zero_cap():
+    cfg = small_config(master_seed=0, iteration_cap=0)
+    assert (cfg.master_seed, cfg.iteration_cap) == (0, 0)
+
+
+@pytest.mark.parametrize("d", [[1], 3, "config", None])
+def test_config_from_dict_rejects_non_object(d):
+    with pytest.raises(InputError, match="^experiment config must be an object"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_load_edge_list_names_unreadable_and_non_ascii_files(tmp_path):
+    missing = tmp_path / "missing.edges"
+    with pytest.raises(InputError, match=f"^{re.escape(str(missing))}: cannot read"):
+        load_edge_list(missing)
+    f = tmp_path / "latin.edges"
+    f.write_bytes(b"0 1 1\n1 2 \xe9\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(f))}: non-ASCII byte 0xe9 at offset 10$"):
+        load_edge_list(f)
+
+
+def test_load_edge_list_line_numbers_count_every_newline(tmp_path):
+    # Lines end at \n, \r\n or \r, as when the file is read in text mode.
+    f = tmp_path / "mixed.edges"
+    f.write_bytes(b"0 1\r\n# comment\r1 2\n\n2 3 x\n")
+    with pytest.raises(InputError, match="mixed.edges:5: not a number: 'x'$"):
+        load_edge_list(f)
