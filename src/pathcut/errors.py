@@ -4,6 +4,9 @@ Every error carries a machine-readable ``category`` that the CLI maps to a
 process exit code.
 """
 
+import numbers
+from dataclasses import fields
+
 
 class PathCutError(Exception):
     category = "internal"
@@ -68,6 +71,23 @@ EXIT_CODES = {
     "mismatch": 9,
     "internal": 70,
 }
+
+
+#: Checked annotation -> (accepted type, its name in the message).
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+          "str": (str, "a string")}
+
+
+def check_field_types(config) -> None:
+    """Raise :class:`InputError` for a dataclass field whose value does not
+    fit its ``int``, ``float`` or ``str`` annotation; ``Optional[...]``
+    admits None too. A config read from JSON can hold any JSON value."""
+    for f in fields(config):
+        optional = f.type.startswith("Optional[")
+        kind, what = _KINDS.get(f.type[len("Optional["):-1] if optional else f.type, (object, ""))
+        value = getattr(config, f.name)
+        if not isinstance(value, kind) and not (optional and value is None):
+            raise InputError(f"{f.name} must be {what}, got {value!r}")
 
 
 def exit_code_for(exc: BaseException) -> int:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_field_types
 from .graphs import Graph
 
 FAMILIES = ("er", "ba", "kronecker", "lattice", "complete")
@@ -57,13 +57,16 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
+        _require(isinstance(d, dict), f"generator spec must be an object, got {d!r}")
         d = dict(d)
-        if "initiator" in d:
-            d["initiator"] = tuple(tuple(r) for r in d["initiator"])
         try:
-            return cls(**d)
+            if "initiator" in d:
+                d["initiator"] = tuple(tuple(r) for r in d["initiator"])
+            spec = cls(**d)
         except TypeError as exc:
             raise InputError(f"bad generator spec: {exc}") from None
+        check_field_types(spec)
+        return spec
 
     def reseeded(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
@@ -85,10 +88,13 @@ class WeightScheme:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightScheme":
+        _require(isinstance(d, dict), f"weight scheme must be an object, got {d!r}")
         try:
-            return cls(**d)
+            scheme = cls(**d)
         except TypeError as exc:
             raise InputError(f"bad weight scheme: {exc}") from None
+        check_field_types(scheme)
+        return scheme
 
     def reseeded(self, seed: int) -> "WeightScheme":
         return replace(self, seed=seed)

@@ -19,7 +19,7 @@ import dataclasses
 import json
 import logging
 import math
-import operator
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attack import METHOD_GREEDY_COST, METHODS, AttackConfig, run_attack
-from .errors import InputError, InstanceSkip, PathCutError
+from .errors import InputError, InstanceSkip, PathCutError, check_field_types
 from .generators import GeneratorSpec, WeightScheme, assign_weights, generate
 from .graphs import Graph, Path, bfs_hops
 from .paths import k_shortest_paths
@@ -225,17 +225,10 @@ class ExperimentConfig:
         # Checked here, not per instance: a bad rank would otherwise abort
         # the batch midway, after the instances before it had run, and a
         # float hop distance would skip every instance.
-        integers = [("repetitions", self.repetitions), ("master_seed", self.master_seed),
-                    ("hop_distance", self.hop_distance)]
-        integers += [("rank", k) for k in self.p_star_ranks]
-        integers += [(name, getattr(self, name)) for name in ("iteration_cap", "neighborhood_cap")
-                     if getattr(self, name) is not None]
-        for name, value in integers:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise InputError(f"{name} must be an integer, got {value!r}") from None
+        check_field_types(self)
         for k in self.p_star_ranks:
+            if not isinstance(k, numbers.Integral):
+                raise InputError(f"rank must be an integer, got {k!r}")
             if k < 1:
                 raise InputError(f"rank must be >= 1, got {k}")
         for name in ("repetitions", "master_seed", "iteration_cap"):
@@ -274,9 +267,9 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise InputError(f"experiment config must be an object, got {d!r}")
         d = dict(d)
-        if d.get("generator"):
+        if d.get("generator") is not None:
             d["generator"] = GeneratorSpec.from_dict(d["generator"])
-        if d.get("weight_scheme"):
+        if d.get("weight_scheme") is not None:
             d["weight_scheme"] = WeightScheme.from_dict(d["weight_scheme"])
         for key in ("p_star_ranks", "methods"):
             value = d.get(key)

@@ -8,10 +8,13 @@ the path's cuttable-edge variables must be at least 1.
 The solver is a self-contained bounded-variable primal simplex with
 Bland's rule, so it terminates, is deterministic, and returns a vertex
 (basic) solution -- which is what makes integrality of the optimum
-detectable by inspection. No phase-1 is needed: with every row nonempty,
-starting all edge variables at their upper bound 1 is feasible. An empty
-row makes the program infeasible; :func:`solve_relaxed` raises
-:class:`~pathcut.errors.InfeasibleError` for it.
+detectable by inspection. It pivots sparse tableau rows of Python floats
+and returns, bit for bit, what a dense numpy tableau loop returns (see
+the exactness rule of ``_bounded_simplex``). No phase-1 is needed: with
+every row nonempty, starting all edge variables at their upper bound 1
+is feasible. An empty row makes the program infeasible;
+:func:`solve_relaxed` raises :class:`~pathcut.errors.InfeasibleError`
+for it.
 
 Text interchange format (``write_lp_text``/``parse_lp_text``), one ASCII
 line each, for cross-checking against external solvers::
@@ -119,69 +122,69 @@ def _cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutLP:
 def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.ndarray:
     """Minimize ``costs @ x`` s.t. per-row sums >= 1 and ``0 <= x <= 1``.
 
-    Full-tableau bounded-variable simplex, Bland's rule for entering and
+    Bounded-variable tableau simplex, Bland's rule for entering and
     leaving, upper-bound flips handled separately (a flip always moves a
     full unit, so it strictly improves the objective and cannot cycle).
     ``rows`` must hold sorted, distinct, in-range indices (the starting
-    surplus ``len(row) - 1`` counts them).
+    surplus ``len(row) - 1`` counts them). Tableau rows are maps
+    ``{column: value}`` of their entries and ``cols[k]`` holds the rows
+    with an entry in column ``k``. A pivot divides the pivot row, then
+    updates the objective row (the reduced costs) and each row with an
+    entry in the entering column, over the pivot row's entries only. A
+    basic column's reduced cost is exactly 0 (zeroed as it enters, and a
+    pivot row holds no column basic in another row), so Bland's scan needs
+    no basis test; after a flip it resumes just past the flipped column.
 
     Exactness rule: the pivot sequence and every bit of the result are
-    those of a plain numpy loop over the same tableau. The two expressions
-    whose summation order reaches the output stay numpy, as written: the
-    pricing ``c - c[basis] @ T`` and the pivot update (divide the pivot
-    row, then subtract ``factors[:, None] * T[leave]``, the elementwise
-    product ``np.outer`` forms). The per-step bookkeeping -- the Bland
-    scan over the reduced costs, the ratio test over the entering column
-    and the update of the basic values -- runs on Python floats; per
-    element these are the same IEEE-754 multiplies, adds and divides
-    numpy performs (no fused multiply-add), so nothing changes but the
-    interpreter overhead. Prices are computed afresh only after a pivot: a
-    flip changes neither the basis nor the tableau, so the reduced costs
-    stay the same, and it leaves the flipped variable ineligible, so
-    Bland's scan resumes just past it.
+    those of the dense numpy loop. Per element the tableau and the basic
+    values take the same IEEE-754 operations: ``v / pivot`` on the pivot
+    row, ``t - f * r`` on the others, ``x + step * d`` on the basic values.
+    An update skipped here has a zero factor, entry or step, so it could
+    only flip the sign of a zero, which never reaches a comparison or the
+    basic values (they start nonnegative and no sum they get is ``-0.0``).
+    The reduced costs differ from the dense loop's ``c - c[basis] @ T`` by
+    rounding only and are read only in comparisons with ``FEAS_TOL``, so a
+    pivot could differ only if a reduced cost sat within rounding of the
+    tolerance; the tests compare the bytes with the dense loop's.
     """
     m = len(rows)
     n = len(costs)
     total = n + m  # structural + surplus
-    A = np.zeros((m, total))
-    for i, row in enumerate(rows):
-        A[i, list(row)] = 1.0
-        A[i, n + i] = -1.0
-    c = np.concatenate([costs, np.zeros(m)])
     inf = math.inf
     ub = [1.0] * n + [inf] * m
 
     # Start: every structural variable nonbasic at its upper bound 1;
-    # surplus basic with value (row size - 1) >= 0, so B = -I.
+    # surplus basic with value (row size - 1) >= 0, so B = -I and T = -A.
     basis = list(range(n, total))
-    T = -A
+    T = [{**dict.fromkeys(row, -1.0), n + i: 1.0} for i, row in enumerate(rows)]
+    cols = [set() for _ in range(n)] + [{i} for i in range(m)]
+    for i, row in enumerate(rows):
+        for k in row:
+            cols[k].add(i)
+    rc = costs.tolist() + [0.0] * m  # c - c[basis] @ T with c[basis] = 0
     xB = [len(r) - 1.0 for r in rows]
     at_upper = [True] * n + [False] * m
-    nonbasic = [True] * n + [False] * m
 
     tol = FEAS_TOL
     max_pivots = 200 * (m + n + 1)
-    start = 0  # Bland's scan resumes here; 0 means "re-price first"
+    start = 0  # Bland's scan starts here
     for _ in range(max_pivots):
-        if start == 0:
-            rc = (c - c[basis] @ T).tolist()
         j = -1
         for k in range(start, total):
-            if nonbasic[k]:
-                r = rc[k]
-                if (r > tol) if at_upper[k] else (r < -tol):
-                    j = k
-                    break
+            r = rc[k]
+            if (r > tol) if at_upper[k] else (r < -tol):
+                j = k
+                break
         if j < 0:
             break
         increase = not at_upper[j]
-        col = T[:, j].tolist()
-        delta = [-d for d in col] if increase else col
+        # Entering-column entries in row order, which the tie rule needs.
+        delta = {i: -T[i][j] if increase else T[i][j] for i in sorted(cols[j])}
         # Ratio test: largest step keeping every basic variable in bounds,
         # Bland's rule (smallest leaving variable) among tied rows.
         best = inf
         leave = -1
-        for i, di in enumerate(delta):
+        for i, di in delta.items():
             if di < -tol:
                 cand = xB[i] / -di
             elif di > tol and ub[basis[i]] < inf:
@@ -202,27 +205,36 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
             if ub[j] == inf:
                 raise PathCutError("cover LP is unbounded; this cannot happen")
             step = ub[j]
-            xB = [x + step * d for x, d in zip(xB, delta)]
+            for i, d in delta.items():
+                xB[i] += step * d
             at_upper[j] = not at_upper[j]
             start = j + 1
             continue
         if leave < 0:
             raise PathCutError("cover LP is unbounded; this cannot happen")
         theta = 0.0 if 0.0 > best else best  # max(best, 0.0)
-        xB = [x + theta * d for x, d in zip(xB, delta)]
-        entering_value = theta if increase else (ub[j] - theta)
+        for i, d in delta.items():
+            xB[i] += theta * d
         leaving = basis[leave]
         # Leaving variable rests at whichever of its bounds was hit.
         at_upper[leaving] = delta[leave] > tol and ub[leaving] < inf
-        nonbasic[leaving] = True
-        nonbasic[j] = False
         at_upper[j] = False
         basis[leave] = j
-        T[leave] = T[leave] / T[leave, j]
-        factors = T[:, j].copy()
-        factors[leave] = 0.0
-        T -= factors[:, None] * T[leave]
-        xB[leave] = entering_value
+        xB[leave] = theta if increase else (ub[j] - theta)
+        pivot = T[leave][j]
+        prow = T[leave] = {k: v / pivot for k, v in T[leave].items()}
+        for i in delta:
+            if i != leave:
+                t = T[i]
+                f = t[j]
+                for k, r in prow.items():
+                    t[k] = t.get(k, 0.0) - f * r
+                    cols[k].add(i)
+                del t[j]  # f - f * 1.0 == 0.0 exactly
+        cols[j] = {leave}
+        f = rc[j]
+        for k, r in prow.items():
+            rc[k] -= f * r
         start = 0
     else:
         raise PathCutError("simplex failed to terminate within the pivot cap")

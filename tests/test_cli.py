@@ -152,6 +152,12 @@ def _bad_inputs(tmp_path):
     truncated.write_text('{"repetitions": 1,', encoding="ascii")
     array = tmp_path / "array.json"
     array.write_text("[1, 2]", encoding="ascii")
+    configs = {}
+    for name, cfg in (("gen-int", {"generator": 5}),
+                      ("gen-str-n", {"generator": {"family": "complete", "n": "5"}}),
+                      ("edges-int", {"edge_list": 3})):
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(cfg), encoding="ascii")
     out = str(tmp_path / "r")
     return {
         "bad node id": (["attack", "--graph", str(good), "--p-star", "0,x"], "'x'"),
@@ -164,12 +170,20 @@ def _bad_inputs(tmp_path):
                              "truncated.json: not a JSON document"),
         "config not an object": (["experiment", "--config", str(array), "--out", out],
                                  "experiment config must be an object"),
+        "generator not an object": (["experiment", "--config", str(configs["gen-int"]), "--out", out],
+                                    "generator spec must be an object, got 5"),
+        "generator n not an integer": (
+            ["experiment", "--config", str(configs["gen-str-n"]), "--out", out],
+            "n must be an integer, got '5'"),
+        "edge_list not a string": (["experiment", "--config", str(configs["edges-int"]), "--out", out],
+                                   "edge_list must be a string, got 3"),
     }
 
 
 @pytest.mark.parametrize("case", [
     "bad node id", "bad brute-force node id", "missing graph", "non-ASCII graph",
-    "malformed config", "config not an object",
+    "malformed config", "config not an object", "generator not an object",
+    "generator n not an integer", "edge_list not a string",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]

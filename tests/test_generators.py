@@ -112,6 +112,24 @@ def test_spec_round_trips_through_dict():
     assert WeightScheme.from_dict(scheme.to_dict()) == scheme
 
 
+@pytest.mark.parametrize("cls, d, message", [
+    (GeneratorSpec, [1], "generator spec must be an object, got [1]"),
+    (GeneratorSpec, {"family": "er", "n": 5, "p": "0.5"}, "p must be a number, got '0.5'"),
+    (GeneratorSpec, {"family": "lattice", "rows": 2.0, "cols": 3}, "rows must be an integer, got 2.0"),
+    (GeneratorSpec, {"family": "complete", "n": 5, "seed": None}, "seed must be an integer, got None"),
+    (GeneratorSpec, {"family": "kronecker", "initiator": 5}, "bad generator spec"),
+    (WeightScheme, "equal", "weight scheme must be an object, got 'equal'"),
+    (WeightScheme, {"kind": "poisson", "rate": None}, "rate must be a number, got None"),
+    (WeightScheme, {"kind": "equal", "value": 2.5}, "value must be an integer, got 2.5"),
+])
+def test_from_dict_rejects_wrong_types(cls, d, message):
+    # JSON of the right syntax but the wrong shape: each used to end in a
+    # TypeError from deep inside generation.
+    with pytest.raises(InputError) as info:
+        cls.from_dict(d)
+    assert message in str(info.value)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
 @pytest.mark.parametrize("p", [0, 0.05, 0.5, 1])
 def test_er_matches_triu_indices_reference(n, p):

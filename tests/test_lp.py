@@ -303,13 +303,15 @@ def test_solve_names_row_repeating_an_index(rows):
 COST_KINDS = ("ones", "small-int", "uniform", "log-uniform")
 
 
-def random_cover_lp(rng, kind):
-    """Seeded cover LP with m <= 40 rows of 2 to 4 variables out of n <= 60;
-    small pairwise rows make odd cycles, hence fractional optima, common."""
-    n = int(rng.integers(2, 21)) if rng.random() < 0.5 else int(rng.integers(2, 61))
-    m = int(rng.integers(1, 41))
+def random_cover_lp(rng, kind, max_rows=40, max_vars=60, max_row_size=4):
+    """Seeded cover LP with m <= 40 rows of 2 to 4 variables out of n <= 60
+    by default; small pairwise rows make odd cycles, hence fractional
+    optima, common."""
+    n = int(rng.integers(2, 21)) if rng.random() < 0.5 else int(rng.integers(2, max_vars + 1))
+    m = int(rng.integers(1, max_rows + 1))
     rows = [
-        tuple(sorted(rng.choice(n, size=int(rng.integers(2, min(n, 4) + 1)), replace=False).tolist()))
+        tuple(sorted(rng.choice(n, size=int(rng.integers(2, min(n, max_row_size) + 1)),
+                                replace=False).tolist()))
         for _ in range(m)
     ]
     if kind == "ones":
@@ -334,6 +336,18 @@ def test_simplex_bit_identical_to_numpy_loop_on_random_lps():
         assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
         fractional += bool(np.any((want > 1e-6) & (want < 1 - 1e-6)))
     assert fractional >= 300
+
+
+def test_simplex_bit_identical_to_numpy_loop_on_fill_in_heavy_lps():
+    # Up to 150 rows of 2 to 8 variables out of up to 200: pivots fill the
+    # sparse tableau rows in far beyond their starting size.
+    rng = np.random.default_rng(2025)
+    for k in range(200):
+        rows, costs = random_cover_lp(rng, COST_KINDS[k % len(COST_KINDS)],
+                                      max_rows=150, max_vars=200, max_row_size=8)
+        got = _bounded_simplex(rows, costs)
+        want = reference_bounded_simplex(rows, costs)
+        assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
 
 
 def _lp_attack_instances():
@@ -362,3 +376,23 @@ def test_simplex_bit_identical_to_numpy_loop_inside_pathattack(monkeypatch):
         run_attack(g, p_star, AttackConfig(method="pathattack-lp", rng_seed=seed))
         assert len(solved) > before
     assert all(solved)
+
+
+def test_simplex_bit_identical_to_numpy_loop_on_dense_ties(monkeypatch):
+    # A K16 clique with equal weights and p* at rank 16, its first three-hop
+    # path: every competitor ties with p*, so each attack solves about 40
+    # growing LPs over the same clique edges.
+    solved = []
+
+    def both(rows, costs):
+        got = _bounded_simplex(rows, costs)
+        solved.append(got.tobytes() == reference_bounded_simplex(rows, costs).tobytes())
+        return got
+
+    monkeypatch.setattr(pathcut.lp, "_bounded_simplex", both)
+    k16 = assign_weights(generate(GeneratorSpec("complete", n=16)), WeightScheme("equal"))
+    for seed, (s, t) in enumerate([(0, 15), (3, 8), (12, 5), (9, 10)]):
+        p_star = select_p_star(k16, s, t, 16)
+        assert len(p_star.edges) == 3
+        run_attack(k16, p_star, AttackConfig(method="pathattack-lp", rng_seed=seed))
+    assert len(solved) >= 4 * 30 and all(solved)
