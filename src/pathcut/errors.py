@@ -5,7 +5,7 @@ process exit code.
 """
 
 import numbers
-from dataclasses import fields
+from typing import get_args, get_type_hints
 
 
 class PathCutError(Exception):
@@ -73,21 +73,23 @@ EXIT_CODES = {
 }
 
 
-#: Checked annotation -> (accepted type, its name in the message).
-_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
-          "str": (str, "a string")}
+#: Checked type -> (accepted type, its name in the message).
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
 
 
 def check_field_types(config) -> None:
     """Raise :class:`InputError` for a dataclass field whose value does not
-    fit its ``int``, ``float`` or ``str`` annotation; ``Optional[...]``
-    admits None too. A config read from JSON can hold any JSON value."""
-    for f in fields(config):
-        optional = f.type.startswith("Optional[")
-        kind, what = _KINDS.get(f.type[len("Optional["):-1] if optional else f.type, (object, ""))
-        value = getattr(config, f.name)
+    fit its ``int``, ``float`` or ``str`` type; an optional one
+    (``Optional[int]``, ``int | None``) admits None too. A config read
+    from JSON can hold any JSON value."""
+    for name, hint in get_type_hints(type(config)).items():
+        args = get_args(hint)
+        optional = len(args) == 2 and args[1] is type(None)
+        kind, what = _KINDS.get(args[0] if optional else hint, (object, ""))
+        value = getattr(config, name)
         if not isinstance(value, kind) and not (optional and value is None):
-            raise InputError(f"{f.name} must be {what}, got {value!r}")
+            raise InputError(f"{name} must be {what}, got {value!r}")
 
 
 def exit_code_for(exc: BaseException) -> int:

@@ -8,9 +8,11 @@ the path's cuttable-edge variables must be at least 1.
 The solver is a self-contained bounded-variable primal simplex with
 Bland's rule, so it terminates, is deterministic, and returns a vertex
 (basic) solution -- which is what makes integrality of the optimum
-detectable by inspection. It pivots sparse tableau rows of Python floats
-and returns, bit for bit, what a dense numpy tableau loop returns (see
-the exactness rule of ``_bounded_simplex``). No phase-1 is needed: with
+detectable by inspection. It pivots sparse tableau rows of Python floats,
+or a numpy array once the rows fill in, and, unless large tied costs
+make rounding reach the pivot choice, returns bit for bit what a dense
+numpy tableau loop returns (see the exactness rule of
+``_bounded_simplex``). No phase-1 is needed: with
 every row nonempty, starting all edge variables at their upper bound 1
 is feasible. An empty row makes the program infeasible;
 :func:`solve_relaxed` raises :class:`~pathcut.errors.InfeasibleError`
@@ -54,6 +56,9 @@ from .graphs import EdgeKey, Graph, Path
 FEAS_TOL = 1e-9
 #: Default tolerance for classifying a solution as integral.
 INTEGRALITY_TOL = 1e-6
+#: Entry updates above which a pivot costs more on dict rows than on a
+#: numpy array (measured on captured cover LPs); the simplex then switches.
+_DENSE_WORK = 100
 
 
 @dataclass(frozen=True)
@@ -126,26 +131,37 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
     leaving, upper-bound flips handled separately (a flip always moves a
     full unit, so it strictly improves the objective and cannot cycle).
     ``rows`` must hold sorted, distinct, in-range indices (the starting
-    surplus ``len(row) - 1`` counts them). Tableau rows are maps
+    surplus ``len(row) - 1`` counts them). Tableau rows start as maps
     ``{column: value}`` of their entries and ``cols[k]`` holds the rows
     with an entry in column ``k``. A pivot divides the pivot row, then
     updates the objective row (the reduced costs) and each row with an
-    entry in the entering column, over the pivot row's entries only. A
-    basic column's reduced cost is exactly 0 (zeroed as it enters, and a
-    pivot row holds no column basic in another row), so Bland's scan needs
-    no basis test; after a flip it resumes just past the flipped column.
+    entry in the entering column, over the pivot row's entries only. Once
+    rows fill in, so that a pivot would update more than ``_DENSE_WORK``
+    entries, the tableau moves to a numpy array for the rest of the solve
+    and pivots update whole rows, still only those with an entry in the
+    entering column. A basic column's reduced cost is exactly 0 (zeroed as
+    it enters, and a pivot row holds no column basic in another row), so
+    Bland's scan needs no basis test; after a flip it resumes just past
+    the flipped column.
 
     Exactness rule: the pivot sequence and every bit of the result are
     those of the dense numpy loop. Per element the tableau and the basic
     values take the same IEEE-754 operations: ``v / pivot`` on the pivot
-    row, ``t - f * r`` on the others, ``x + step * d`` on the basic values.
-    An update skipped here has a zero factor, entry or step, so it could
-    only flip the sign of a zero, which never reaches a comparison or the
-    basic values (they start nonnegative and no sum they get is ``-0.0``).
+    row, ``t - f * r`` on the others, ``x + step * d`` on the basic values,
+    in either form of the tableau, so the switch moves no bit. An update
+    that one loop makes and another skips has a zero factor, entry or
+    step, so it could only flip the sign of a zero, which never reaches a
+    comparison or the basic values (they start nonnegative and no sum they
+    get is ``-0.0``).
     The reduced costs differ from the dense loop's ``c - c[basis] @ T`` by
     rounding only and are read only in comparisons with ``FEAS_TOL``, so a
     pivot could differ only if a reduced cost sat within rounding of the
-    tolerance; the tests compare the bytes with the dense loop's.
+    tolerance. That rounding grows with the costs. The tests find the bytes
+    equal for costs up to 5, from 1e-6 to 1e6 and from 1e6 to 1e12. With
+    tied costs from about 1e6 on, a reduced cost that is exactly 0 rounds
+    to about ``FEAS_TOL`` in either loop, and the two can stop at different
+    optimal vertices (there the dense loop's choice depends on the BLAS
+    kernel as well).
     """
     m = len(rows)
     n = len(costs)
@@ -162,6 +178,7 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
         for k in row:
             cols[k].add(i)
     rc = costs.tolist() + [0.0] * m  # c - c[basis] @ T with c[basis] = 0
+    dense = False
     xB = [len(r) - 1.0 for r in rows]
     at_upper = [True] * n + [False] * m
 
@@ -179,7 +196,11 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
             break
         increase = not at_upper[j]
         # Entering-column entries in row order, which the tie rule needs.
-        delta = {i: -T[i][j] if increase else T[i][j] for i in sorted(cols[j])}
+        if dense:
+            nz = np.flatnonzero(T[:, j])
+            delta = dict(zip(nz.tolist(), (-T[nz, j] if increase else T[nz, j]).tolist()))
+        else:
+            delta = {i: -T[i][j] if increase else T[i][j] for i in sorted(cols[j])}
         # Ratio test: largest step keeping every basic variable in bounds,
         # Bland's rule (smallest leaving variable) among tied rows.
         best = inf
@@ -221,20 +242,32 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
         at_upper[j] = False
         basis[leave] = j
         xB[leave] = theta if increase else (ub[j] - theta)
-        pivot = T[leave][j]
-        prow = T[leave] = {k: v / pivot for k, v in T[leave].items()}
-        for i in delta:
-            if i != leave:
-                t = T[i]
-                f = t[j]
-                for k, r in prow.items():
-                    t[k] = t.get(k, 0.0) - f * r
-                    cols[k].add(i)
-                del t[j]  # f - f * 1.0 == 0.0 exactly
-        cols[j] = {leave}
-        f = rc[j]
-        for k, r in prow.items():
-            rc[k] -= f * r
+        if not dense and len(delta) * len(T[leave]) > _DENSE_WORK:
+            sparse_rows, T = T, np.zeros((m, total))
+            for i, t in enumerate(sparse_rows):
+                T[i, list(t)] = list(t.values())
+            rc_all, dense = np.array(rc), True
+        if dense:
+            prow = T[leave] = T[leave] / T[leave, j]
+            others = [i for i in delta if i != leave]
+            T[others] -= T[others, j][:, None] * prow
+            rc_all -= rc_all[j] * prow
+            rc = rc_all.tolist()
+        else:
+            pivot = T[leave][j]
+            prow = T[leave] = {k: v / pivot for k, v in T[leave].items()}
+            for i in delta:
+                if i != leave:
+                    t = T[i]
+                    f = t[j]
+                    for k, r in prow.items():
+                        t[k] = t.get(k, 0.0) - f * r
+                        cols[k].add(i)
+                    del t[j]  # f - f * 1.0 == 0.0 exactly
+            cols[j] = {leave}
+            f = rc[j]
+            for k, r in prow.items():
+                rc[k] -= f * r
         start = 0
     else:
         raise PathCutError("simplex failed to terminate within the pivot cap")

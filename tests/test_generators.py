@@ -1,9 +1,12 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
 from helpers import reference_er
 from pathcut import Graph, InputError
+from pathcut.errors import check_field_types
 from pathcut.generators import WEIGHT_KINDS, GeneratorSpec, WeightScheme, assign_weights, generate
 
 
@@ -128,6 +131,28 @@ def test_from_dict_rejects_wrong_types(cls, d, message):
     with pytest.raises(InputError) as info:
         cls.from_dict(d)
     assert message in str(info.value)
+
+
+@dataclass
+class _Typed:
+    count: int | None = None
+    rate: Optional[float] = None
+    name: str = "x"
+    anything: tuple = ()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"count": "3"}, "count must be an integer, got '3'"),
+    ({"rate": "fast"}, "rate must be a number, got 'fast'"),
+    ({"name": None}, "name must be a string, got None"),
+])
+def test_field_type_check_reads_either_optional_spelling(kwargs, message):
+    # This module has no ``from __future__ import annotations``, so its
+    # fields carry type objects, and ``count`` is spelt ``int | None``.
+    check_field_types(_Typed(count=3, rate=None, anything=[1]))
+    with pytest.raises(InputError) as info:
+        check_field_types(_Typed(**kwargs))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])

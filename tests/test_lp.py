@@ -320,6 +320,8 @@ def random_cover_lp(rng, kind, max_rows=40, max_vars=60, max_row_size=4):
         costs = rng.integers(0, 5, size=n).astype(float)
     elif kind == "uniform":
         costs = rng.uniform(0, 5, size=n)
+    elif kind == "large":
+        costs = 10.0 ** rng.uniform(6, 12, size=n)
     else:
         costs = 10.0 ** rng.uniform(-6, 6, size=n)
         costs[rng.random(n) < 0.1] = 0.0
@@ -340,14 +342,44 @@ def test_simplex_bit_identical_to_numpy_loop_on_random_lps():
 
 def test_simplex_bit_identical_to_numpy_loop_on_fill_in_heavy_lps():
     # Up to 150 rows of 2 to 8 variables out of up to 200: pivots fill the
-    # sparse tableau rows in far beyond their starting size.
+    # sparse tableau rows in far beyond their starting size. The "large"
+    # costs, 1e6 to 1e12, put the reduced costs' rounding in the 1e-4s.
     rng = np.random.default_rng(2025)
+    kinds = COST_KINDS + ("large",)
     for k in range(200):
-        rows, costs = random_cover_lp(rng, COST_KINDS[k % len(COST_KINDS)],
+        rows, costs = random_cover_lp(rng, kinds[k % len(kinds)],
                                       max_rows=150, max_vars=200, max_row_size=8)
         got = _bounded_simplex(rows, costs)
         want = reference_bounded_simplex(rows, costs)
         assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
+
+
+@pytest.mark.parametrize("work", [0, 10**9])
+def test_simplex_bytes_do_not_depend_on_where_the_tableau_turns_dense(monkeypatch, work):
+    # 0 moves the tableau to a numpy array at the first pivot; 10**9 keeps
+    # the dict rows to the end, however far they fill in.
+    monkeypatch.setattr(pathcut.lp, "_DENSE_WORK", work)
+    rng = np.random.default_rng(2027)
+    for k in range(300):
+        size = {} if k < 200 else dict(max_rows=60, max_vars=100, max_row_size=6)
+        rows, costs = random_cover_lp(rng, COST_KINDS[k % len(COST_KINDS)], **size)
+        got = _bounded_simplex(rows, costs)
+        want = reference_bounded_simplex(rows, costs)
+        assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
+
+
+def test_simplex_optimal_where_tied_large_costs_void_the_byte_rule():
+    # Tied costs of 2**20 to 2**22: a reduced cost that is exactly 0 reads
+    # as rounding of about FEAS_TOL in either loop, so the two may stop at
+    # different optimal vertices. Each must still be a feasible optimum.
+    rng = np.random.default_rng(2026)
+    for k in range(300):
+        rows, ones = random_cover_lp(rng, "ones")
+        costs = rng.integers(1, 5, size=len(ones)) * 2.0 ** 20
+        got = _bounded_simplex(rows, costs)
+        want = reference_bounded_simplex(rows, costs)
+        assert all(sum(got[list(row)]) >= 1 - 1e-9 for row in rows), k
+        assert costs @ got == pytest.approx(costs @ want, rel=1e-12), k
 
 
 def _lp_attack_instances():
