@@ -3,16 +3,13 @@ a minimum-cost set of edges.
 
 Public surface: graph/path primitives, the path-ranking iterator and its
 constraint oracle, the relaxed-LP engine, the two covering subroutines,
-the attack drivers, the hardness transformation with exact desk-scale
+the attack driver, the hardness transformation with exact desk-scale
 oracles, synthetic generators, and the experiment harness.
 """
 
 from .attack import (
     METHODS,
     AttackConfig,
-    greedy_cost,
-    greedy_eigenscore,
-    pathattack,
     principal_eigenvector,
     run_attack,
 )

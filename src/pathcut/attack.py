@@ -1,6 +1,7 @@
-"""Attack drivers: one constraint-generation loop and its four cut rules.
+"""The attack driver: one constraint-generation loop and its four cut rules.
 
-All four methods run :func:`_force_path`: ask the oracle for the shortest
+:func:`run_attack` is the one entry point. It picks the cut rule from the
+method and runs :func:`_force_path`: ask the oracle for the shortest
 competitor to the protected path in the graph minus the current cut and,
 while it is not *strictly* longer (an equal-length competitor counts as a
 violated constraint), record it and update the cut. PATHATTACK re-covers
@@ -35,7 +36,7 @@ METHODS = (
     METHOD_GREEDY_COST,
     METHOD_GREEDY_EIGENSCORE,
 )
-#: Relative tolerance of greedy eigenscore's tie rule (see greedy_eigenscore).
+#: Relative tolerance of greedy eigenscore's tie rule (see _top_eigenscore).
 TIE_RTOL = 1e-9
 
 
@@ -100,73 +101,15 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
     return removed, len(constraints), certificate
 
 
-def pathattack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
-    """PATHATTACK: each cut update re-covers every constraint found so far
-    over the original graph, by LP relaxation and randomized rounding
-    (``pathattack-lp``) or by greedy set cover (``pathattack-greedy``)."""
-    if cfg.method not in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY):
-        raise InputError(f"pathattack does not implement {cfg.method!r}")
-    rng = np.random.default_rng(cfg.rng_seed)
-    retries = 0
-    last_lp: Optional[LPCoverResult] = None
-
-    def cover(constraints, removed):
-        nonlocal retries, last_lp
-        if cfg.method == METHOD_PATHATTACK_GREEDY:
-            return greedy_path_cover(g, p_star, constraints)
-        last_lp = lp_path_cover(g, p_star, constraints, rng)
-        retries += last_lp.retries
-        return last_lp.edges
-
-    removed, iterations, certificate = _force_path(g, p_star, cfg.iteration_cap, cover)
-    return make_cut_plan(
-        g,
-        p_star,
-        removed,
-        cfg.method,
-        iterations=iterations,
-        constraints_generated=iterations,
-        rounding_retries=retries,
-        rng_seed=cfg.rng_seed,
-        lp_objective=last_lp.solution.objective_value if last_lp else None,
-        lp_integral=is_integral(last_lp.solution) if last_lp else None,
-        certificate=certificate,
-    )
+def _cheapest_edge(g: Graph):
+    """greedy-cost's rule: the cheapest candidate (ties: smallest edge key)."""
+    return lambda candidates: min(candidates, key=lambda e: (g.cost(*e), e))
 
 
-def _greedy_baseline(g: Graph, p_star: Path, choose, method_tag: str,
-                     iteration_cap: Optional[int]) -> CutPlan:
-    """The two baselines: each cut update adds ``choose(candidates)``, one
-    unprotected edge of the newest competing path."""
-    protected = frozenset(p_star.edges)
-
-    def cut_one(constraints, removed):
-        # Two simple paths with the same endpoints cannot share all edges,
-        # so there is always something to cut.
-        return removed | {choose([e for e in constraints[-1].edges if e not in protected])}
-
-    removed, iterations, certificate = _force_path(g, p_star, iteration_cap, cut_one)
-    return make_cut_plan(
-        g, p_star, removed, method_tag, iterations=iterations, rng_seed=None,
-        certificate=certificate,
-    )
-
-
-def greedy_cost(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> CutPlan:
-    """Baseline: each cut update adds the cheapest unprotected edge of the
-    newest competing path (ties: smallest edge key)."""
-
-    def choose(candidates):
-        return min(candidates, key=lambda e: (g.cost(*e), e))
-
-    return _greedy_baseline(g, p_star, choose, METHOD_GREEDY_COST, iteration_cap)
-
-
-def greedy_eigenscore(g: Graph, p_star: Path, iteration_cap: Optional[int] = None) -> CutPlan:
-    """Baseline: each cut update adds the unprotected edge of the newest
-    competing path with the largest eigenscore per unit cost, where an
-    edge's eigenscore is the product of the principal adjacency-eigenvector
-    entries at its endpoints.
+def _top_eigenscore(g: Graph):
+    """greedy-eigenscore's rule: the candidate with the largest eigenscore
+    per unit cost, where an edge's eigenscore is the product of the
+    principal adjacency-eigenvector entries at its endpoints.
 
     Scores are computed once, on the input graph.
 
@@ -199,7 +142,7 @@ def greedy_eigenscore(g: Graph, p_star: Path, iteration_cap: Optional[int] = Non
         floor = max(ratios) * (1.0 - TIE_RTOL)
         return min(e for e, r in zip(candidates, ratios) if r >= floor)
 
-    return _greedy_baseline(g, p_star, choose, METHOD_GREEDY_EIGENSCORE, iteration_cap)
+    return choose
 
 
 def _adjacency_product(g: Graph):
@@ -230,7 +173,7 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
     memory per step instead of a dense n x n matrix. Its summation order
     differs from a dense product's, so the vector can differ from one by a
     few units in the last place; greedy eigenscore's tie rule absorbs
-    that noise (see its docstring for the limits).
+    that noise (see :func:`_top_eigenscore` for the limits).
     """
     n = g.node_count
     if n == 0:
@@ -251,9 +194,49 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
 
 
 def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
-    """Dispatch on ``cfg.method``."""
-    if cfg.method in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY):
-        return pathattack(g, p_star, cfg)
-    if cfg.method == METHOD_GREEDY_COST:
-        return greedy_cost(g, p_star, iteration_cap=cfg.iteration_cap)
-    return greedy_eigenscore(g, p_star, iteration_cap=cfg.iteration_cap)
+    """Force ``p_star`` with the cut rule of ``cfg.method``.
+
+    PATHATTACK re-covers every constraint found so far over the original
+    graph, by LP relaxation and rounding seeded with ``cfg.rng_seed``
+    (``pathattack-lp``) or by greedy set cover (``pathattack-greedy``). A
+    baseline adds one unprotected edge of the newest competitor, chosen by
+    :func:`_cheapest_edge` or :func:`_top_eigenscore`; it records no seed
+    and no constraints.
+    """
+    pathattack = cfg.method in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY)
+    retries = 0
+    last_lp: Optional[LPCoverResult] = None
+    if cfg.method == METHOD_PATHATTACK_LP:
+        rng = np.random.default_rng(cfg.rng_seed)
+
+        def cut(constraints, removed):
+            nonlocal retries, last_lp
+            last_lp = lp_path_cover(g, p_star, constraints, rng)
+            retries += last_lp.retries
+            return last_lp.edges
+    elif cfg.method == METHOD_PATHATTACK_GREEDY:
+        def cut(constraints, removed):
+            return greedy_path_cover(g, p_star, constraints)
+    else:
+        choose = (_cheapest_edge if cfg.method == METHOD_GREEDY_COST else _top_eigenscore)(g)
+        protected = frozenset(p_star.edges)
+
+        def cut(constraints, removed):
+            # Two simple paths with the same endpoints cannot share all
+            # edges, so there is always something to cut.
+            return removed | {choose([e for e in constraints[-1].edges if e not in protected])}
+
+    removed, iterations, certificate = _force_path(g, p_star, cfg.iteration_cap, cut)
+    return make_cut_plan(
+        g,
+        p_star,
+        removed,
+        cfg.method,
+        iterations=iterations,
+        constraints_generated=iterations if pathattack else 0,
+        rounding_retries=retries,
+        rng_seed=cfg.rng_seed if pathattack else None,
+        lp_objective=last_lp.solution.objective_value if last_lp else None,
+        lp_integral=is_integral(last_lp.solution) if last_lp else None,
+        certificate=certificate,
+    )

@@ -60,14 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--rows", type=int)
     graph.add_argument("--cols", type=int)
     graph.add_argument("--weights", choices=WEIGHT_KINDS)
-    graph.add_argument("--rate", type=float, default=20.0)
-    graph.add_argument("--upper", type=int, default=41)
-    graph.add_argument("--value", type=int, default=1)
+    graph.add_argument("--rate", type=float)
+    graph.add_argument("--upper", type=int)
+    graph.add_argument("--value", type=int)
 
     gen = sub.add_parser("generate", parents=[graph], help="write a synthetic graph edge list")
     gen.add_argument("--family", required=True, choices=FAMILIES)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--weight-seed", type=int, default=0)
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--weight-seed", type=int)
     gen.add_argument("--out", required=True)
 
     atk = sub.add_parser("attack", help="run one attack on one instance")
@@ -87,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", help="JSON file with an ExperimentConfig")
     exp.add_argument("--family", choices=FAMILIES)
     exp.add_argument("--edge-list")
-    exp.add_argument("--terminal-mode", choices=("uniform", "hop"), default="uniform")
-    exp.add_argument("--hop-distance", type=int, default=50)
-    exp.add_argument("--neighborhood-cap", type=int, default=60)
-    exp.add_argument("--ranks", type=_int_list, default=[5, 20, 50])
-    exp.add_argument("--methods", default=",".join(METHODS))
-    exp.add_argument("--reps", type=int, default=20)
-    exp.add_argument("--master-seed", type=int, default=0)
+    exp.add_argument("--terminal-mode", choices=("uniform", "hop"))
+    exp.add_argument("--hop-distance", type=int)
+    exp.add_argument("--neighborhood-cap", type=int)
+    exp.add_argument("--ranks", type=_int_list)
+    exp.add_argument("--methods", type=lambda text: text.split(","))
+    exp.add_argument("--reps", type=int)
+    exp.add_argument("--master-seed", type=int)
     exp.add_argument("--out", required=True)
 
     red = sub.add_parser("reduce-check", help="verify the terminal-cut transformation")
@@ -112,26 +112,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _generator_spec(args) -> GeneratorSpec:
-    return GeneratorSpec(
-        family=args.family, n=args.n, p=args.p, m=args.m,
-        iterations=args.iterations, density=args.density,
-        rows=args.rows, cols=args.cols, seed=getattr(args, "seed", 0),
-    )
+def _given(args, *names, **renamed) -> dict:
+    """``{field: value}`` of the flags given on the command line; a field
+    in ``renamed`` reads the flag named by its value. A flag not given is
+    None and left out, so the ``from_dict`` constructors fill in their
+    dataclass defaults."""
+    fields = dict(zip(names, names), **renamed)
+    return {f: getattr(args, a) for f, a in fields.items() if getattr(args, a, None) is not None}
 
 
-def _weight_scheme(args) -> WeightScheme | None:
-    if args.weights is None:
-        return None
-    return WeightScheme(kind=args.weights, rate=args.rate, upper=args.upper,
-                        value=args.value, seed=getattr(args, "weight_seed", 0))
+def _generator_dict(args) -> dict:
+    return _given(args, "family", "n", "p", "m", "iterations", "density", "rows", "cols", "seed")
+
+
+def _weight_dict(args) -> dict:
+    return _given(args, "rate", "upper", "value", kind="weights", seed="weight_seed")
 
 
 def _cmd_generate(args) -> dict:
-    g = generate(_generator_spec(args))
-    scheme = _weight_scheme(args)
-    if scheme is not None:
-        g = assign_weights(g, scheme)
+    g = generate(GeneratorSpec.from_dict(_generator_dict(args)))
+    if args.weights is not None:
+        g = assign_weights(g, WeightScheme.from_dict(_weight_dict(args)))
     save_edge_list(args.out, g)
     return {"nodes": g.node_count, "edges": g.edge_count, "out": args.out}
 
@@ -185,19 +186,13 @@ def _cmd_experiment(args) -> dict:
             raise InputError(f"{args.config}: not a JSON document: {exc}") from None
         cfg = ExperimentConfig.from_dict(data)
     else:
-        generator = _generator_spec(args) if args.family else None
-        cfg = ExperimentConfig(
-            generator=generator,
-            edge_list=args.edge_list,
-            weight_scheme=_weight_scheme(args),
-            terminal_mode=args.terminal_mode,
-            hop_distance=args.hop_distance,
-            neighborhood_cap=args.neighborhood_cap,
-            p_star_ranks=tuple(args.ranks),
-            methods=tuple(args.methods.split(",")),
-            repetitions=args.reps,
-            master_seed=args.master_seed,
-        )
+        data = _given(args, "edge_list", "terminal_mode", "hop_distance", "neighborhood_cap",
+                      "methods", "master_seed", p_star_ranks="ranks", repetitions="reps")
+        if args.family:
+            data["generator"] = _generator_dict(args)
+        if args.weights:
+            data["weight_scheme"] = _weight_dict(args)
+        cfg = ExperimentConfig.from_dict(data)
     records = run_experiments(cfg, output_dir=args.out)
     print(summarize(records), file=sys.stderr)
     ok = sum(1 for r in records if r.status == "ok")

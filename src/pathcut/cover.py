@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, RoundingFailureError
 from .graphs import Graph, Path
-from .lp import LPSolution, RelaxedCutLP, _cover_lp, build_cover_lp, solve_relaxed
+from .lp import LPSolution, _cover_lp, build_cover_lp, solve_relaxed
 
 #: Rounding attempts before giving up; success probability per attempt
 #: exceeds 1/2, so hitting this cap indicates a bug, not bad luck.
@@ -85,7 +85,6 @@ class LPCoverResult:
 
     edges: frozenset
     retries: int
-    lp: RelaxedCutLP
     solution: LPSolution
 
 
@@ -133,7 +132,6 @@ def lp_path_cover(
             return LPCoverResult(
                 edges=frozenset(compress(lp.edge_order, kept)),
                 retries=attempts - 1,
-                lp=lp,
                 solution=sol,
             )
     raise RoundingFailureError(

@@ -163,8 +163,12 @@ def _kronecker(spec: GeneratorSpec) -> Graph:
     _require(spec.iterations is not None and spec.iterations >= 1,
              "kronecker needs iterations >= 1")
     _require(spec.density is not None and spec.density > 0, "kronecker needs density > 0")
-    init = np.asarray(spec.initiator, dtype=float)
-    _require(init.shape == (2, 2) and (init >= 0).all(), "initiator must be a nonnegative 2x2 matrix")
+    try:
+        init = np.asarray(spec.initiator, dtype=float)
+    except (TypeError, ValueError):  # ragged, or an entry that is not a number
+        raise InputError(f"initiator must be a 2x2 matrix of numbers, got {spec.initiator!r}") from None
+    _require(init.shape == (2, 2) and (init >= 0).all() and 0 < init.sum() < np.inf,
+             "initiator must be a nonnegative 2x2 matrix with a positive finite sum")
     rng = np.random.default_rng(spec.seed)
     k = spec.iterations
     n = 2 ** k
@@ -212,9 +216,13 @@ def assign_weights(g: Graph, scheme: WeightScheme) -> Graph:
     keys = g.edges()
     if scheme.kind == "poisson":
         _require(scheme.rate > 0, "poisson scheme needs rate > 0")
-        draws = 1 + rng.poisson(scheme.rate, size=len(keys))
+        try:
+            draws = 1 + rng.poisson(scheme.rate, size=len(keys))
+        except ValueError as exc:  # numpy's bound: a rate from about 9.2e18 up
+            raise InputError(f"poisson scheme: rate {scheme.rate!r}: {exc}") from None
     elif scheme.kind == "uniform":
-        _require(scheme.upper >= 1, "uniform scheme needs upper >= 1")
+        # The draws are int64; numpy rejects a larger bound.
+        _require(1 <= scheme.upper < 2**63, "uniform scheme needs 1 <= upper < 2**63")
         draws = rng.integers(1, scheme.upper + 1, size=len(keys))
     elif scheme.kind == "equal":
         _require(int(scheme.value) == scheme.value and scheme.value >= 1,

@@ -429,7 +429,6 @@ class CutPlan:
     rng_seed: Optional[int] = None
     lp_objective: Optional[float] = None
     lp_integral: Optional[bool] = None
-    protected_path: Optional[Path] = None
     certificate: Optional[tuple] = None
 
 
@@ -447,6 +446,5 @@ def make_cut_plan(g: Graph, p_star: Optional[Path], removed: Iterable, method_ta
         removed_edges=keys,
         total_cost=total,
         method_tag=method_tag,
-        protected_path=p_star,
         **extra,
     )

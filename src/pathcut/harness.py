@@ -132,21 +132,17 @@ def load_edge_list(path) -> LoadedGraph:
     return LoadedGraph(graph=graph, labels=label_list)
 
 
-def save_edge_list(path, g: Graph, labels: Optional[Sequence[str]] = None) -> None:
+def save_edge_list(path, g: Graph) -> None:
     """Write ``g`` so that :func:`load_edge_list` reproduces it exactly."""
-    path = FsPath(path)
-    with path.open("w", encoding="ascii") as fh:
+    with FsPath(path).open("w", encoding="ascii") as fh:
         fh.write(f"#nodes {g.node_count}\n")
         for u, v, w, c in g.edge_records():
-            lu = labels[u] if labels is not None else u
-            lv = labels[v] if labels is not None else v
-            fh.write(f"{lu} {lv} {w!r} {c!r}\n")
+            fh.write(f"{u} {v} {w!r} {c!r}\n")
 
 
 # -- instance setup --------------------------------------------------------
 
-def select_terminals(g: Graph, mode: str, seed: int, hop_distance: int = 50,
-                     retries: int = SELECTION_RETRIES) -> tuple[int, int]:
+def select_terminals(g: Graph, mode: str, seed: int, hop_distance: int = 50) -> tuple[int, int]:
     """Pick (s, t) for one experiment instance, deterministically per seed.
 
     ``uniform``: both uniform over nodes, re-drawn until t is reachable
@@ -159,7 +155,7 @@ def select_terminals(g: Graph, mode: str, seed: int, hop_distance: int = 50,
     if g.node_count < 2:
         raise InstanceSkip("graph too small for terminal selection")
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(SELECTION_RETRIES):
         s = int(rng.integers(g.node_count))
         if mode == "uniform":
             t = int(rng.integers(g.node_count))
@@ -172,7 +168,7 @@ def select_terminals(g: Graph, mode: str, seed: int, hop_distance: int = 50,
                           if d == hop_distance)
             if ring:
                 return s, ring[int(rng.integers(len(ring)))]
-    raise InstanceSkip(f"no terminal pair found in {retries} tries (mode={mode})")
+    raise InstanceSkip(f"no terminal pair found in {SELECTION_RETRIES} tries (mode={mode})")
 
 
 def neighborhood_mask(g: Graph, s: int, radius: Optional[int]) -> Optional[frozenset]:
@@ -328,11 +324,7 @@ def run_experiments(cfg: ExperimentConfig, output_dir=None) -> list[ExperimentRe
     absent when the baseline did not run or failed). Per-run failures are
     recorded, never raised.
     """
-    base = None
-    labels = None
-    if cfg.edge_list is not None:
-        loaded = load_edge_list(cfg.edge_list)
-        base, labels = loaded.graph, loaded.labels
+    base = load_edge_list(cfg.edge_list).graph if cfg.edge_list is not None else None
     records: list[ExperimentRecord] = []
     for rep in range(cfg.repetitions):
         for rank in cfg.p_star_ranks:

@@ -7,12 +7,12 @@ scripts. Everything here is desk scale by construction.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, Path, bfs_hops
+from .graphs import Graph, Path
 from .reduction import TerminalCutInstance, brute_force_3tc, brute_force_force_path_cut, solve_3tc_via_fpc
 
 

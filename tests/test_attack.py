@@ -17,9 +17,6 @@ from pathcut.attack import (
     METHODS,
     AttackConfig,
     _adjacency_product,
-    greedy_cost,
-    greedy_eigenscore,
-    pathattack,
     principal_eigenvector,
     run_attack,
 )
@@ -37,6 +34,10 @@ def assert_exclusive(g, p_star, plan):
     target_len = path_length(g, p_star)
     assert alt is None or strictly_longer(path_length(residual, alt), target_len)
     assert not plan.removed_edges & frozenset(p_star.edges)
+
+
+GREEDY_COST = AttackConfig(method="greedy-cost")
+GREEDY_EIGENSCORE = AttackConfig(method="greedy-eigenscore")
 
 
 def already_exclusive_instance():
@@ -107,17 +108,21 @@ def test_clique_cost_and_constraint_bound(n):
         assert_exclusive(g, p_star, plan)
 
 
-def test_pathattack_counts_constraints_per_iteration():
+@pytest.mark.parametrize("method", METHODS)
+def test_plan_provenance_per_method(method):
+    # Seed, constraint count and LP fields reach records.jsonl: only
+    # PATHATTACK consumes the seed and counts constraints, and only the
+    # LP variant reports an LP.
     g, p_star = clique_instance(6)
-    plan = pathattack(g, p_star, AttackConfig(method="pathattack-lp", rng_seed=0))
-    assert plan.constraints_generated == plan.iterations
-    assert plan.lp_integral is not None and plan.lp_objective is not None
-
-
-def test_pathattack_rejects_baseline_method():
-    g, p_star = clique_instance(5)
-    with pytest.raises(InputError):
-        pathattack(g, p_star, AttackConfig(method="greedy-cost"))
+    cfg = AttackConfig(method=method, rng_seed=11)
+    plan = run_attack(g, p_star, cfg)
+    assert plan.iterations >= 1
+    if method.startswith("pathattack-"):
+        assert (plan.rng_seed, plan.constraints_generated) == (cfg.rng_seed, plan.iterations)
+    else:
+        assert (plan.rng_seed, plan.constraints_generated) == (None, 0)
+    lp_fields = (plan.lp_objective is not None, plan.lp_integral is not None)
+    assert lp_fields == ((True, True) if method == "pathattack-lp" else (False, False))
 
 
 def test_attack_config_validates_method():
@@ -167,7 +172,7 @@ def test_greedy_cost_single_step_triangle():
     # paying its removal cost of 2.
     g = Graph(3, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 2)])
     p_star = Path((0, 1, 2))
-    plan = greedy_cost(g, p_star)
+    plan = run_attack(g, p_star, GREEDY_COST)
     assert plan.removed_edges == frozenset({(0, 2)})
     assert plan.total_cost == 2
     assert plan.iterations == 1
@@ -177,7 +182,7 @@ def test_greedy_cost_prefers_cheap_edges():
     # Competing 2-hop route: cutting its cheap half is enough.
     g = Graph(4, [(0, 1, 2, 5), (1, 3, 2, 5), (0, 2, 1, 3), (2, 3, 1, 1)])
     p_star = Path((0, 1, 3))
-    plan = greedy_cost(g, p_star)
+    plan = run_attack(g, p_star, GREEDY_COST)
     assert plan.removed_edges == frozenset({(2, 3)})
     assert plan.total_cost == 1
 
@@ -282,7 +287,7 @@ def test_eigenscore_plans_independent_of_product_order(block, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(pathcut.harness, "run_attack", recording_run_attack)
             run_experiments(cfg)
-        got.append(greedy_eigenscore(k7, k7_target).removed_edges)
+        got.append(run_attack(k7, k7_target, GREEDY_EIGENSCORE).removed_edges)
         return got
 
     sparse = plans()
@@ -298,7 +303,7 @@ def test_eigenscore_choice_on_star_with_chord():
     edges = [(0, i, 1, 1) for i in range(1, 6)] + [(1, 2, 1, 1), (1, 3, 1, 1), (2, 4, 1, 1)]
     g = Graph(6, edges)
     p_star = Path((3, 1, 2, 4))  # length 3; (3,0,4) and (3,1,0,4) compete
-    plan = greedy_eigenscore(g, p_star)
+    plan = run_attack(g, p_star, GREEDY_EIGENSCORE)
     A = np.zeros((6, 6))
     for u, v, _, _ in edges:
         A[u, v] = A[v, u] = 1.0
@@ -314,8 +319,8 @@ def test_eigenscore_choice_on_star_with_chord():
 
 def test_eigenscore_equals_greedy_cost_on_clique():
     g, p_star = clique_instance(7)
-    a = greedy_cost(g, p_star)
-    b = greedy_eigenscore(g, p_star)
+    a = run_attack(g, p_star, GREEDY_COST)
+    b = run_attack(g, p_star, GREEDY_EIGENSCORE)
     assert a.removed_edges == b.removed_edges
 
 
@@ -331,7 +336,7 @@ def test_eigenscore_plan_pinned_on_random_instance():
             break
     p_star = ranked[5]
     assert p_star.nodes == (0, 2, 9, 11)
-    frozen = greedy_eigenscore(g, p_star)
+    frozen = run_attack(g, p_star, GREEDY_EIGENSCORE)
     assert frozen.removed_edges == frozenset({(6, 11), (7, 11), (10, 11)})
     assert_exclusive(g, p_star, frozen)
 
@@ -359,11 +364,11 @@ def test_cost_and_weight_overrides():
     # cut, at its own price.
     p_star = Path((0, 1, 2))
     g = Graph(3, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 7)])
-    plan = greedy_cost(g, p_star)
+    plan = run_attack(g, p_star, GREEDY_COST)
     assert plan.total_cost == 7
     # Heavier direct edge: nothing competes anymore.
     g = Graph(3, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 9, 1)])
-    plan = greedy_cost(g, p_star)
+    plan = run_attack(g, p_star, GREEDY_COST)
     assert plan.removed_edges == frozenset()
 
 
@@ -399,7 +404,7 @@ def test_vacuous_success_when_target_separates():
     # protected path; the oracle returns nothing and the attack succeeds.
     g = Graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)])
     p_star = Path((0, 1, 3))
-    plan = greedy_cost(g, p_star)
+    plan = run_attack(g, p_star, GREEDY_COST)
     assert_exclusive(g, p_star, plan)
     assert plan.certificate[0] is None
 

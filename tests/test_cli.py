@@ -93,6 +93,20 @@ def test_experiment_verb_writes_outputs(tmp_path, capsys):
     assert (out_dir / "summary.txt").exists()
 
 
+def test_experiment_flags_take_the_config_defaults(tmp_path, capsys):
+    # Flags not given fall back to ExperimentConfig's own defaults, so the
+    # bare flags and a config file holding only the generator agree.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"generator": {"family": "complete", "n": 5}}), encoding="ascii")
+    by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+    assert run_cli(capsys, "experiment", "--family", "complete", "--n", "5",
+                   "--out", str(by_flags))[0] == 0
+    assert run_cli(capsys, "experiment", "--config", str(cfg_file), "--out", str(by_file))[0] == 0
+    records = (by_flags / "records.jsonl").read_bytes()
+    assert records == (by_file / "records.jsonl").read_bytes()
+    assert len(records.splitlines()) == 20 * 3 * 4  # repetitions x ranks x methods
+
+
 def test_experiment_verb_accepts_config_file(tmp_path, capsys):
     cfg = {
         "generator": {"family": "complete", "n": 8, "seed": 0},
@@ -153,9 +167,19 @@ def _bad_inputs(tmp_path):
     array = tmp_path / "array.json"
     array.write_text("[1, 2]", encoding="ascii")
     configs = {}
+    kronecker = {"family": "kronecker", "iterations": 3, "density": 0.3}
     for name, cfg in (("gen-int", {"generator": 5}),
                       ("gen-str-n", {"generator": {"family": "complete", "n": "5"}}),
-                      ("edges-int", {"edge_list": 3})):
+                      ("edges-int", {"edge_list": 3}),
+                      ("ragged", {"generator": {**kronecker, "initiator": [[1, 2], [3]]}}),
+                      ("letters", {"generator": {**kronecker, "initiator": [["a", "b"], [1, 2]]}}),
+                      ("zeros", {"generator": {**kronecker, "initiator": [[0, 0], [0, 0]]}}),
+                      ("rate-1e400", {"generator": {"family": "complete", "n": 5},
+                                      "weight_scheme": {"kind": "poisson", "rate": 1e400}}),
+                      ("rate-1e19", {"generator": {"family": "complete", "n": 5},
+                                     "weight_scheme": {"kind": "poisson", "rate": 1e19}}),
+                      ("upper-1e30", {"generator": {"family": "complete", "n": 5},
+                                      "weight_scheme": {"kind": "uniform", "upper": 10**30}})):
         configs[name] = tmp_path / f"{name}.json"
         configs[name].write_text(json.dumps(cfg), encoding="ascii")
     out = str(tmp_path / "r")
@@ -177,13 +201,27 @@ def _bad_inputs(tmp_path):
             "n must be an integer, got '5'"),
         "edge_list not a string": (["experiment", "--config", str(configs["edges-int"]), "--out", out],
                                    "edge_list must be a string, got 3"),
+        "ragged initiator": (["experiment", "--config", str(configs["ragged"]), "--out", out],
+                             "initiator must be a 2x2 matrix of numbers"),
+        "non-numeric initiator": (["experiment", "--config", str(configs["letters"]), "--out", out],
+                                  "initiator must be a 2x2 matrix of numbers"),
+        "zero initiator": (["experiment", "--config", str(configs["zeros"]), "--out", out],
+                           "with a positive finite sum"),
+        "infinite poisson rate": (["experiment", "--config", str(configs["rate-1e400"]), "--out", out],
+                                  "lam value too large"),
+        "poisson rate too large": (["experiment", "--config", str(configs["rate-1e19"]), "--out", out],
+                                   "lam value too large"),
+        "uniform upper beyond int64": (["experiment", "--config", str(configs["upper-1e30"]),
+                                        "--out", out], "uniform scheme needs 1 <= upper < 2**63"),
     }
 
 
 @pytest.mark.parametrize("case", [
     "bad node id", "bad brute-force node id", "missing graph", "non-ASCII graph",
     "malformed config", "config not an object", "generator not an object",
-    "generator n not an integer", "edge_list not a string",
+    "generator n not an integer", "edge_list not a string", "ragged initiator",
+    "non-numeric initiator", "zero initiator", "infinite poisson rate", "poisson rate too large",
+    "uniform upper beyond int64",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]

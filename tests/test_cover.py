@@ -8,7 +8,7 @@ from helpers import random_graph, reference_greedy_path_cover
 from pathcut import Graph, InputError, Path, path_length
 from pathcut.cover import greedy_path_cover, lp_path_cover
 from pathcut.errors import RoundingFailureError
-from pathcut.lp import is_integral
+from pathcut.lp import build_cover_lp, is_integral
 from pathcut.sweeps import clique_instance
 
 
@@ -123,10 +123,11 @@ def test_lp_cover_integral_solution_returns_support():
     g = Graph(4, [(0, 1, 1, 2), (1, 3, 1, 3), (0, 2, 1, 4), (2, 3, 1, 5), (0, 3, 9, 9)])
     p_star = Path((0, 3))
     paths = [Path((0, 1, 3)), Path((0, 2, 3))]
+    edge_order = build_cover_lp(g, p_star, paths).edge_order
     for seed in range(10):
         res = lp_path_cover(g, p_star, paths, rng=seed)
         assert is_integral(res.solution)
-        support = {e for e, v in zip(res.lp.edge_order, res.solution.values) if v > 0.5}
+        support = {e for e, v in zip(edge_order, res.solution.values) if v > 0.5}
         assert res.edges == frozenset(support)
         assert res.retries == 0
 
