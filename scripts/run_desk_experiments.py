@@ -30,7 +30,7 @@ def family_specs(n: int) -> dict[str, GeneratorSpec]:
         "kronecker": GeneratorSpec(
             family="kronecker",
             iterations=max(2, (n - 1).bit_length()),
-            density=10.0 / n,
+            density=min(1.0, 10.0 / n),  # mean degree 10; a density is at most 1
         ),
         "lattice": GeneratorSpec(family="lattice", rows=side, cols=side),
         "complete": GeneratorSpec(family="complete", n=min(n, 100)),

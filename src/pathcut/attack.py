@@ -173,7 +173,9 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
     memory per step instead of a dense n x n matrix. Its summation order
     differs from a dense product's, so the vector can differ from one by a
     few units in the last place; greedy eigenscore's tie rule absorbs
-    that noise (see :func:`_top_eigenscore` for the limits).
+    that noise (see :func:`_top_eigenscore` for the limits). Norms are
+    ``math.sqrt(x.dot(x))``, the sum ``np.linalg.norm`` computes for a
+    real vector, without its dispatch.
     """
     n = g.node_count
     if n == 0:
@@ -183,10 +185,11 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
     av = product(v)
     for _ in range(max_iter):
         nxt = av + v
-        nxt /= np.linalg.norm(nxt)
+        nxt /= math.sqrt(nxt.dot(nxt))
         av = product(nxt)
         lam = float(nxt @ av)
-        residual = float(np.linalg.norm(av - lam * nxt))
+        r = av - lam * nxt
+        residual = math.sqrt(r.dot(r))
         v = nxt
         if residual <= tol * max(lam, 1e-30):
             return v

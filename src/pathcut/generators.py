@@ -162,7 +162,8 @@ def _ba(spec: GeneratorSpec) -> Graph:
 def _kronecker(spec: GeneratorSpec) -> Graph:
     _require(spec.iterations is not None and spec.iterations >= 1,
              "kronecker needs iterations >= 1")
-    _require(spec.density is not None and spec.density > 0, "kronecker needs density > 0")
+    # NaN fails both comparisons.
+    _require(spec.density is not None and 0 < spec.density <= 1, "kronecker needs 0 < density <= 1")
     try:
         init = np.asarray(spec.initiator, dtype=float)
     except (TypeError, ValueError):  # ragged, or an entry that is not a number

@@ -3,9 +3,10 @@
 Edges are addressed everywhere by their canonical key: the endpoint pair
 sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
 are immutable after construction; derived graphs come from
-:meth:`Graph.remove_edges`. A graph caches two things, one entry each:
-the distance bound :func:`shortest_path` uses for its last target, and
-the cut LP's columns for its last protected path (see
+:meth:`Graph.remove_edges`. A graph caches three things, one entry each:
+whether every weight is a Python ``int`` (:func:`int_weights`), the
+distance bound :func:`shortest_path` uses for its last target, and the
+cut LP's columns for its last protected path (see
 :func:`pathcut.lp.build_cover_lp`).
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
@@ -63,7 +64,7 @@ class Graph:
         duplicate unordered pairs are rejected.
     """
 
-    __slots__ = ("node_count", "_weights", "_costs", "_adj", "_bound", "_columns")
+    __slots__ = ("node_count", "_weights", "_costs", "_adj", "_int_weights", "_bound", "_columns")
 
     def __init__(self, node_count: int, edges: Iterable[tuple] = ()):
         node_count = _as_node(node_count)
@@ -114,6 +115,8 @@ class Graph:
         for lst in adj:
             lst.sort()
         self._adj = adj
+        # Whether every weight is an ``int``, or None until first asked.
+        self._int_weights = None
         # (t, allowed_nodes, bound list) of the last search target, or None.
         self._bound = None
         # (protected edges, edge_order, index, costs) of the last cut LP, or None.
@@ -270,6 +273,15 @@ def path_length(g: Graph, p: Path):
     return total
 
 
+def int_weights(g: Graph) -> bool:
+    """True iff every weight of ``g`` is a Python ``int``, so that sums of
+    weights are exact. Computed once per graph and cached on it."""
+    exact = g._int_weights
+    if exact is None:
+        exact = g._int_weights = all(type(w) is int for w in g._weights.values())
+    return exact
+
+
 def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> list:
     """Per-node lower bound on the distance to ``t`` in the subgraph induced
     by ``allowed_nodes``, ignoring bans; ``math.inf`` where ``t`` is
@@ -282,7 +294,7 @@ def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> lis
     if (cached is not None and cached[0] == t
             and (cached[1] is allowed_nodes or cached[1] == allowed_nodes)):
         return cached[2]
-    exact = all(type(w) is int for w in g._weights.values())
+    exact = int_weights(g)
     bound = [math.inf] * g.node_count
     bound[t] = 0
     heap = [(0, t)]
@@ -313,6 +325,7 @@ def shortest_path(
     banned_nodes: frozenset = frozenset(),
     banned_edges: frozenset = frozenset(),
     allowed_nodes: Optional[frozenset] = None,
+    max_length: Optional[float] = None,
 ) -> Optional[Path]:
     """Minimum-length simple s-t path, or None if t is unreachable.
 
@@ -349,6 +362,16 @@ def shortest_path(
 
     ``banned_nodes``/``banned_edges``/``allowed_nodes`` restrict the search
     (used by the path-ranking iterator and by neighborhood-masked runs).
+
+    With ``max_length``, the search returns None when the shortest path is
+    longer than ``max_length``; otherwise it returns the same path as
+    without it, ties included. An entry whose key exceeds ``max_length`` is
+    never pushed. That is exact: a key is at most the length of every path
+    through its entry, so such a path is too long, and since popped keys
+    never decrease, the entry could only have popped after every entry
+    within the limit. Reachability-only keys are plain lengths and obey the
+    same rule. :class:`pathcut.paths.PathIterator` passes each spur search
+    its ranking's cutoff less the root prefix (see :mod:`pathcut.paths`).
     """
     s = g.check_node(s)
     t = g.check_node(t)
@@ -357,10 +380,11 @@ def shortest_path(
     if allowed_nodes is not None and (s not in allowed_nodes or t not in allowed_nodes):
         return None
     if s == t:
-        return Path((s,))
+        return Path((s,)) if max_length is None or max_length >= 0 else None
     bound = _distance_bound(g, t, allowed_nodes)
     inf = math.inf
-    if bound[s] == inf:
+    limit = inf if max_length is None else max_length
+    if bound[s] == inf or bound[s] > limit:
         return None
     heap: list[tuple] = [(bound[s], (s,))]
     done: set[int] = set()
@@ -385,8 +409,11 @@ def shortest_path(
             d = dist + w
             if d > best.get(v, inf):
                 continue
+            key = d + h
+            if key > limit:
+                continue
             best[v] = d
-            heapq.heappush(heap, (d + h, nodes + (v,)))
+            heapq.heappush(heap, (key, nodes + (v,)))
     return None
 
 

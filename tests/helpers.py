@@ -71,12 +71,21 @@ def path_from_nodes(nodes):
 
 
 def reference_shortest_path(g, s, t, banned_nodes=frozenset(), banned_edges=frozenset(),
-                            allowed_nodes=None):
+                            allowed_nodes=None, max_length=None):
     """``shortest_path`` without push pruning: every relaxation is pushed.
 
     The library kernel must return the same node sequence (or None) on
-    every input; this loop is the reference it is checked against.
+    every input; this loop is the reference it is checked against. A
+    ``max_length`` is applied only after the search: the path found is
+    returned unless it is longer.
     """
+    found = _reference_search(g, s, t, banned_nodes, banned_edges, allowed_nodes)
+    if found is not None and max_length is not None and path_length(g, found) > max_length:
+        return None
+    return found
+
+
+def _reference_search(g, s, t, banned_nodes, banned_edges, allowed_nodes):
     if s in banned_nodes or t in banned_nodes:
         return None
     if allowed_nodes is not None and (s not in allowed_nodes or t not in allowed_nodes):
@@ -102,6 +111,26 @@ def reference_shortest_path(g, s, t, banned_nodes=frozenset(), banned_edges=froz
                 continue
             heapq.heappush(heap, (dist + w, nodes + (v,)))
     return None
+
+
+def checked_shortest_path(cut_off):
+    """``shortest_path`` checked call by call against the reference kernel.
+
+    Without ``max_length`` the nodes must match. With it, the search must
+    return None exactly when the reference path is longer than
+    ``max_length`` (the call is then appended to ``cut_off``), and the
+    same nodes otherwise.
+    """
+    def search(g, s, t, max_length=None, **restrict):
+        got = shortest_path(g, s, t, max_length=max_length, **restrict)
+        expect = reference_shortest_path(g, s, t, **restrict)
+        if expect is not None and max_length is not None and path_length(g, expect) > max_length:
+            cut_off.append((s, t, max_length))
+            expect = None
+        assert (got and got.nodes) == (expect and expect.nodes), (s, t, max_length, restrict)
+        return got
+
+    return search
 
 
 def reference_path_iterator(g, s, t, allowed_nodes=None, banned_edges=()):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -174,6 +175,8 @@ def _bad_inputs(tmp_path):
                       ("ragged", {"generator": {**kronecker, "initiator": [[1, 2], [3]]}}),
                       ("letters", {"generator": {**kronecker, "initiator": [["a", "b"], [1, 2]]}}),
                       ("zeros", {"generator": {**kronecker, "initiator": [[0, 0], [0, 0]]}}),
+                      ("density-inf", {"generator": {**kronecker, "density": math.inf}}),
+                      ("density-2", {"generator": {**kronecker, "density": 2.0}}),
                       ("rate-1e400", {"generator": {"family": "complete", "n": 5},
                                       "weight_scheme": {"kind": "poisson", "rate": 1e400}}),
                       ("rate-1e19", {"generator": {"family": "complete", "n": 5},
@@ -207,6 +210,10 @@ def _bad_inputs(tmp_path):
                                   "initiator must be a 2x2 matrix of numbers"),
         "zero initiator": (["experiment", "--config", str(configs["zeros"]), "--out", out],
                            "with a positive finite sum"),
+        "infinite kronecker density": (["experiment", "--config", str(configs["density-inf"]),
+                                        "--out", out], "kronecker needs 0 < density <= 1"),
+        "kronecker density above one": (["experiment", "--config", str(configs["density-2"]),
+                                         "--out", out], "kronecker needs 0 < density <= 1"),
         "infinite poisson rate": (["experiment", "--config", str(configs["rate-1e400"]), "--out", out],
                                   "lam value too large"),
         "poisson rate too large": (["experiment", "--config", str(configs["rate-1e19"]), "--out", out],
@@ -220,7 +227,8 @@ def _bad_inputs(tmp_path):
     "bad node id", "bad brute-force node id", "missing graph", "non-ASCII graph",
     "malformed config", "config not an object", "generator not an object",
     "generator n not an integer", "edge_list not a string", "ragged initiator",
-    "non-numeric initiator", "zero initiator", "infinite poisson rate", "poisson rate too large",
+    "non-numeric initiator", "zero initiator", "infinite kronecker density",
+    "kronecker density above one", "infinite poisson rate", "poisson rate too large",
     "uniform upper beyond int64",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):

@@ -9,6 +9,7 @@ from hypothesis import given
 import pathcut.paths
 from helpers import (
     brute_shortest,
+    checked_shortest_path,
     random_graph,
     reference_adjacency,
     reference_shortest_path,
@@ -171,7 +172,7 @@ def test_pruned_shortest_path_matches_unpruned_reference():
         "float": lambda: float(rng.choice([0.1, 0.2, 0.3, 0.7, 1.0])),
         "equal": lambda: 1,
     }
-    graphs = 0
+    graphs = cut_checked = 0
     for kind in ("zero", "float", "equal") * 80:
         n = int(rng.integers(4, 15))
         density = float(rng.uniform(0.2, 0.8))
@@ -194,27 +195,41 @@ def test_pruned_shortest_path_matches_unpruned_reference():
             got = shortest_path(g, s, t, **restrict)
             expect = reference_shortest_path(g, s, t, **restrict)
             assert (got and got.nodes) == (expect and expect.nodes), (kind, s, t, restrict)
-    assert graphs >= 200
+            if expect is None:
+                continue
+            # A limit at the path's length keeps it; one just below drops it.
+            length = path_length(g, expect)
+            below = length - 1 if kind != "float" else float(np.nextafter(length, -np.inf))
+            assert shortest_path(g, s, t, max_length=length, **restrict).nodes == expect.nodes
+            assert shortest_path(g, s, t, max_length=below, **restrict) is None
+            cut_checked += 1
+    assert graphs >= 200 and cut_checked > 500
 
 
 def test_pruned_shortest_path_matches_reference_in_spur_searches(monkeypatch):
     # Every spur search of a ranking run on a weighted lattice agrees with
-    # the unpruned reference.
+    # the unpruned reference, unbounded and with a limit of 40 paths. With
+    # the limit, a search returns None exactly when the reference path is
+    # longer than its cutoff.
     g = assign_weights(generate(GeneratorSpec("lattice", rows=6, cols=6)),
                        WeightScheme("uniform", upper=3, seed=5))
     calls = []
+    cut_off = []
+    search = checked_shortest_path(cut_off)
 
     def checked(g, s, t, **restrict):
-        got = shortest_path(g, s, t, **restrict)
-        expect = reference_shortest_path(g, s, t, **restrict)
-        assert (got and got.nodes) == (expect and expect.nodes)
         calls.append(restrict)
-        return got
+        return search(g, s, t, **restrict)
 
     monkeypatch.setattr(pathcut.paths, "shortest_path", checked)
     ranked = list(islice(PathIterator(g, 0, 35), 40))
     assert len(ranked) == 40
     assert sum(1 for r in calls if r.get("banned_nodes")) > 100
+    assert not cut_off
+    del calls[:]
+    assert list(PathIterator(g, 0, 35, limit=40)) == ranked
+    assert sum(1 for r in calls if r.get("banned_nodes")) > 100
+    assert len(cut_off) > 50
 
 
 def test_distance_bound_cache_holds_one_target():

@@ -8,6 +8,7 @@ import helpers
 import pathcut.paths
 from helpers import (
     brute_sorted_paths,
+    checked_shortest_path,
     random_graph,
     reference_path_iterator,
     reference_shortest_path,
@@ -49,6 +50,9 @@ def test_k_validation():
         k_shortest_paths(g, 0, 1, 0)
     with pytest.raises(InputError):
         PathIterator(g, 1, 1)
+    with pytest.raises(InputError, match="limit must be >= 0, got -1"):
+        PathIterator(g, 0, 1, limit=-1)
+    assert list(PathIterator(g, 0, 1, limit=0)) == []
 
 
 def test_unreachable_gives_empty():
@@ -194,39 +198,107 @@ def _ranked(g, s, t, count, **restrict):
     return [p.nodes for p in islice(PathIterator(g, s, t, **restrict), count)]
 
 
-def test_ranked_paths_match_unbounded_reference(monkeypatch):
-    # The goal-directed search must rank exactly as plain Dijkstra does:
-    # the iterator with the library kernel against the same iterator with
-    # the unbounded reference kernel. Integer kinds run with the exact
-    # distance bound, the float kind with the reachability-only bound.
-    rng = np.random.default_rng(4406)
-    weight_draws = {
+def _weight_draws(rng):
+    """Edge weight samplers: small ints, zeros, all equal, up to 1e12, and
+    floats whose sums tie or miss by rounding."""
+    return {
         "int": lambda: int(rng.integers(1, 6)),
         "zero": lambda: int(rng.choice([0, 0, 1])),
         "equal": lambda: 4,
         "huge": lambda: int(rng.integers(1, 10**12 + 1)),
         "float": lambda: float(rng.choice([0.1, 0.2, 0.3, 0.6, 0.7])),
     }
+
+
+def _random_case(rng, draw, n_range=(5, 10)):
+    """A random graph, terminals, and a mask and bans half the time."""
+    n = int(rng.integers(*n_range))
+    density = float(rng.uniform(0.4, 0.9))
+    g = Graph(n, [(u, v, draw()) for u, v in combinations(range(n), 2) if rng.random() < density])
+    s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+    restrict = {}
+    if rng.random() < 0.4:
+        restrict["allowed_nodes"] = {s, t} | {u for u in range(n) if rng.random() < 0.7}
+    if rng.random() < 0.5:
+        restrict["banned_edges"] = [e for e in g.edges() if rng.random() < 0.2]
+    return g, s, t, restrict
+
+
+def test_ranked_paths_match_unbounded_reference(monkeypatch):
+    # The goal-directed search must rank exactly as plain Dijkstra does:
+    # the iterator with the library kernel against the same iterator with
+    # the unbounded reference kernel. Integer kinds run with the exact
+    # distance bound, the float kind with the reachability-only bound. The
+    # iterator limited to 60 paths must rank the same, with every spur
+    # search checked against the reference: None exactly when the
+    # reference path is longer than the cutoff, the same nodes otherwise.
+    rng = np.random.default_rng(4406)
+    weight_draws = _weight_draws(rng)
     graphs = compared = 0
+    cut_off = {kind: [] for kind in weight_draws}
     for kind in list(weight_draws) * 60:
-        n = int(rng.integers(5, 10))
-        density = float(rng.uniform(0.4, 0.9))
-        g = Graph(n, [(u, v, weight_draws[kind]())
-                      for u, v in combinations(range(n), 2) if rng.random() < density])
-        s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
-        restrict = {}
-        if rng.random() < 0.4:
-            restrict["allowed_nodes"] = {s, t} | {u for u in range(n) if rng.random() < 0.7}
-        if rng.random() < 0.5:
-            restrict["banned_edges"] = [e for e in g.edges() if rng.random() < 0.2]
+        g, s, t, restrict = _random_case(rng, weight_draws[kind])
         got = _ranked(g, s, t, 60, **restrict)
         with monkeypatch.context() as m:
             m.setattr(pathcut.paths, "shortest_path", reference_shortest_path)
             expect = _ranked(g, s, t, 60, **restrict)
-        assert got == expect, (kind, s, t, restrict)
+        with monkeypatch.context() as m:
+            m.setattr(pathcut.paths, "shortest_path", checked_shortest_path(cut_off[kind]))
+            bounded = [p.nodes for p in PathIterator(g, s, t, limit=60, **restrict)]
+        assert got == expect == bounded, (kind, s, t, restrict)
         graphs += 1
         compared += len(got)
     assert graphs >= 300 and compared > 5000
+    # Float weights rank without a cutoff; every int kind cuts searches off.
+    assert not cut_off.pop("float")
+    assert all(len(calls) > 50 for calls in cut_off.values()), {k: len(v) for k, v in cut_off.items()}
+
+
+def test_bounded_ranking_is_a_prefix_of_the_unbounded_one(monkeypatch):
+    # For every k from 1 to 60, the iterator limited to k paths yields the
+    # first k of the unbounded ranking, or all of it when there are fewer.
+    # k_shortest_paths, which passes k as the limit, agrees on masks.
+    rng = np.random.default_rng(1414)
+    weight_draws = _weight_draws(rng)
+    short = cut = 0
+    for kind in list(weight_draws) * 6:
+        g, s, t, restrict = _random_case(rng, weight_draws[kind], (4, 9))
+        full = _ranked(g, s, t, 61, **restrict)
+        cut_off = []
+        with monkeypatch.context() as m:
+            m.setattr(pathcut.paths, "shortest_path", checked_shortest_path(cut_off))
+            for k in range(1, 61):
+                got = [p.nodes for p in PathIterator(g, s, t, limit=k, **restrict)]
+                assert got == full[:k], (kind, k, s, t, restrict)
+                short += len(full) < k
+        mask = restrict.get("allowed_nodes")
+        for k in (1, 2, 5, 60):
+            assert [p.nodes for p in k_shortest_paths(g, s, t, k, allowed_nodes=mask)] == \
+                _ranked(g, s, t, k, allowed_nodes=mask)
+        assert kind != "float" or not cut_off
+        cut += len(cut_off)
+    assert short > 700 and cut > 500, (short, cut)
+
+
+def test_oracle_agrees_with_unbounded_iterator():
+    # next_shortest_excluding limits its ranking to two paths; it must
+    # return the first path of the unbounded ranking that is not p*, for
+    # p* anywhere in the ranking, absent from it, or a ghost whose edges
+    # are missing, with and without bans.
+    rng = np.random.default_rng(2718)
+    weight_draws = _weight_draws(rng)
+    checked = 0
+    for kind in list(weight_draws) * 30:
+        g, s, t, restrict = _random_case(rng, weight_draws[kind])
+        banned = restrict.get("banned_edges", ())
+        ranked = _ranked(g, s, t, 8, banned_edges=banned)
+        ghost = (s,) + tuple(u for u in range(g.node_count) if u not in (s, t))[:2] + (t,)
+        for star in ranked[:4] + [ghost]:
+            got = next_shortest_excluding(g, s, t, Path(star), banned_edges=banned)
+            expect = next((nodes for nodes in ranked if nodes != star), None)
+            assert (got and got.nodes) == expect, (kind, s, t, star, banned)
+            checked += 1
+    assert checked > 500
 
 
 def test_float_weights_rank_without_distance_bound():
