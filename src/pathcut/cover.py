@@ -93,7 +93,6 @@ def lp_path_cover(
     p_star: Path,
     paths: Sequence[Path],
     rng,
-    retry_cap: int = DEFAULT_RETRY_CAP,
     solver=solve_relaxed,
 ) -> LPCoverResult:
     """Randomized-rounding cover of ``paths``.
@@ -121,7 +120,7 @@ def lp_path_cover(
     probs = np.asarray(sol.values)
     cvec = np.asarray(lp.costs, dtype=float)
     attempts = 0
-    while attempts < retry_cap:
+    while attempts < DEFAULT_RETRY_CAP:
         attempts += 1
         mask = (rng.random((n_draws, len(probs))) < probs).any(axis=0)
         kept = mask.tolist()
@@ -135,5 +134,5 @@ def lp_path_cover(
                 solution=sol,
             )
     raise RoundingFailureError(
-        f"randomized rounding failed {retry_cap} times", solution=sol
+        f"randomized rounding failed {DEFAULT_RETRY_CAP} times", solution=sol
     )

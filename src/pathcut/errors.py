@@ -5,6 +5,7 @@ process exit code.
 """
 
 import numbers
+import operator
 from typing import get_args, get_type_hints
 
 
@@ -90,6 +91,16 @@ def check_field_types(config) -> None:
         value = getattr(config, name)
         if not isinstance(value, kind) and not (optional and value is None):
             raise InputError(f"{name} must be {what}, got {value!r}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise :class:`InputError` unless ``value`` is an integer >= ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
 
 
 def exit_code_for(exc: BaseException) -> int:

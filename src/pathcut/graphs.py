@@ -2,11 +2,11 @@
 
 Edges are addressed everywhere by their canonical key: the endpoint pair
 sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
-are immutable after construction; derived graphs come from
-:meth:`Graph.remove_edges`. A graph caches three things, one entry each:
-whether every weight is a Python ``int`` (:func:`int_weights`), the
-distance bound :func:`shortest_path` uses for its last target, and the
-cut LP's columns for its last protected path (see
+are immutable after construction: an attack bans the edges it cuts
+instead of building a residual graph. A graph caches three things, one
+entry each: whether every weight is a Python ``int`` (:func:`int_weights`),
+the distance bound :func:`shortest_path` uses for its last target, and
+the cut LP's columns for its last protected path (see
 :func:`pathcut.lp.build_cover_lp`).
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are

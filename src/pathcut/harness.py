@@ -19,7 +19,6 @@ import dataclasses
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attack import METHOD_GREEDY_COST, METHODS, AttackConfig, run_attack
-from .errors import InputError, InstanceSkip, PathCutError, check_field_types
+from .errors import InputError, InstanceSkip, PathCutError, check_count, check_field_types
 from .generators import GeneratorSpec, WeightScheme, assign_weights, generate
 from .graphs import Graph, Path, bfs_hops
 from .paths import k_shortest_paths
@@ -148,10 +147,14 @@ def select_terminals(g: Graph, mode: str, seed: int, hop_distance: int = 50) -> 
     ``uniform``: both uniform over nodes, re-drawn until t is reachable
     from s. ``hop``: s uniform, t uniform among nodes exactly
     ``hop_distance`` BFS hops from s. Raises :class:`InstanceSkip` after
-    bounded retries.
+    bounded retries. ``seed`` must be a nonnegative integer, and in hop
+    mode ``hop_distance`` a positive one.
     """
     if mode not in TERMINAL_MODES:
         raise InputError(f"unknown terminal mode {mode!r}; choose from {TERMINAL_MODES}")
+    check_count("seed", seed, 0)
+    if mode == "hop":
+        check_count("hop_distance", hop_distance, 1)
     if g.node_count < 2:
         raise InstanceSkip("graph too small for terminal selection")
     rng = np.random.default_rng(seed)
@@ -180,8 +183,7 @@ def neighborhood_mask(g: Graph, s: int, radius: Optional[int]) -> Optional[froze
 
 def select_p_star(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> Path:
     """The k-th simple s-t path in ranking order; skip if fewer exist."""
-    if k < 1:
-        raise InputError(f"rank must be >= 1, got {k}")
+    check_count("rank", k, 1)
     found = k_shortest_paths(g, s, t, k, allowed_nodes=allowed_nodes)
     if len(found) < k:
         raise InstanceSkip(f"only {len(found)} simple paths, rank {k} unavailable")
@@ -223,10 +225,7 @@ class ExperimentConfig:
         # float hop distance would skip every instance.
         check_field_types(self)
         for k in self.p_star_ranks:
-            if not isinstance(k, numbers.Integral):
-                raise InputError(f"rank must be an integer, got {k!r}")
-            if k < 1:
-                raise InputError(f"rank must be >= 1, got {k}")
+            check_count("rank", k, 1)
         for name in ("repetitions", "master_seed", "iteration_cap"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -235,8 +234,7 @@ class ExperimentConfig:
         # least one hop from s, and a mask of smaller radius than the hop
         # distance leaves t out.
         if self.terminal_mode == "hop":
-            if self.hop_distance < 1:
-                raise InputError(f"hop_distance must be >= 1, got {self.hop_distance}")
+            check_count("hop_distance", self.hop_distance, 1)
             if self.neighborhood_cap is not None and self.neighborhood_cap < self.hop_distance:
                 raise InputError(
                     f"neighborhood_cap must be >= hop_distance ({self.hop_distance}), "

@@ -165,9 +165,7 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
     """
     m = len(rows)
     n = len(costs)
-    total = n + m  # structural + surplus
-    inf = math.inf
-    ub = [1.0] * n + [inf] * m
+    total = n + m  # structural (bound 1) + surplus (unbounded)
 
     # Start: every structural variable nonbasic at its upper bound 1;
     # surplus basic with value (row size - 1) >= 0, so B = -I and T = -A.
@@ -203,13 +201,13 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
             delta = {i: -T[i][j] if increase else T[i][j] for i in sorted(cols[j])}
         # Ratio test: largest step keeping every basic variable in bounds,
         # Bland's rule (smallest leaving variable) among tied rows.
-        best = inf
+        best = math.inf
         leave = -1
         for i, di in delta.items():
             if di < -tol:
                 cand = xB[i] / -di
-            elif di > tol and ub[basis[i]] < inf:
-                cand = (ub[basis[i]] - xB[i]) / di
+            elif di > tol and basis[i] < n:
+                cand = (1.0 - xB[i]) / di
             else:
                 continue
             if 0.0 > cand:  # max(cand, 0.0)
@@ -219,15 +217,12 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
                 leave = i
             elif cand < best + tol and leave >= 0 and basis[i] < basis[leave]:
                 leave = i
-        if ub[j] <= best + tol:
+        if j < n and 1.0 <= best + tol:
             # The entering variable reaches its other bound first: flip it.
             # A flip moves a full unit, strictly improving the objective,
             # so flips cannot cycle.
-            if ub[j] == inf:
-                raise PathCutError("cover LP is unbounded; this cannot happen")
-            step = ub[j]
             for i, d in delta.items():
-                xB[i] += step * d
+                xB[i] += d
             at_upper[j] = not at_upper[j]
             start = j + 1
             continue
@@ -238,10 +233,10 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
             xB[i] += theta * d
         leaving = basis[leave]
         # Leaving variable rests at whichever of its bounds was hit.
-        at_upper[leaving] = delta[leave] > tol and ub[leaving] < inf
+        at_upper[leaving] = delta[leave] > tol and leaving < n
         at_upper[j] = False
         basis[leave] = j
-        xB[leave] = theta if increase else (ub[j] - theta)
+        xB[leave] = theta if increase else (1.0 - theta)
         if not dense and len(delta) * len(T[leave]) > _DENSE_WORK:
             sparse_rows, T = T, np.zeros((m, total))
             for i, t in enumerate(sparse_rows):

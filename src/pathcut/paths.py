@@ -4,9 +4,10 @@
 ``(length, node sequence)`` order using deviation-based ranking: each
 yielded path spawns candidates that share a root prefix and deviate at a
 spur node, with the spur search banning the root's interior nodes and the
-deviation edges already taken by yielded paths with the same prefix.
+deviation edges already taken by yielded paths with the same prefix: the
+edges to the children of the root's node in a trie of the yielded paths.
 
-Candidates are popped from a heap keyed by ``(length, nodes)``, so ties
+Candidates wait in one list sorted by ``(length, nodes)``, so ties
 resolve to the lexicographically smallest sequence. Generation is lazy;
 the constraint-generation oracle (:func:`next_shortest_excluding`)
 materializes at most two paths per call.
@@ -18,27 +19,27 @@ earlier positions would repeat ones already made, so the ranking is the
 same as when every position is searched (see
 :meth:`PathIterator._spawn_deviations`).
 
-A consumer that will take at most ``limit`` paths says so, and spur
-searches then stop early. With ``need`` paths still to yield, a candidate
-longer than the ``need``-th smallest queued length cannot be yielded:
-at least ``need`` queued paths precede it. So each spur search gets that
-length, less its root prefix, as its ``max_length`` and returns None
-rather than a path that is too long (see :func:`shortest_path`). Paths
-as long as the cutoff are kept, so ties still resolve by node sequence.
-The cutoff never rises: a pop removes the smallest queued length as ``need``
-falls by one, and a push can only lower it. This is exact only with
-exact sums, so it applies when every weight is an ``int``. With float
-weights one node sequence can be pushed from two deviation indices with
-lengths an ulp apart, and those graphs rank as without a limit.
+A consumer that will take at most ``limit`` paths says so. With ``need``
+paths still to yield, the list keeps its ``need`` first candidates only.
+That is exact for any weights: a dropped candidate has ``need`` others
+ahead of it, and each pop removes one of them as ``need`` falls by one.
+While the list is full, its last length is a cutoff: each spur search
+gets it, less its root prefix, as its ``max_length`` and returns None
+rather than a path that is too long (see :func:`shortest_path`). Paths as
+long as the cutoff are kept, so ties still resolve by node sequence. The
+cutoff never rises: a pop leaves the list full, and a push can only lower
+it. It is exact only with exact sums, so it applies when every weight is
+an ``int``. With float weights one node sequence can be pushed from two
+deviation indices with lengths an ulp apart, and those graphs search
+without a cutoff.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from typing import Iterator, Optional
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .graphs import Graph, Path, edge_key, int_weights, path_length, shortest_path
 
 
@@ -59,38 +60,33 @@ class PathIterator:
         t = g.check_node(t)
         if s == t:
             raise InputError("path enumeration needs distinct endpoints")
-        if limit is not None and limit < 0:
-            raise InputError(f"limit must be >= 0, got {limit}")
+        if limit is not None:
+            check_count("limit", limit, 0)
         self._g = g
-        self._s = s
         self._t = t
         self._allowed = frozenset(allowed_nodes) if allowed_nodes is not None else None
         self._banned = frozenset(edge_key(*e) for e in banned_edges)
-        self._heap: list[tuple] = []
+        # (length, nodes, deviation index), sorted; at most ``_left`` of them.
+        self._candidates: list[tuple] = []
         self._seen: set[tuple] = set()
-        self._yielded: list[tuple] = []  # (length, nodes) in pop order
+        self._trie: dict = {}  # yielded paths as nested {node: subtrie}
         # (nodes, deviation index) of the yielded path awaiting its spawn.
         self._pending: tuple | None = None
         # Paths left to yield, or None without a limit.
         self._left = limit
-        # The smallest queued lengths, sorted, at most ``_left`` of them;
-        # None when no cutoff applies.
-        self._lengths: list | None = [] if limit is not None and int_weights(g) else None
+        self._cutoff = limit is not None and int_weights(g)
         first = shortest_path(g, s, t, banned_edges=self._banned, allowed_nodes=self._allowed)
         if first is not None:
             self._push(path_length(g, first), first.nodes, 0)
 
     def _push(self, length, nodes: tuple, dev: int) -> None:
-        # Node sequences are unique in the heap, so ``dev`` never decides
+        # Node sequences are unique in the list, so ``dev`` never decides
         # the order: it only records where the first push deviated.
         if nodes not in self._seen:
             self._seen.add(nodes)
-            heapq.heappush(self._heap, (length, nodes, dev))
-            lengths = self._lengths
-            if lengths is not None:
-                insort(lengths, length)
-                if len(lengths) > self._left:
-                    lengths.pop()
+            insort(self._candidates, (length, nodes, dev))
+            if self._left is not None and len(self._candidates) > self._left:
+                self._candidates.pop()
 
     def __iter__(self) -> Iterator[Path]:
         return self
@@ -104,63 +100,59 @@ class PathIterator:
         if self._pending is not None:
             self._spawn_deviations(*self._pending)
             self._pending = None
-        if not self._heap:
+        if not self._candidates:
             raise StopIteration
-        length, nodes, dev = heapq.heappop(self._heap)
+        _, nodes, dev = self._candidates.pop(0)
         if self._left is not None:
             self._left -= 1
-            if self._lengths is not None:
-                del self._lengths[0]  # the popped length is the smallest queued
-        self._yielded.append((length, nodes))
+        node = self._trie
+        for v in nodes:
+            node = node.setdefault(v, {})
         self._pending = (nodes, dev)
         return Path(nodes)
 
     def _spawn_deviations(self, parent: tuple, dev: int) -> None:
         """Push the shortest deviation of ``parent`` at each spur index from
-        its deviation index ``dev`` onward (Lawler's rule).
+        its deviation index ``dev`` onward (Lawler's rule). The search at
+        root ``parent[:i + 1]`` bans the edge at ``i`` of every yielded path
+        with that root, read from the trie node the loop walks down to.
 
-        Skipping the indices ``i < dev`` is exact. The search at root
-        ``parent[:i + 1]`` bans the edge at ``i`` of every yielded path with
-        that root. A yielded path that deviated after ``i`` shares its edge
-        at ``i`` with its parent, which has the same root, so each banned
-        edge belongs to a yielded path with that root and deviation index at
-        most ``i``. The last such path spawned at ``i`` after it was
-        yielded, with every one of these edges banned, so its search found
-        the same spur path this one would, and that candidate is already in
-        ``_seen``.
+        Skipping the indices ``i < dev`` is exact. A yielded path that
+        deviated after ``i`` shares its edge at ``i`` with its parent, which
+        has the same root, so each banned edge belongs to a yielded path
+        with that root and deviation index at most ``i``. The last such path
+        spawned at ``i`` after it was yielded, with every one of these edges
+        banned, so its search found the same spur path this one would, and
+        that candidate is already in ``_seen``.
 
-        With a limit, each search is cut off above the ``need``-th smallest
-        queued length (see the module docstring). Lawler's rule stays exact:
-        a skipped search repeats an earlier one, and if that one was cut
-        off, its path was longer than a cutoff at least as large as today's.
+        With a limit, each search is cut off above the last candidate's
+        length once the list is full (see the module docstring). Lawler's
+        rule stays exact: a skipped search repeats an earlier one, and if
+        that one was cut off or its candidate dropped, ``need`` candidates
+        were ahead of its path then, so it cannot be yielded.
         """
         g = self._g
-        lengths = self._lengths
-        need = self._left
         prefix_len = [0]
         for a, b in zip(parent, parent[1:]):
             prefix_len.append(prefix_len[-1] + g.weight(a, b))
+        node = self._trie
+        for v in parent[:dev]:
+            node = node[v]
         for i in range(dev, len(parent) - 1):
-            root = parent[: i + 1]
             spur = parent[i]
-            banned_edges = set(self._banned)
-            for _, nodes in self._yielded:
-                if len(nodes) > i + 1 and nodes[: i + 1] == root:
-                    banned_edges.add(edge_key(nodes[i], nodes[i + 1]))
+            node = node[spur]
             spur_path = shortest_path(
                 g,
                 spur,
                 self._t,
-                banned_nodes=frozenset(root[:-1]),
-                banned_edges=frozenset(banned_edges),
+                banned_nodes=frozenset(parent[:i]),
+                banned_edges=self._banned.union([edge_key(spur, v) for v in node]),
                 allowed_nodes=self._allowed,
-                max_length=(lengths[-1] - prefix_len[i]
-                            if lengths is not None and len(lengths) == need else None),
+                max_length=(self._candidates[-1][0] - prefix_len[i]
+                            if self._cutoff and len(self._candidates) == self._left else None),
             )
-            if spur_path is None:
-                continue
-            candidate = root[:-1] + spur_path.nodes
-            self._push(prefix_len[i] + path_length(g, spur_path), candidate, i)
+            if spur_path is not None:
+                self._push(prefix_len[i] + path_length(g, spur_path), parent[:i] + spur_path.nodes, i)
 
 
 def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> list[Path]:
@@ -169,8 +161,7 @@ def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> li
     Returns an empty list when t is unreachable; fewer than ``k`` paths
     exactly when fewer exist.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     return list(PathIterator(g, s, t, allowed_nodes=allowed_nodes, limit=k))
 
 

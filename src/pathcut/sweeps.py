@@ -15,6 +15,11 @@ from .errors import InputError
 from .graphs import Graph, Path
 from .reduction import TerminalCutInstance, brute_force_3tc, brute_force_force_path_cut, solve_3tc_via_fpc
 
+#: Node count up to which the sweep tries every weight assignment; larger
+#: graphs get ``WEIGHT_SAMPLES`` seeded assignments each.
+EXHAUSTIVE_WEIGHT_NODES = 4
+WEIGHT_SAMPLES = 2
+
 
 def connected_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All connected labeled graphs on exactly ``n`` nodes, as edge tuples."""
@@ -55,13 +60,13 @@ def clique_instance(n: int) -> tuple[Graph, Path]:
     return Graph(n, records), Path((0, 1))
 
 
-def _weight_assignments(edges, exhaustive: bool, rng, samples: int = 2):
+def _weight_assignments(edges, n: int, rng):
     m = len(edges)
-    if exhaustive:
+    if n <= EXHAUSTIVE_WEIGHT_NODES:
         for mask in range(2 ** m):
             yield tuple(1 + (mask >> i & 1) for i in range(m))
     else:
-        for _ in range(samples):
+        for _ in range(WEIGHT_SAMPLES):
             yield tuple(int(w) for w in rng.integers(1, 3, size=m))
 
 
@@ -75,14 +80,12 @@ def reduction_equivalence_sweep(
     random_nodes: int = 6,
     eps_values: tuple = (0.5, 1.0, 10.0),
     seed: int = 0,
-    exhaustive_weight_nodes: int = 4,
-    weight_samples: int = 2,
 ) -> tuple[int, int]:
     """Check the transformation against direct brute force.
 
     Covers every connected labeled graph on 3..``max_nodes`` nodes with
     weights in {1, 2} (exhaustive assignments up to
-    ``exhaustive_weight_nodes`` nodes, seeded samples beyond), a budget
+    ``EXHAUSTIVE_WEIGHT_NODES`` nodes, seeded samples beyond), a budget
     grid, and every eps; plus ``random_instances`` random graphs on
     ``random_nodes`` nodes. Terminals are fixed to (0, 1, 2) for the
     labeled enumeration (all relabelings appear as other graphs) and drawn
@@ -116,9 +119,8 @@ def reduction_equivalence_sweep(
                     disagreements += 1
 
     for n in range(3, max_nodes + 1):
-        exhaustive = n <= exhaustive_weight_nodes
         for edges in connected_edge_sets(n):
-            for weights in _weight_assignments(edges, exhaustive, rng, weight_samples):
+            for weights in _weight_assignments(edges, n, rng):
                 g = Graph(n, [(u, v, w, w) for (u, v), w in zip(edges, weights)])
                 check(g, (0, 1, 2), _budget_grid(g.total_weight()))
 

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import pathcut.cover
 from helpers import random_graph, reference_greedy_path_cover
 from pathcut import Graph, InputError, Path, path_length
 from pathcut.cover import greedy_path_cover, lp_path_cover
@@ -138,10 +139,11 @@ def test_lp_cover_requires_paths():
         lp_path_cover(g, p_star, [], rng=0)
 
 
-def test_lp_cover_retry_cap_raises_with_solution():
+def test_lp_cover_retry_cap_raises_with_solution(monkeypatch):
     g, p_star, paths = fractional_triangle()
-    with pytest.raises(RoundingFailureError) as info:
-        lp_path_cover(g, p_star, paths, rng=0, retry_cap=0)
+    monkeypatch.setattr(pathcut.cover, "DEFAULT_RETRY_CAP", 0)
+    with pytest.raises(RoundingFailureError, match="failed 0 times") as info:
+        lp_path_cover(g, p_star, paths, rng=0)
     assert info.value.solution.objective_value == pytest.approx(1.5, abs=1e-9)
 
 

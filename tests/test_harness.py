@@ -114,6 +114,21 @@ def test_select_terminals_hop_mode_lattice_distance_verified_by_bfs():
         assert bfs_hops(g, s)[t] == 10
 
 
+@pytest.mark.parametrize("mode, kwargs, message", [
+    ("hop", {"seed": 0, "hop_distance": 0}, "hop_distance must be >= 1, got 0"),
+    ("hop", {"seed": 0, "hop_distance": 2.5}, "hop_distance must be an integer, got 2.5"),
+    ("uniform", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("hop", {"seed": -3, "hop_distance": 2}, "seed must be >= 0, got -3"),
+    ("uniform", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+])
+def test_select_terminals_rejects_bad_seed_or_hop_distance(mode, kwargs, message):
+    # A zero hop distance used to return s == t, and numpy rejected a
+    # negative seed with a ValueError.
+    g = Graph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        select_terminals(g, mode, **kwargs)
+
+
 def test_select_terminals_skip_when_unreachable():
     g = Graph(4, [(0, 1, 1)])
     with pytest.raises(InstanceSkip):

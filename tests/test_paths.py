@@ -16,7 +16,9 @@ from helpers import (
 )
 from pathcut import Graph, InputError, Path, path_length, shortest_path
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
+from pathcut.harness import select_p_star
 from pathcut.paths import PathIterator, k_shortest_paths, next_shortest_excluding
+from pathcut.sweeps import clique_instance
 
 
 def test_unique_path_exhausts_early():
@@ -53,6 +55,17 @@ def test_k_validation():
     with pytest.raises(InputError, match="limit must be >= 0, got -1"):
         PathIterator(g, 0, 1, limit=-1)
     assert list(PathIterator(g, 0, 1, limit=0)) == []
+    # A non-integer count used to run the limit past zero and fail with an
+    # IndexError once the candidates ran out.
+    clique = clique_instance(6)[0]
+    with pytest.raises(InputError, match="k must be an integer, got 2.5"):
+        k_shortest_paths(clique, 0, 1, 2.5)
+    with pytest.raises(InputError, match="rank must be an integer, got 2.5"):
+        select_p_star(clique, 0, 1, 2.5)
+    for limit in (2.5, "3"):
+        with pytest.raises(InputError, match="limit must be an integer, got "):
+            PathIterator(clique, 0, 1, limit=limit)
+    assert len(k_shortest_paths(clique, 0, 1, np.int64(3))) == 3
 
 
 def test_unreachable_gives_empty():
@@ -268,7 +281,12 @@ def test_bounded_ranking_is_a_prefix_of_the_unbounded_one(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(pathcut.paths, "shortest_path", checked_shortest_path(cut_off))
             for k in range(1, 61):
-                got = [p.nodes for p in PathIterator(g, s, t, limit=k, **restrict)]
+                ranking = PathIterator(g, s, t, limit=k, **restrict)
+                got = []
+                for p in ranking:
+                    got.append(p.nodes)
+                    # Only the candidates that can still be yielded are kept.
+                    assert len(ranking._candidates) <= k - len(got)
                 assert got == full[:k], (kind, k, s, t, restrict)
                 short += len(full) < k
         mask = restrict.get("allowed_nodes")
@@ -348,12 +366,15 @@ def test_lawler_ranking_matches_full_spur_reference():
 def test_lawler_ranking_runs_fewer_spur_searches(monkeypatch):
     g = assign_weights(generate(GeneratorSpec(family="lattice", rows=6, cols=6)),
                        WeightScheme(kind="uniform", upper=9, seed=3))
-    calls = {"library": 0, "reference": 0}
+    calls = {"library": 0, "reference": 0, "bounded": 0, "bounded none": 0}
 
     def counting(side):
         def search(*args, **kwargs):
             calls[side] += 1
-            return shortest_path(*args, **kwargs)
+            found = shortest_path(*args, **kwargs)
+            if found is None and side == "bounded":
+                calls["bounded none"] += 1
+            return found
         return search
 
     monkeypatch.setattr(pathcut.paths, "shortest_path", counting("library"))
@@ -362,3 +383,10 @@ def test_lawler_ranking_runs_fewer_spur_searches(monkeypatch):
     expect = [p.nodes for p in islice(reference_path_iterator(g, 0, 35), 40)]
     assert got == expect and len(got) == 40
     assert calls["library"] < calls["reference"], calls
+    # The ranking limited to 40 paths makes the same searches, and the
+    # cutoff ends most of them early. Both counts are pinned, so a change
+    # to Lawler's rule or to the cutoff shows here, not only in the traced
+    # benchmark counts.
+    monkeypatch.setattr(pathcut.paths, "shortest_path", counting("bounded"))
+    assert [p.nodes for p in PathIterator(g, 0, 35, limit=40)] == got
+    assert (calls["library"], calls["bounded"], calls["bounded none"]) == (236, 236, 166), calls
