@@ -13,7 +13,6 @@ most ``iteration_cap`` cut updates.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -21,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .cover import LPCoverResult, greedy_path_cover, lp_path_cover
-from .errors import ConvergenceError, InputError, IterationLimitError
+from .errors import ConvergenceError, InputError, IterationLimitError, check_count
 from .graphs import CutPlan, Graph, Path, make_cut_plan, path_length, strictly_longer
 from .lp import is_integral
 from .paths import next_shortest_excluding
@@ -56,18 +55,9 @@ class AttackConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if not _nonnegative_int(self.rng_seed):
-            raise InputError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
-        if self.iteration_cap is not None and not _nonnegative_int(self.iteration_cap):
-            raise InputError(
-                f"iteration_cap must be a nonnegative integer, got {self.iteration_cap!r}")
-
-
-def _nonnegative_int(value) -> bool:
-    try:
-        return operator.index(value) >= 0
-    except TypeError:
-        return False
+        check_count("rng_seed", self.rng_seed, 0)
+        if self.iteration_cap is not None:
+            check_count("iteration_cap", self.iteration_cap, 0)
 
 
 def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, check_field_types
+from .errors import InputError, check_count, check_field_types
 from .graphs import Graph
 
 FAMILIES = ("er", "ba", "kronecker", "lattice", "complete")
@@ -107,6 +107,7 @@ def _require(cond: bool, message: str) -> None:
 
 def generate(spec: GeneratorSpec) -> Graph:
     """Graph of the requested family with unit weights and costs."""
+    check_count("seed", spec.seed, 0)
     if spec.family == "er":
         return _er(spec)
     if spec.family == "ba":
@@ -135,7 +136,7 @@ def _er(spec: GeneratorSpec) -> Graph:
     offsets = rows * (n - 1) - rows * (rows - 1) // 2
     u = np.searchsorted(offsets, kept, side="right") - 1
     v = kept - offsets[u] + u + 1
-    return Graph(n, [(a, b, 1, 1) for a, b in zip(u.tolist(), v.tolist())])
+    return Graph._trusted(n, dict.fromkeys(zip(u.tolist(), v.tolist()), 1))
 
 
 def _ba(spec: GeneratorSpec) -> Graph:
@@ -143,7 +144,7 @@ def _ba(spec: GeneratorSpec) -> Graph:
     _require(1 <= spec.m < spec.n, "ba needs 1 <= m < n")
     rng = np.random.default_rng(spec.seed)
     n, m = spec.n, spec.m
-    edges: list[tuple] = [(u, v, 1, 1) for u in range(m) for v in range(u + 1, m)]
+    edges = dict.fromkeys(((u, v) for u in range(m) for v in range(u + 1, m)), 1)
     # One endpoint entry per degree; sampling an index is degree-proportional.
     repeated: list[int] = [u for u in range(m) for _ in range(m - 1)]
     for new in range(m, n):
@@ -154,9 +155,9 @@ def _ba(spec: GeneratorSpec) -> Graph:
             else:
                 targets.add(int(rng.integers(new)))
         for tgt in sorted(targets):
-            edges.append((tgt, new, 1, 1))
+            edges[(tgt, new)] = 1
             repeated.extend((tgt, new))
-    return Graph(n, edges)
+    return Graph._trusted(n, edges)
 
 
 def _kronecker(spec: GeneratorSpec) -> Graph:
@@ -186,33 +187,34 @@ def _kronecker(spec: GeneratorSpec) -> Graph:
     # Drop isolated nodes and compact ids.
     used = sorted({x for pair in pairs for x in pair})
     relabel = {x: i for i, x in enumerate(used)}
-    edges = [(relabel[a], relabel[b], 1, 1) for a, b in pairs]
-    return Graph(len(used), edges)
+    # Relabelling keeps the order, so each key stays canonical.
+    return Graph._trusted(len(used), {(relabel[a], relabel[b]): 1 for a, b in pairs})
 
 
 def _lattice(spec: GeneratorSpec) -> Graph:
     _require(spec.rows is not None and spec.cols is not None, "lattice needs rows and cols")
     _require(spec.rows >= 1 and spec.cols >= 1, "lattice needs rows, cols >= 1")
     r, c = spec.rows, spec.cols
-    edges = []
+    edges = {}
     for i in range(r):
         for j in range(c):
             node = i * c + j
             if j + 1 < c:
-                edges.append((node, node + 1, 1, 1))
+                edges[(node, node + 1)] = 1
             if i + 1 < r:
-                edges.append((node, node + c, 1, 1))
-    return Graph(r * c, edges)
+                edges[(node, node + c)] = 1
+    return Graph._trusted(r * c, edges)
 
 
 def _complete(spec: GeneratorSpec) -> Graph:
     _require(spec.n is not None and spec.n >= 1, "complete needs n >= 1")
     n = spec.n
-    return Graph(n, ((u, v, 1, 1) for u in range(n) for v in range(u + 1, n)))
+    return Graph._trusted(n, dict.fromkeys(((u, v) for u in range(n) for v in range(u + 1, n)), 1))
 
 
 def assign_weights(g: Graph, scheme: WeightScheme) -> Graph:
     """Fresh graph with scheme-drawn integer weights; costs equal weights."""
+    check_count("weight seed", scheme.seed, 0)
     rng = np.random.default_rng(scheme.seed)
     keys = g.edges()
     if scheme.kind == "poisson":
@@ -226,11 +228,11 @@ def assign_weights(g: Graph, scheme: WeightScheme) -> Graph:
         _require(1 <= scheme.upper < 2**63, "uniform scheme needs 1 <= upper < 2**63")
         draws = rng.integers(1, scheme.upper + 1, size=len(keys))
     elif scheme.kind == "equal":
-        _require(int(scheme.value) == scheme.value and scheme.value >= 1,
+        # NaN fails the comparison; an infinite value stops before ``int``.
+        _require(1 <= scheme.value < np.inf and int(scheme.value) == scheme.value,
                  "equal scheme needs a positive integer value")
         draws = np.full(len(keys), int(scheme.value))
     else:
         raise InputError(f"unknown weight scheme {scheme.kind!r}; choose from {WEIGHT_KINDS}")
     # ``tolist`` yields Python ints, which the A* distance bound needs.
-    records = [(u, v, w, w) for (u, v), w in zip(keys, draws.tolist())]
-    return Graph(g.node_count, records)
+    return Graph._trusted(g.node_count, dict(zip(keys, draws.tolist())))

@@ -3,11 +3,11 @@
 Edges are addressed everywhere by their canonical key: the endpoint pair
 sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
 are immutable after construction: an attack bans the edges it cuts
-instead of building a residual graph. A graph caches three things, one
-entry each: whether every weight is a Python ``int`` (:func:`int_weights`),
-the distance bound :func:`shortest_path` uses for its last target, and
-the cut LP's columns for its last protected path (see
-:func:`pathcut.lp.build_cover_lp`).
+instead of building a residual graph. Construction records whether every
+weight is a Python ``int`` (``_int_weights``; sums are then exact). A
+graph caches two things, one entry each: the distance bound
+:func:`shortest_path` uses for its last target, and the cut LP's columns
+for its last protected path (see :func:`pathcut.lp.build_cover_lp`).
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -70,16 +70,12 @@ class Graph:
         node_count = _as_node(node_count)
         if node_count < 0:
             raise InputError("node_count must be nonnegative")
-        self.node_count = node_count
         weights: dict[EdgeKey, float] = {}
         costs: dict[EdgeKey, float] = {}
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
         inf = math.inf
-        # One loop validates each record and files it in the adjacency
-        # lists; each list is sorted once at the end. Node ids that are
-        # already ``int`` skip ``operator.index``, the common case, and the
-        # edge key is formed inline with the checks and messages of
-        # ``edge_key``.
+        # One loop validates each record. Node ids that are already ``int``
+        # skip ``operator.index``, the common case, and the edge key is
+        # formed inline with the checks and messages of ``edge_key``.
         for rec in edges:
             n_fields = len(rec)
             if n_fields == 4:
@@ -108,15 +104,33 @@ class Graph:
                 raise InputError(f"weight or cost on edge {k} is negative or not finite")
             weights[k] = w
             costs[k] = c
+        self._fill(node_count, weights, costs)
+
+    @classmethod
+    def _trusted(cls, node_count: int, weights: dict) -> "Graph":
+        """Unchecked graph over a map the library built, with canonical,
+        distinct, in-range keys; each cost equals its weight. The one dict
+        serves as both maps: a graph never mutates them and exposes them
+        read-only."""
+        g = cls.__new__(cls)
+        g._fill(node_count, weights, weights)
+        return g
+
+    def _fill(self, node_count: int, weights: dict, costs: dict) -> None:
+        """The one construction body. Neighbours are appended in sorted key
+        order, which leaves every adjacency list sorted by node id: for a
+        node ``x`` the keys ``(a, x)`` with ``a < x`` all sort before the
+        keys ``(x, b)``."""
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
+        for (u, v), w in sorted(weights.items()):
             adj[u].append((v, w))
             adj[v].append((u, w))
+        self.node_count = node_count
         self._weights = weights
         self._costs = costs
-        for lst in adj:
-            lst.sort()
         self._adj = adj
-        # Whether every weight is an ``int``, or None until first asked.
-        self._int_weights = None
+        # Whether every weight is an ``int``, so that sums are exact.
+        self._int_weights = all(type(w) is int for w in weights.values())
         # (t, allowed_nodes, bound list) of the last search target, or None.
         self._bound = None
         # (protected edges, edge_order, index, costs) of the last cut LP, or None.
@@ -181,7 +195,9 @@ class Graph:
     # -- derivation ------------------------------------------------------
 
     def remove_edges(self, removed: Iterable) -> "Graph":
-        """New graph without ``removed``; weights/costs preserved elsewhere."""
+        """New graph without ``removed``; weights/costs preserved elsewhere.
+        No library code calls it (attacks ban edges); it stays only for
+        ``bench/tracing.py`` and tests that check plans on residual graphs."""
         gone = set()
         for e in removed:
             k = edge_key(*e)
@@ -213,9 +229,8 @@ class Graph:
 class Path:
     """A simple (no repeated node) sequence of nodes.
 
-    Length is not stored: it is always evaluated against a graph via
-    :func:`path_length`, so the same path object can be measured on the
-    original graph and on residual graphs.
+    Length is not stored: it belongs to a graph's weights, not to the node
+    sequence, and is evaluated against a graph via :func:`path_length`.
     """
 
     __slots__ = ("nodes", "edges")
@@ -273,15 +288,6 @@ def path_length(g: Graph, p: Path):
     return total
 
 
-def int_weights(g: Graph) -> bool:
-    """True iff every weight of ``g`` is a Python ``int``, so that sums of
-    weights are exact. Computed once per graph and cached on it."""
-    exact = g._int_weights
-    if exact is None:
-        exact = g._int_weights = all(type(w) is int for w in g._weights.values())
-    return exact
-
-
 def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> list:
     """Per-node lower bound on the distance to ``t`` in the subgraph induced
     by ``allowed_nodes``, ignoring bans; ``math.inf`` where ``t`` is
@@ -294,7 +300,7 @@ def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> lis
     if (cached is not None and cached[0] == t
             and (cached[1] is allowed_nodes or cached[1] == allowed_nodes)):
         return cached[2]
-    exact = int_weights(g)
+    exact = g._int_weights
     bound = [math.inf] * g.node_count
     bound[t] = 0
     heap = [(0, t)]
@@ -366,12 +372,8 @@ def shortest_path(
     With ``max_length``, the search returns None when the shortest path is
     longer than ``max_length``; otherwise it returns the same path as
     without it, ties included. An entry whose key exceeds ``max_length`` is
-    never pushed. That is exact: a key is at most the length of every path
-    through its entry, so such a path is too long, and since popped keys
-    never decrease, the entry could only have popped after every entry
-    within the limit. Reachability-only keys are plain lengths and obey the
-    same rule. :class:`pathcut.paths.PathIterator` passes each spur search
-    its ranking's cutoff less the root prefix (see :mod:`pathcut.paths`).
+    never pushed; :mod:`pathcut.paths` argues why that is exact, for the
+    ranking cutoff that passes it.
     """
     s = g.check_node(s)
     t = g.check_node(t)

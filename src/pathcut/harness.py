@@ -228,8 +228,8 @@ class ExperimentConfig:
             check_count("rank", k, 1)
         for name in ("repetitions", "master_seed", "iteration_cap"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise InputError(f"{name} must be >= 0, got {value}")
+            if value is not None:
+                check_count(name, value, 0)
         # In hop mode either would skip every instance: t must lie at
         # least one hop from s, and a mask of smaller radius than the hop
         # distance leaves t out.

@@ -25,13 +25,19 @@ That is exact for any weights: a dropped candidate has ``need`` others
 ahead of it, and each pop removes one of them as ``need`` falls by one.
 While the list is full, its last length is a cutoff: each spur search
 gets it, less its root prefix, as its ``max_length`` and returns None
-rather than a path that is too long (see :func:`shortest_path`). Paths as
-long as the cutoff are kept, so ties still resolve by node sequence. The
-cutoff never rises: a pop leaves the list full, and a push can only lower
-it. It is exact only with exact sums, so it applies when every weight is
-an ``int``. With float weights one node sequence can be pushed from two
-deviation indices with lengths an ulp apart, and those graphs search
-without a cutoff.
+rather than a path that is too long. The search never pushes an entry
+whose key exceeds the limit (:func:`shortest_path`). That is exact: a key
+is at most the length of every path through its entry, so such a path is
+too long, and since popped keys never decrease, the entry could only have
+popped after every entry within the limit. Paths as long as the cutoff
+are kept, so ties still resolve by node sequence. The cutoff never rises:
+a pop leaves the list full, and a push can only lower it. Lawler's rule
+stays exact: a skipped search repeats an earlier one, and if that one was
+cut off or its candidate dropped, ``need`` candidates were ahead of its
+path then, so it cannot be yielded. The cutoff is exact only with exact
+sums, so it applies when every weight is an ``int``. With float weights
+one node sequence can be pushed from two deviation indices with lengths
+an ulp apart, and those graphs search without a cutoff.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from bisect import insort
 from typing import Iterator, Optional
 
 from .errors import InputError, check_count
-from .graphs import Graph, Path, edge_key, int_weights, path_length, shortest_path
+from .graphs import Graph, Path, edge_key, path_length, shortest_path
 
 
 class PathIterator:
@@ -74,7 +80,7 @@ class PathIterator:
         self._pending: tuple | None = None
         # Paths left to yield, or None without a limit.
         self._left = limit
-        self._cutoff = limit is not None and int_weights(g)
+        self._cutoff = limit is not None and g._int_weights
         first = shortest_path(g, s, t, banned_edges=self._banned, allowed_nodes=self._allowed)
         if first is not None:
             self._push(path_length(g, first), first.nodes, 0)
@@ -126,10 +132,8 @@ class PathIterator:
         that candidate is already in ``_seen``.
 
         With a limit, each search is cut off above the last candidate's
-        length once the list is full (see the module docstring). Lawler's
-        rule stays exact: a skipped search repeats an earlier one, and if
-        that one was cut off or its candidate dropped, ``need`` candidates
-        were ahead of its path then, so it cannot be yielded.
+        length once the list is full; the module docstring argues why that
+        and Lawler's rule together stay exact.
         """
         g = self._g
         prefix_len = [0]

@@ -135,7 +135,7 @@ def test_attack_config_validates_method():
     ("iteration_cap", -1), ("iteration_cap", 2.0),
 ])
 def test_attack_config_rejects_negative_or_non_integer_seed_and_cap(field, value):
-    with pytest.raises(InputError, match=f"^{field} must be a nonnegative integer, got "):
+    with pytest.raises(InputError, match=f"^{field} must be (an integer|>= 0), got "):
         AttackConfig(**{field: value})
 
 

@@ -220,6 +220,11 @@ def _bad_inputs(tmp_path):
                                    "lam value too large"),
         "uniform upper beyond int64": (["experiment", "--config", str(configs["upper-1e30"]),
                                         "--out", out], "uniform scheme needs 1 <= upper < 2**63"),
+        "negative generator seed": (["generate", "--family", "er", "--n", "10", "--p", "0.5",
+                                     "--seed", "-1", "--out", out], "seed must be >= 0, got -1"),
+        "negative weight seed": (["generate", "--family", "er", "--n", "10", "--p", "0.5",
+                                  "--weights", "poisson", "--weight-seed", "-1", "--out", out],
+                                 "weight seed must be >= 0, got -1"),
     }
 
 
@@ -229,7 +234,7 @@ def _bad_inputs(tmp_path):
     "generator n not an integer", "edge_list not a string", "ragged initiator",
     "non-numeric initiator", "zero initiator", "infinite kronecker density",
     "kronecker density above one", "infinite poisson rate", "poisson rate too large",
-    "uniform upper beyond int64",
+    "uniform upper beyond int64", "negative generator seed", "negative weight seed",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]
@@ -241,8 +246,8 @@ def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--seed", "-1"], "rng_seed must be a nonnegative integer, got -1"),
-    (["--iteration-cap", "-1"], "iteration_cap must be a nonnegative integer, got -1"),
+    (["--seed", "-1"], "rng_seed must be >= 0, got -1"),
+    (["--iteration-cap", "-1"], "iteration_cap must be >= 0, got -1"),
 ])
 def test_attack_rejects_negative_seed_and_cap(tmp_path, capsys, flags, message):
     g, _ = clique_instance(4)

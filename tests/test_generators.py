@@ -174,3 +174,32 @@ def test_assigned_weights_are_python_ints(kind):
     assert g.edge_count > 0
     assert all(type(w) is int for w in g.weights.values())
     assert all(type(c) is int for c in g.costs.values())
+
+
+@pytest.mark.parametrize("kind", (None,) + WEIGHT_KINDS)
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(family="er", n=80, p=0.1, seed=3),
+    GeneratorSpec(family="ba", n=60, m=3, seed=3),
+    GeneratorSpec(family="kronecker", iterations=6, density=0.1, seed=3),
+    GeneratorSpec(family="lattice", rows=5, cols=6),
+    GeneratorSpec(family="complete", n=9),
+], ids=lambda spec: spec.family)
+def test_trusted_build_matches_validated_build(spec, kind):
+    # generate and assign_weights build without record checks; the result
+    # must be what Graph(n, records) builds from the same keys in the same
+    # order, down to dict order and adjacency lists.
+    g = generate(spec)
+    if kind is not None:
+        g = assign_weights(g, WeightScheme(kind=kind, value=2, seed=4))
+    ref = Graph(g.node_count, [(u, v, w) for (u, v), w in g._weights.items()])
+    assert g.node_count == ref.node_count and g.edge_count > 0
+    assert list(g._weights.items()) == list(ref._weights.items())
+    assert list(g._costs.items()) == list(ref._costs.items())
+    assert g._adj == ref._adj
+    assert g._int_weights is ref._int_weights is True
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0, 1.5])
+def test_equal_scheme_rejects_non_finite_or_non_positive_value(value):
+    with pytest.raises(InputError, match="^equal scheme needs a positive integer value$"):
+        assign_weights(Graph(2, [(0, 1, 1)]), WeightScheme(kind="equal", value=value))

@@ -94,6 +94,14 @@ def test_graph_adjacency_matches_sorted_weight_map():
         assert g._adj == reference_adjacency(g)
 
 
+@pytest.mark.parametrize("weight", [1.0, np.int64(1), True])
+def test_only_python_int_weights_are_exact(weight):
+    # Sums are exact, and the distance bound and ranking cutoff apply,
+    # only when every weight is a Python int.
+    assert Graph(3, [(0, 1, 1), (1, 2, 1)])._int_weights is True
+    assert Graph(3, [(0, 1, 1), (1, 2, weight)])._int_weights is False
+
+
 def test_numpy_and_bool_node_ids_become_int():
     g = Graph(4, [(np.int64(0), True, 2), (np.int32(3), np.uint8(1), 1, 5), (False, 2, 1)])
     assert g.edges() == [(0, 1), (0, 2), (1, 3)]
