@@ -37,6 +37,8 @@ METHODS = (
 )
 #: Relative tolerance of greedy eigenscore's tie rule (see _top_eigenscore).
 TIE_RTOL = 1e-9
+#: Power-iteration steps before principal_eigenvector gives up.
+MAX_POWER_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def _adjacency_product(g: Graph):
     return lambda x: np.bincount(dst, weights=x[src], minlength=n)
 
 
-def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) -> np.ndarray:
+def principal_eigenvector(g: Graph, tol: float = 1e-8) -> np.ndarray:
     """Unit-norm nonnegative principal eigenvector of the unweighted
     adjacency matrix, by power iteration.
 
@@ -173,7 +175,7 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
     product = _adjacency_product(g)
     v = np.full(n, 1.0 / math.sqrt(n))
     av = product(v)
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_ITER):
         nxt = av + v
         nxt /= math.sqrt(nxt.dot(nxt))
         av = product(nxt)
@@ -183,7 +185,7 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8, max_iter: int = 10000) ->
         v = nxt
         if residual <= tol * max(lam, 1e-30):
             return v
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not converge in {MAX_POWER_ITER} steps")
 
 
 def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:

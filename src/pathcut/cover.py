@@ -108,6 +108,7 @@ def lp_path_cover(
     taking a :class:`~pathcut.lp.RelaxedCutLP` and returning an optimal
     :class:`~pathcut.lp.LPSolution`, or raising
     :class:`~pathcut.errors.InfeasibleError` when the LP is infeasible.
+    Its ``values`` may be any float sequence with one entry per column.
     """
     if not paths:
         raise InputError("lp_path_cover needs at least one constraint path")
@@ -118,21 +119,12 @@ def lp_path_cover(
     n_draws = math.ceil(math.log(4 * len(paths)))
     bound = 4.0 * math.log(4 * len(paths)) * sol.objective_value
     probs = np.asarray(sol.values)
-    cvec = np.asarray(lp.costs, dtype=float)
-    attempts = 0
-    while attempts < DEFAULT_RETRY_CAP:
-        attempts += 1
-        mask = (rng.random((n_draws, len(probs))) < probs).any(axis=0)
-        kept = mask.tolist()
+    for retries in range(DEFAULT_RETRY_CAP):
+        kept = (rng.random((n_draws, len(probs))) < probs).any(axis=0).tolist()
         if not all(any(map(kept.__getitem__, row)) for row in lp.rows):
             continue
-        cost = float(cvec[mask].sum())
+        cost = float(np.fromiter(compress(lp.costs, kept), dtype=float).sum())
         if cost <= bound + 1e-9:
-            return LPCoverResult(
-                edges=frozenset(compress(lp.edge_order, kept)),
-                retries=attempts - 1,
-                solution=sol,
-            )
-    raise RoundingFailureError(
-        f"randomized rounding failed {DEFAULT_RETRY_CAP} times", solution=sol
-    )
+            return LPCoverResult(edges=frozenset(compress(lp.edge_order, kept)),
+                                 retries=retries, solution=sol)
+    raise RoundingFailureError(f"randomized rounding failed {DEFAULT_RETRY_CAP} times", solution=sol)

@@ -39,9 +39,9 @@ def edge_key(u: int, v: int) -> EdgeKey:
     return (u, v) if u < v else (v, u)
 
 
-def strictly_longer(a, b, tol: float = LENGTH_TOL) -> bool:
-    """True iff length ``a`` exceeds length ``b`` beyond tolerance."""
-    return a > b + tol
+def strictly_longer(a, b) -> bool:
+    """True iff length ``a`` exceeds length ``b`` beyond ``LENGTH_TOL``."""
+    return a > b + LENGTH_TOL
 
 
 def _as_node(x) -> int:
@@ -236,14 +236,15 @@ class Path:
     __slots__ = ("nodes", "edges")
 
     def __init__(self, nodes: Sequence[int]):
-        nodes = tuple(_as_node(n) for n in nodes)
+        nodes = tuple(n if type(n) is int else _as_node(n) for n in nodes)
         if not nodes:
             raise InputError("a path needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise InputError(f"path repeats a node: {nodes}")
         self.nodes = nodes
+        # No node repeats, so no edge is a self-loop: keys are formed inline.
         self.edges: tuple[EdgeKey, ...] = tuple(
-            edge_key(a, b) for a, b in zip(nodes, nodes[1:])
+            (a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])
         )
 
     @property

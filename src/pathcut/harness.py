@@ -178,6 +178,7 @@ def neighborhood_mask(g: Graph, s: int, radius: Optional[int]) -> Optional[froze
     """Node mask for hop-bounded path enumeration; None means no mask."""
     if radius is None:
         return None
+    check_count("neighborhood_cap", radius, 0)
     return frozenset(bfs_hops(g, s, max_hops=radius))
 
 

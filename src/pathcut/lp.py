@@ -54,7 +54,7 @@ from .graphs import EdgeKey, Graph, Path
 
 #: Row-feasibility tolerance of the solver.
 FEAS_TOL = 1e-9
-#: Default tolerance for classifying a solution as integral.
+#: Tolerance for classifying a solution as integral.
 INTEGRALITY_TOL = 1e-6
 #: Entry updates above which a pivot costs more on dict rows than on a
 #: numpy array (measured on captured cover LPs); the simplex then switches.
@@ -77,9 +77,10 @@ class RelaxedCutLP:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal basic solution of a RelaxedCutLP."""
+    """Optimal basic solution of a RelaxedCutLP; ``values`` is a read-only
+    float64 array over all columns."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
     objective_value: float
 
 
@@ -285,21 +286,26 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     optimal and keeps the solution a vertex); the simplex runs on the
     active variables only. Row feasibility of the result is re-checked;
     when the check fails because a row repeats an index,
-    :class:`InputError` names that row.
+    :class:`InputError` names that row. ``values`` is the simplex's array,
+    made read-only. The objective dots it with the costs, zeroed off the
+    active columns, where ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite)
+    are both ``+0.0``: under any BLAS kernel it has the full dot's bits. A
+    dot over the active columns alone would regroup the sum and move them.
     """
     n = len(lp.edge_order)
     for i, row in enumerate(lp.rows):
         if not row:
             raise InfeasibleError(f"row {i} is empty")
     values = np.zeros(n)
+    costs = np.zeros(n)
     if lp.rows:
         active = sorted({j for row in lp.rows for j in row})
         if active[0] < 0 or active[-1] >= n:
             raise InputError(f"row index out of range for {n} variables")
         remap = {j: i for i, j in enumerate(active)}
         reduced_rows = [tuple(map(remap.__getitem__, row)) for row in lp.rows]
-        reduced_costs = np.asarray([lp.costs[j] for j in active], dtype=float)
-        values[active] = _bounded_simplex(reduced_rows, reduced_costs)
+        costs[active] = [lp.costs[j] for j in active]
+        values[active] = _bounded_simplex(reduced_rows, costs[active])
     vals = values.tolist()
     for row in lp.rows:
         if sum(map(vals.__getitem__, row)) < 1.0 - FEAS_TOL:
@@ -309,13 +315,14 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
                 if len(set(r)) < len(r):
                     raise InputError(f"row {i} repeats a variable index: {r}")
             raise PathCutError("solver returned an infeasible point")
-    objective = float(np.dot(values, np.asarray(lp.costs, dtype=float)))
-    return LPSolution(values=tuple(vals), objective_value=objective)
+    values.flags.writeable = False
+    return LPSolution(values=values, objective_value=float(np.dot(values, costs)))
 
 
-def is_integral(sol: LPSolution, tol: float = INTEGRALITY_TOL) -> bool:
-    """True iff every variable is within ``tol`` of 0 or 1."""
-    return all(v <= tol or v >= 1.0 - tol for v in sol.values)
+def is_integral(sol: LPSolution) -> bool:
+    """True iff every variable is within ``INTEGRALITY_TOL`` of 0 or 1."""
+    v = np.asarray(sol.values)
+    return bool(((v <= INTEGRALITY_TOL) | (v >= 1.0 - INTEGRALITY_TOL)).all())
 
 
 def write_lp_text(lp: RelaxedCutLP) -> str:

@@ -137,8 +137,8 @@ class PathIterator:
         """
         g = self._g
         prefix_len = [0]
-        for a, b in zip(parent, parent[1:]):
-            prefix_len.append(prefix_len[-1] + g.weight(a, b))
+        for a, b in zip(parent, parent[1:]):  # a path of ``g``: every key is an edge
+            prefix_len.append(prefix_len[-1] + g._weights[(a, b) if a < b else (b, a)])
         node = self._trie
         for v in parent[:dev]:
             node = node[v]

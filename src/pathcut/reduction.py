@@ -227,15 +227,12 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, max_cuttable: int = MAX_B
 def _surviving(all_paths, p_star: Path, removed: frozenset, p_len):
     """Shortest competitor untouched by ``removed`` (certificate entry)."""
     for length, nodes in all_paths:
-        if nodes == p_star.nodes:
-            continue
-        if any(e in removed for e in Path(nodes).edges):
-            continue
-        return (nodes, length, p_len)
+        if nodes != p_star.nodes and removed.isdisjoint(Path(nodes).edges):
+            return (nodes, length, p_len)
     return (None, None, p_len)
 
 
-def brute_force_3tc(inst: TerminalCutInstance, max_edges: int = MAX_BRUTE_EDGES) -> bool:
+def brute_force_3tc(inst: TerminalCutInstance) -> bool:
     """Exact decision for the 3-terminal question (desk scale).
 
     Branch and bound on connecting paths: while some pair of terminals is
@@ -243,8 +240,8 @@ def brute_force_3tc(inst: TerminalCutInstance, max_edges: int = MAX_BRUTE_EDGES)
     the budget. Independent of the transformation being tested.
     """
     g = inst.graph
-    if g.edge_count > max_edges:
-        raise SizeError(f"{g.edge_count} edges exceed the brute-force cap {max_edges}")
+    if g.edge_count > MAX_BRUTE_EDGES:
+        raise SizeError(f"{g.edge_count} edges exceed the brute-force cap {MAX_BRUTE_EDGES}")
     s1, s2, s3 = inst.terminals
     pairs = [(s1, s2), (s1, s3), (s2, s3)]
 

@@ -13,6 +13,10 @@ from pathcut import (
 from pathcut.lp import FEAS_TOL, RelaxedCutLP
 from pathcut.reduction import enumerate_simple_paths
 
+#: Float costs for cover tests: exact ties, a pair that differs in the
+#: last bit (0.1 + 0.2 and 0.3), and zero.
+FLOAT_COSTS = (0.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1.5, 2.25)
+
 
 def random_graph(rng, n, p, max_weight=10, costs_equal_weights=True):
     """Seeded ER-style graph with integer weights in [1, max_weight]."""

@@ -225,6 +225,9 @@ def _bad_inputs(tmp_path):
         "negative weight seed": (["generate", "--family", "er", "--n", "10", "--p", "0.5",
                                   "--weights", "poisson", "--weight-seed", "-1", "--out", out],
                                  "weight seed must be >= 0, got -1"),
+        "negative neighborhood cap": (["attack", "--graph", str(good), "--rank", "1", "--source", "0",
+                                       "--target", "2", "--neighborhood-cap", "-1"],
+                                      "neighborhood_cap must be >= 0, got -1"),
     }
 
 
@@ -235,6 +238,7 @@ def _bad_inputs(tmp_path):
     "non-numeric initiator", "zero initiator", "infinite kronecker density",
     "kronecker density above one", "infinite poisson rate", "poisson rate too large",
     "uniform upper beyond int64", "negative generator seed", "negative weight seed",
+    "negative neighborhood cap",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]

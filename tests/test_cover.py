@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pathcut.cover
-from helpers import random_graph, reference_greedy_path_cover
+from helpers import FLOAT_COSTS, random_graph, reference_greedy_path_cover
 from pathcut import Graph, InputError, Path, path_length
 from pathcut.cover import greedy_path_cover, lp_path_cover
 from pathcut.errors import RoundingFailureError
@@ -183,11 +183,6 @@ def test_solver_seam_accepts_external_engine():
     assert theirs.solution.objective_value == pytest.approx(1.5, abs=1e-7)
     assert covers(theirs.edges, paths, frozenset(p_star.edges))
     assert ours.solution.objective_value == pytest.approx(theirs.solution.objective_value, abs=1e-7)
-
-
-#: Float costs drawn for the equivalence test: exact ties, a pair that
-#: differs in the last bit (0.1 + 0.2 and 0.3), and zero.
-FLOAT_COSTS = (0.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1.5, 2.25)
 
 
 def _walk(rng, g, min_edges, max_edges):

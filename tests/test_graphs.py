@@ -110,11 +110,20 @@ def test_numpy_and_bool_node_ids_become_int():
 
 
 def test_path_requires_simple_sequence():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^path repeats a node: \(0, 1, 0\)$"):
         Path((0, 1, 0))
+    with pytest.raises(InputError, match="^a path needs at least one node$"):
+        Path(())
+    for bad in ("a", 1.5):
+        with pytest.raises(InputError, match=f"^node id must be an integer, got {bad!r}$"):
+            Path((0, bad))
     p = Path((0, 3, 1))
     assert p.edges == ((0, 3), (1, 3))
     assert p.source == 0 and p.target == 1
+    # numpy and bool ids become plain ints, in the nodes and the edge keys.
+    q = Path((np.int64(2), True, np.int64(0)))
+    assert q.nodes == (2, 1, 0) and q.edges == ((1, 2), (0, 1))
+    assert all(type(x) is int for x in q.nodes + sum(q.edges, ()))
 
 
 def test_path_length_cases():

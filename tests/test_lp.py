@@ -4,7 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import random_graph, reachable_pair, reference_bounded_simplex, reference_build_cover_lp
+from helpers import (
+    FLOAT_COSTS,
+    random_graph,
+    reachable_pair,
+    reference_bounded_simplex,
+    reference_build_cover_lp,
+)
 from scipy.optimize import linprog
 
 import pathcut.lp
@@ -66,7 +72,34 @@ def test_fractional_odd_cover():
 def test_empty_constraint_set():
     sol = solve_relaxed(lp_of([], [3, 5]))
     assert sol.objective_value == 0.0
-    assert sol.values == (0.0, 0.0)
+    assert sol.values.tolist() == [0.0, 0.0]
+
+
+def test_solution_is_the_simplex_array_and_keeps_the_full_dot():
+    # Wide LPs whose rows use a few scattered columns: the objective must
+    # have the bits of the dot with the full cost vector. A dot over the
+    # active columns alone regroups the sum and fails here.
+    rng = np.random.default_rng(2029)
+    for k in range(300):
+        n = int(rng.integers(20, 200))
+        active = rng.choice(n, size=int(rng.integers(2, max(3, n // 3))), replace=False)
+        rows = [tuple(sorted(rng.choice(active, size=min(len(active), int(rng.integers(2, 5))),
+                                        replace=False).tolist()))
+                for _ in range(int(rng.integers(1, 30)))]
+        if k % 2:
+            costs = rng.integers(0, 9, size=n).tolist()
+        else:
+            costs = [FLOAT_COSTS[i] for i in rng.integers(len(FLOAT_COSTS), size=n)]
+        lp = lp_of(rows, costs)
+        sol = solve_relaxed(lp)
+        values = sol.values
+        assert type(values) is np.ndarray and values.dtype == np.float64 and values.shape == (n,)
+        assert not values.flags.writeable
+        off = np.ones(n, dtype=bool)
+        off[[j for row in rows for j in row]] = False
+        assert off.any() and not values[off].any(), k
+        full = float(np.dot(np.asarray(values), np.asarray(lp.costs, dtype=float)))
+        assert sol.objective_value.hex() == full.hex(), (k, rows, costs)
 
 
 def test_empty_row_raises_infeasible():
