@@ -26,6 +26,9 @@ WEIGHT_KINDS = ("poisson", "uniform", "equal")
 #: controls the expected edge count.
 DEFAULT_INITIATOR = ((0.9, 0.5), (0.5, 0.1))
 
+#: Most node pairs ``_er`` draws at once (8 MB of doubles).
+_ER_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -131,7 +134,14 @@ def _er(spec: GeneratorSpec) -> Graph:
     # row u starts at offset u(n-1) - u(u-1)/2, so u is found by binary
     # search over the row offsets and v follows from the offset within
     # the row. This avoids two index arrays of n(n-1)/2 entries each.
-    kept = np.flatnonzero(rng.random(n * (n - 1) // 2) < spec.p)
+    # Pairs are drawn in chunks of at most ``_ER_CHUNK``: PCG64 gives the
+    # same doubles whether they are drawn at once or in pieces, so only
+    # the kept indices grow with n(n-1)/2.
+    pairs = n * (n - 1) // 2
+    kept = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        start + np.flatnonzero(rng.random(min(_ER_CHUNK, pairs - start)) < spec.p)
+        for start in range(0, pairs, _ER_CHUNK)
+    ])
     rows = np.arange(n)
     offsets = rows * (n - 1) - rows * (rows - 1) // 2
     u = np.searchsorted(offsets, kept, side="right") - 1

@@ -5,9 +5,10 @@ sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
 are immutable after construction: an attack bans the edges it cuts
 instead of building a residual graph. Construction records whether every
 weight is a Python ``int`` (``_int_weights``; sums are then exact). A
-graph caches two things, one entry each: the distance bound
-:func:`shortest_path` uses for its last target, and the cut LP's columns
-for its last protected path (see :func:`pathcut.lp.build_cover_lp`).
+graph builds its adjacency lists on the first search, and caches two
+things, one entry each: the distance bound :func:`shortest_path` uses for
+its last target, and the cut LP's columns for its last protected path
+(see :func:`pathcut.lp.build_cover_lp`).
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -62,6 +63,10 @@ class Graph:
         Iterable of ``(u, v, weight)`` or ``(u, v, weight, cost)`` records.
         When cost is omitted it defaults to the weight. Self-loops and
         duplicate unordered pairs are rejected.
+
+    Construction stores the weight and cost maps; :meth:`_adjacency` builds
+    the adjacency lists on the first search, so a graph read only for its
+    keys (the unit-weight graph ``assign_weights`` reads) never builds them.
     """
 
     __slots__ = ("node_count", "_weights", "_costs", "_adj", "_int_weights", "_bound", "_columns")
@@ -104,37 +109,51 @@ class Graph:
                 raise InputError(f"weight or cost on edge {k} is negative or not finite")
             weights[k] = w
             costs[k] = c
-        self._fill(node_count, weights, costs)
+        self._fill(node_count, weights, costs, all(type(w) is int for w in weights.values()))
 
     @classmethod
     def _trusted(cls, node_count: int, weights: dict) -> "Graph":
         """Unchecked graph over a map the library built, with canonical,
-        distinct, in-range keys; each cost equals its weight. The one dict
-        serves as both maps: a graph never mutates them and exposes them
-        read-only."""
+        distinct, in-range keys and Python ``int`` weights (the generators'
+        unit weights, ``assign_weights``' ``tolist`` draws), so no weight is
+        scanned; each cost equals its weight. The one dict serves as both
+        maps: a graph never mutates them and exposes them read-only."""
         g = cls.__new__(cls)
-        g._fill(node_count, weights, weights)
+        g._fill(node_count, weights, weights, True)
         return g
 
-    def _fill(self, node_count: int, weights: dict, costs: dict) -> None:
-        """The one construction body. Neighbours are appended in sorted key
-        order, which leaves every adjacency list sorted by node id: for a
-        node ``x`` the keys ``(a, x)`` with ``a < x`` all sort before the
-        keys ``(x, b)``."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(node_count)]
-        for (u, v), w in sorted(weights.items()):
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+    def _fill(self, node_count: int, weights: dict, costs: dict, int_weights: bool) -> None:
+        """The one construction body; it builds no adjacency lists.
+        ``int_weights`` says whether every weight is a Python ``int``, so
+        that sums are exact."""
         self.node_count = node_count
         self._weights = weights
         self._costs = costs
-        self._adj = adj
-        # Whether every weight is an ``int``, so that sums are exact.
-        self._int_weights = all(type(w) is int for w in weights.values())
+        self._int_weights = int_weights
+        # Adjacency lists, built on first search by _adjacency(), or None.
+        self._adj = None
         # (t, allowed_nodes, bound list) of the last search target, or None.
         self._bound = None
         # (protected edges, edge_order, index, costs) of the last cut LP, or None.
         self._columns = None
+
+    def _adjacency(self) -> list[list[tuple[int, float]]]:
+        """Per-node ``(neighbour, weight)`` lists, built on the first call.
+
+        Neighbours are appended in sorted key order, which leaves every
+        list sorted by node id: for a node ``x`` the keys ``(a, x)`` with
+        ``a < x`` all sort before the keys ``(x, b)``. The lists are
+        stored by one assignment, as the distance bound is: two threads
+        may both build them, and each reader sees ``None`` or a whole
+        list."""
+        adj = self._adj
+        if adj is None:
+            adj = [[] for _ in range(self.node_count)]
+            for (u, v), w in sorted(self._weights.items()):
+                adj[u].append((v, w))
+                adj[v].append((u, w))
+            self._adj = adj
+        return adj
 
     # -- lookups ---------------------------------------------------------
 
@@ -184,10 +203,10 @@ class Graph:
 
     def neighbors(self, u: int) -> Sequence[tuple[int, float]]:
         """Neighbors of ``u`` as (node, weight) pairs, sorted by node id."""
-        return self._adj[self.check_node(u)]
+        return self._adjacency()[self.check_node(u)]
 
     def degree(self, u: int) -> int:
-        return len(self._adj[self.check_node(u)])
+        return len(self._adjacency()[self.check_node(u)])
 
     def total_weight(self):
         return sum(self._weights.values())
@@ -259,9 +278,6 @@ class Path:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def reverse(self) -> "Path":
-        return Path(self.nodes[::-1])
-
     def __eq__(self, other):
         if isinstance(other, Path):
             return self.nodes == other.nodes
@@ -302,6 +318,7 @@ def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> lis
             and (cached[1] is allowed_nodes or cached[1] == allowed_nodes)):
         return cached[2]
     exact = g._int_weights
+    adj = g._adjacency()
     bound = [math.inf] * g.node_count
     bound[t] = 0
     heap = [(0, t)]
@@ -309,7 +326,7 @@ def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> lis
         d, u = heapq.heappop(heap)
         if d > bound[u]:
             continue
-        for v, w in g._adj[u]:
+        for v, w in adj[u]:
             if allowed_nodes is not None and v not in allowed_nodes:
                 continue
             dv = d + w if exact else 0
@@ -389,6 +406,7 @@ def shortest_path(
     limit = inf if max_length is None else max_length
     if bound[s] == inf or bound[s] > limit:
         return None
+    adj = g._adjacency()
     heap: list[tuple] = [(bound[s], (s,))]
     done: set[int] = set()
     best: dict[int, float] = {s: 0}
@@ -401,7 +419,7 @@ def shortest_path(
         if u == t:
             return Path(nodes)
         dist = best[u]
-        for v, w in g._adj[u]:
+        for v, w in adj[u]:
             if v in done or v in banned_nodes:
                 continue
             h = bound[v]
@@ -426,6 +444,7 @@ def bfs_hops(g: Graph, s: int, max_hops: Optional[int] = None) -> dict[int, int]
     ``max_hops`` truncates the search (nodes farther away are omitted).
     """
     s = g.check_node(s)
+    adj = g._adjacency()
     dist = {s: 0}
     frontier = deque([s])
     while frontier:
@@ -433,7 +452,7 @@ def bfs_hops(g: Graph, s: int, max_hops: Optional[int] = None) -> dict[int, int]
         d = dist[u]
         if max_hops is not None and d >= max_hops:
             continue
-        for v, _ in g._adj[u]:
+        for v, _ in adj[u]:
             if v not in dist:
                 dist[v] = d + 1
                 frontier.append(v)
@@ -462,11 +481,11 @@ class CutPlan:
     certificate: Optional[tuple] = None
 
 
-def make_cut_plan(g: Graph, p_star: Optional[Path], removed: Iterable, method_tag: str, **extra) -> CutPlan:
+def make_cut_plan(g: Graph, p_star: Path, removed: Iterable, method_tag: str, **extra) -> CutPlan:
     """Build a :class:`CutPlan`, computing the total cost from ``g`` and
     enforcing that no protected edge is removed."""
     keys = frozenset(edge_key(*e) for e in removed)
-    protected = frozenset(p_star.edges) if p_star is not None else frozenset()
+    protected = frozenset(p_star.edges)
     total = 0
     for k in sorted(keys):
         if k in protected:

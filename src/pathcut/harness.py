@@ -29,7 +29,7 @@ import numpy as np
 from .attack import METHOD_GREEDY_COST, METHODS, AttackConfig, run_attack
 from .errors import InputError, InstanceSkip, PathCutError, check_count, check_field_types
 from .generators import GeneratorSpec, WeightScheme, assign_weights, generate
-from .graphs import Graph, Path, bfs_hops
+from .graphs import Graph, Path, _distance_bound, bfs_hops
 from .paths import k_shortest_paths
 
 logger = logging.getLogger(__name__)
@@ -164,7 +164,9 @@ def select_terminals(g: Graph, mode: str, seed: int, hop_distance: int = 50) -> 
             t = int(rng.integers(g.node_count))
             if t == s:
                 continue
-            if t in bfs_hops(g, s):
+            # The bound to t is the one select_p_star's first search reads
+            # back from the graph's cache.
+            if _distance_bound(g, t, None)[s] != math.inf:
                 return s, t
         else:
             ring = sorted(v for v, d in bfs_hops(g, s, max_hops=hop_distance).items()

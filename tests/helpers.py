@@ -193,6 +193,35 @@ def reference_er(n, p, seed):
     return Graph(n, [(int(u), int(v), 1, 1) for u, v in zip(iu[mask], ju[mask])])
 
 
+def reference_select_terminals_uniform(g, seed, retries):
+    """``select_terminals`` in uniform mode, with reachability tested by a
+    search from s over the edge keys: the (s, t) pair the library must return,
+    or None where it must raise ``InstanceSkip``."""
+    if g.node_count < 2:
+        return None
+    neighbours = [[] for _ in range(g.node_count)]
+    for u, v in g.edges():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    rng = np.random.default_rng(seed)
+    for _ in range(retries):
+        s = int(rng.integers(g.node_count))
+        t = int(rng.integers(g.node_count))
+        if t == s:
+            continue
+        seen = {s}
+        frontier = [s]
+        while frontier:
+            u = frontier.pop()
+            for v in neighbours[u]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        if t in seen:
+            return s, t
+    return None
+
+
 def reference_adjacency(g):
     """Adjacency lists built from the finished weight map and sorted, as
     ``Graph`` built them before it filed edges while validating."""

@@ -4,8 +4,9 @@ from typing import Optional
 
 import pytest
 
-from helpers import reference_er
-from pathcut import Graph, InputError
+import pathcut.generators
+from helpers import reference_adjacency, reference_er
+from pathcut import Graph, InputError, shortest_path
 from pathcut.errors import check_field_types
 from pathcut.generators import WEIGHT_KINDS, GeneratorSpec, WeightScheme, assign_weights, generate
 
@@ -162,8 +163,21 @@ def test_er_matches_triu_indices_reference(n, p):
     g = generate(GeneratorSpec(family="er", n=n, p=p, seed=n))
     ref = reference_er(n, p, seed=n)
     assert g.edge_records() == ref.edge_records()
-    assert g._adj == ref._adj
+    assert g._adjacency() == ref._adjacency()
     assert all(type(u) is int and type(v) is int for u, v in g.edges())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+@pytest.mark.parametrize("p", [0, 0.05, 0.5, 1])
+def test_er_drawn_in_chunks_matches_triu_indices_reference(monkeypatch, chunk, n, p):
+    # Chunked draws take the same PCG64 doubles as one draw of every pair,
+    # so the records and their order do not depend on the chunk size.
+    monkeypatch.setattr(pathcut.generators, "_ER_CHUNK", chunk)
+    g = generate(GeneratorSpec(family="er", n=n, p=p, seed=n))
+    ref = reference_er(n, p, seed=n)
+    assert list(g._weights.items()) == list(ref._weights.items())
+    assert g.node_count == ref.node_count
 
 
 @pytest.mark.parametrize("kind", WEIGHT_KINDS)
@@ -176,14 +190,17 @@ def test_assigned_weights_are_python_ints(kind):
     assert all(type(c) is int for c in g.costs.values())
 
 
-@pytest.mark.parametrize("kind", (None,) + WEIGHT_KINDS)
-@pytest.mark.parametrize("spec", [
+FAMILY_SPECS = [
     GeneratorSpec(family="er", n=80, p=0.1, seed=3),
     GeneratorSpec(family="ba", n=60, m=3, seed=3),
     GeneratorSpec(family="kronecker", iterations=6, density=0.1, seed=3),
     GeneratorSpec(family="lattice", rows=5, cols=6),
     GeneratorSpec(family="complete", n=9),
-], ids=lambda spec: spec.family)
+]
+
+
+@pytest.mark.parametrize("kind", (None,) + WEIGHT_KINDS)
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family)
 def test_trusted_build_matches_validated_build(spec, kind):
     # generate and assign_weights build without record checks; the result
     # must be what Graph(n, records) builds from the same keys in the same
@@ -195,8 +212,36 @@ def test_trusted_build_matches_validated_build(spec, kind):
     assert g.node_count == ref.node_count and g.edge_count > 0
     assert list(g._weights.items()) == list(ref._weights.items())
     assert list(g._costs.items()) == list(ref._costs.items())
-    assert g._adj == ref._adj
+    assert g._adjacency() == ref._adjacency()
     assert g._int_weights is ref._int_weights is True
+
+
+@pytest.mark.parametrize("scheme", [None] + [WeightScheme(kind=k, seed=5) for k in WEIGHT_KINDS]
+                         + [WeightScheme(kind="uniform", upper=2**62, seed=5)],
+                         ids=lambda scheme: "unit" if scheme is None else f"{scheme.kind}-{scheme.upper}")
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family)
+def test_trusted_int_flag_equals_the_weight_scan(spec, scheme):
+    # Trusted builds set _int_weights without scanning; the flag must be
+    # what Graph.__init__'s scan finds.
+    g = generate(spec)
+    if scheme is not None:
+        g = assign_weights(g, scheme)
+    assert g._int_weights is all(type(w) is int for w in g._weights.values())
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family)
+def test_adjacency_is_built_on_first_search_only(spec, kind):
+    # assign_weights reads the unit graph's keys only, so that graph never
+    # builds adjacency lists; the weighted graph builds them on its first
+    # search, equal to lists sorted from the finished weight map.
+    unit = generate(spec)
+    g = assign_weights(unit, WeightScheme(kind=kind, value=2, seed=4))
+    assert unit._adj is None and g._adj is None
+    shortest_path(g, 0, g.node_count - 1)
+    assert unit._adj is None
+    assert g._adj == reference_adjacency(g)
+    assert g._adjacency() is g._adj
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0, 1.5])

@@ -1,5 +1,7 @@
 import pickle
 import re
+import sys
+import threading
 from itertools import combinations, islice
 
 import numpy as np
@@ -91,7 +93,39 @@ def test_graph_adjacency_matches_sorted_weight_map():
                    for u, v in combinations(range(n), 2) if rng.random() < 0.4]
         records = [records[i] for i in rng.permutation(len(records))]
         g = Graph(n, records)
-        assert g._adj == reference_adjacency(g)
+        assert g._adjacency() == reference_adjacency(g)
+
+
+def test_adjacency_built_concurrently_by_first_searches():
+    # Threads that search a fresh graph at once may each build the
+    # adjacency lists; every search must still see whole lists and return
+    # the single-threaded path.
+    spec = GeneratorSpec(family="er", n=120, p=0.08, seed=9)
+    scheme = WeightScheme(kind="poisson", rate=5.0, seed=9)
+    want = shortest_path(assign_weights(generate(spec), scheme), 0, 119)
+    assert want is not None and want.num_edges >= 2
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            g = assign_weights(generate(spec), scheme)
+            start = threading.Barrier(8)
+            got = []
+
+            def search():
+                start.wait(timeout=10)
+                got.append((len(g.neighbors(5)), shortest_path(g, 0, 119)))
+
+            workers = [threading.Thread(target=search) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+            assert got == [(len(reference_adjacency(g)[5]), want)] * 8
+            assert g._adj == reference_adjacency(g)
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 @pytest.mark.parametrize("weight", [1.0, np.int64(1), True])
@@ -345,7 +379,7 @@ def test_path_length_invariant_under_reversal(case):
     g, s, t = case
     p = shortest_path(g, s, t)
     if p is not None:
-        assert path_length(g, p) == path_length(g, p.reverse())
+        assert path_length(g, p) == path_length(g, Path(p.nodes[::-1]))
 
 
 def test_strictly_longer_tolerance():

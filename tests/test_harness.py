@@ -1,11 +1,14 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+from helpers import reference_select_terminals_uniform
 from pathcut import Graph, InputError, InstanceSkip, Path, bfs_hops
 from pathcut.generators import GeneratorSpec, WeightScheme
 from pathcut.harness import (
+    SELECTION_RETRIES,
     ExperimentConfig,
     load_edge_list,
     neighborhood_mask,
@@ -133,6 +136,36 @@ def test_select_terminals_skip_when_unreachable():
     g = Graph(4, [(0, 1, 1)])
     with pytest.raises(InstanceSkip):
         select_terminals(g, "hop", seed=0, hop_distance=3)
+
+
+def test_uniform_terminals_match_bfs_reference_on_disconnected_graphs():
+    # Uniform mode tests reachability with the distance bound to t; the
+    # pairs drawn and the skips must be those of a search from s. Graphs have
+    # several components, isolated nodes and int, zero or float weights;
+    # the sparsest ones make most draws fail, so some seeds skip.
+    rng = np.random.default_rng(2024)
+    picked = skipped = 0
+    for seed in range(200):
+        n = int(rng.integers(1, 40))
+        blocks = np.sort(rng.integers(0, n, size=int(rng.integers(1, 5))))
+        density = [0.3, 0.05, 0.002][seed % 3]
+        weight = [1, 0, 0.25][int(rng.integers(3))]
+        records = [(u, v, weight + int(rng.integers(3)))
+                   for u in range(n) for v in range(u + 1, n)
+                   if np.searchsorted(blocks, u, side="right") == np.searchsorted(blocks, v, side="right")
+                   and rng.random() < density]
+        g = Graph(n, records)
+        want = reference_select_terminals_uniform(g, seed, SELECTION_RETRIES)
+        if want is None:
+            with pytest.raises(InstanceSkip):
+                select_terminals(g, "uniform", seed)
+            skipped += 1
+        else:
+            assert select_terminals(g, "uniform", seed) == want
+            # The bound select_p_star's first search reads is cached.
+            assert g._bound[:2] == (want[1], None)
+            picked += 1
+    assert picked > 50 and skipped > 10
 
 
 def test_select_p_star_ranks():
