@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -103,12 +102,21 @@ def lp_path_cover(
     and costs at most ``4*ln(4|P|)`` times the fractional optimum. The LP
     is never re-solved between retries.
 
+    Each attempt draws one uniform per round and column, so the stream
+    of ``rng`` does not depend on which values are zero, but compares only
+    the columns of nonzero value: a draw in ``[0, 1)`` is never below a
+    value ``<= 0``. An attempt then reads the costs and edges of the kept
+    columns only, in increasing index order, and tests each row against
+    their set.
+
     ``rng`` is an integer seed or a ``numpy.random.Generator``. ``solver``
     is the seam for substituting an external LP engine: any callable
     taking a :class:`~pathcut.lp.RelaxedCutLP` and returning an optimal
     :class:`~pathcut.lp.LPSolution`, or raising
     :class:`~pathcut.errors.InfeasibleError` when the LP is infeasible.
-    Its ``values`` may be any float sequence with one entry per column.
+    Its ``values`` may be any float sequence with one entry per column;
+    a column outside every row is kept with its probability like any
+    other.
     """
     if not paths:
         raise InputError("lp_path_cover needs at least one constraint path")
@@ -119,12 +127,16 @@ def lp_path_cover(
     n_draws = math.ceil(math.log(4 * len(paths)))
     bound = 4.0 * math.log(4 * len(paths)) * sol.objective_value
     probs = np.asarray(sol.values)
+    cols = np.flatnonzero(probs)
+    live = probs[cols]
     for retries in range(DEFAULT_RETRY_CAP):
-        kept = (rng.random((n_draws, len(probs))) < probs).any(axis=0).tolist()
-        if not all(any(map(kept.__getitem__, row)) for row in lp.rows):
+        draw = rng.random((n_draws, len(probs)))
+        kept = cols[(draw[:, cols] < live).any(axis=0)].tolist()
+        kept_set = set(kept)
+        if any(kept_set.isdisjoint(row) for row in lp.rows):
             continue
-        cost = float(np.fromiter(compress(lp.costs, kept), dtype=float).sum())
+        cost = float(np.fromiter(map(lp.costs.__getitem__, kept), dtype=float).sum())
         if cost <= bound + 1e-9:
-            return LPCoverResult(edges=frozenset(compress(lp.edge_order, kept)),
+            return LPCoverResult(edges=frozenset(map(lp.edge_order.__getitem__, kept)),
                                  retries=retries, solution=sol)
     raise RoundingFailureError(f"randomized rounding failed {DEFAULT_RETRY_CAP} times", solution=sol)

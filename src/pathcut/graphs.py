@@ -7,8 +7,8 @@ instead of building a residual graph. Construction records whether every
 weight is a Python ``int`` (``_int_weights``; sums are then exact). A
 graph builds its adjacency lists on the first search, and caches two
 things, one entry each: the distance bound :func:`shortest_path` uses for
-its last target, and the cut LP's columns for its last protected path
-(see :func:`pathcut.lp.build_cover_lp`).
+its last target, and the cut LP's columns and rows for its last
+protected path (see :func:`pathcut.lp.build_cover_lp`).
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -134,7 +134,8 @@ class Graph:
         self._adj = None
         # (t, allowed_nodes, bound list) of the last search target, or None.
         self._bound = None
-        # (protected edges, edge_order, index, costs) of the last cut LP, or None.
+        # (protected edges, edge_order, index, costs, rows by node sequence)
+        # of the last cut LP, or None.
         self._columns = None
 
     def _adjacency(self) -> list[list[tuple[int, float]]]:
@@ -265,6 +266,16 @@ class Path:
         self.edges: tuple[EdgeKey, ...] = tuple(
             (a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])
         )
+
+    @classmethod
+    def _trusted(cls, nodes: tuple) -> "Path":
+        """Unchecked path over a nonempty tuple of ``int`` node ids that
+        repeats no node: the sequences :func:`shortest_path` and
+        :class:`~pathcut.paths.PathIterator` build, simple by construction."""
+        p = cls.__new__(cls)
+        p.nodes = nodes
+        p.edges = tuple((a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:]))
+        return p
 
     @property
     def source(self) -> int:
@@ -400,7 +411,7 @@ def shortest_path(
     if allowed_nodes is not None and (s not in allowed_nodes or t not in allowed_nodes):
         return None
     if s == t:
-        return Path((s,)) if max_length is None or max_length >= 0 else None
+        return Path._trusted((s,)) if max_length is None or max_length >= 0 else None
     bound = _distance_bound(g, t, allowed_nodes)
     inf = math.inf
     limit = inf if max_length is None else max_length
@@ -417,7 +428,7 @@ def shortest_path(
             continue
         done.add(u)
         if u == t:
-            return Path(nodes)
+            return Path._trusted(nodes)
         dist = best[u]
         for v, w in adj[u]:
             if v in done or v in banned_nodes:

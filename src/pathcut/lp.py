@@ -92,36 +92,48 @@ def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutL
     path with no cuttable edge is rejected.
 
     The columns -- ``edge_order``, the edge -> variable index map and
-    ``costs`` -- depend only on ``g`` and the protected edge set, so they
-    are cached on ``g`` for the last protected set: constraint generation
-    calls this once per iteration with one more path, and only the rows
-    are built again. The cache is written whole by one assignment, like
-    the distance bound of :func:`~pathcut.graphs.shortest_path`.
+    ``costs`` -- depend only on ``g`` and the protected edge set, and a
+    path's row only on those and its node sequence, so both are cached on
+    ``g`` for the last protected set (see :func:`_cover_lp`). Constraint
+    generation calls this once per iteration with one more path and builds
+    only that path's row; the LP returned holds every row.
     """
     return _cover_lp(g, p_star, paths)
 
 
 # greedy_path_cover calls this, not build_cover_lp, which bench/tracing.py counts as LP builds.
 def _cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutLP:
+    """:func:`build_cover_lp`'s body. ``g._columns`` holds the columns of
+    the last protected set and a dict of the rows built for it, keyed by
+    node sequence. The cache is replaced whole by one assignment when the
+    protected set changes, like the distance bound of
+    :func:`~pathcut.graphs.shortest_path`; the row dict only grows. A row
+    is a pure function of the graph, the protected set and the path, so
+    two threads that store one store equal tuples. A path that raises is
+    not stored, so it raises on every call."""
     protected = frozenset(p_star.edges)
     cached = g._columns
     if cached is not None and cached[0] == protected:
-        _, edge_order, index, cvec = cached
+        _, edge_order, index, cvec, memo = cached
     else:
         edge_order = tuple(filterfalse(protected.__contains__, g.edges()))
         index = dict(zip(edge_order, range(len(edge_order))))
         cvec = tuple(map(g.costs.__getitem__, edge_order))
-        g._columns = (protected, edge_order, index, cvec)
+        memo = {}
+        g._columns = (protected, edge_order, index, cvec, memo)
     rows = []
     for p in paths:
-        cuttable = filterfalse(protected.__contains__, p.edges)
-        try:
-            row = sorted(set(map(index.__getitem__, cuttable)))
-        except KeyError as exc:
-            raise InputError(f"constraint path uses unknown edge {exc.args[0]}") from None
-        if not row:
-            raise InputError(f"uncuttable constraint: {p!r} has only protected edges")
-        rows.append(tuple(row))
+        row = memo.get(p.nodes)
+        if row is None:
+            cuttable = filterfalse(protected.__contains__, p.edges)
+            try:
+                row = tuple(sorted(set(map(index.__getitem__, cuttable))))
+            except KeyError as exc:
+                raise InputError(f"constraint path uses unknown edge {exc.args[0]}") from None
+            if not row:
+                raise InputError(f"uncuttable constraint: {p!r} has only protected edges")
+            memo[p.nodes] = row
+        rows.append(row)
     return RelaxedCutLP(edge_order=edge_order, costs=cvec, rows=tuple(rows))
 
 
@@ -284,13 +296,15 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     range raises :class:`InputError`. Variables absent from
     every row are fixed at 0 (their cost is nonnegative, so this is
     optimal and keeps the solution a vertex); the simplex runs on the
-    active variables only. Row feasibility of the result is re-checked;
-    when the check fails because a row repeats an index,
-    :class:`InputError` names that row. ``values`` is the simplex's array,
-    made read-only. The objective dots it with the costs, zeroed off the
-    active columns, where ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite)
-    are both ``+0.0``: under any BLAS kernel it has the full dot's bits. A
-    dot over the active columns alone would regroup the sum and move them.
+    active variables only, and only their costs are read. Row feasibility
+    is re-checked on the simplex's reduced array and rows, which hold the
+    same floats in the same order as the full ones; when the check fails
+    because a row repeats an index, :class:`InputError` names that row.
+    ``values`` is the simplex's array scattered over all columns, made
+    read-only. The objective dots it with the costs, zeroed off the active
+    columns, where ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite) are
+    both ``+0.0``: under any BLAS kernel it has the full dot's bits. A dot
+    over the active columns alone would regroup the sum and move them.
     """
     n = len(lp.edge_order)
     for i, row in enumerate(lp.rows):
@@ -305,16 +319,17 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
         remap = {j: i for i, j in enumerate(active)}
         reduced_rows = [tuple(map(remap.__getitem__, row)) for row in lp.rows]
         costs[active] = [lp.costs[j] for j in active]
-        values[active] = _bounded_simplex(reduced_rows, costs[active])
-    vals = values.tolist()
-    for row in lp.rows:
-        if sum(map(vals.__getitem__, row)) < 1.0 - FEAS_TOL:
-            # The simplex counts a row's entries as distinct variables, so
-            # a row that repeats an index can end here; name it.
-            for i, r in enumerate(lp.rows):
-                if len(set(r)) < len(r):
-                    raise InputError(f"row {i} repeats a variable index: {r}")
-            raise PathCutError("solver returned an infeasible point")
+        x = _bounded_simplex(reduced_rows, costs[active])
+        values[active] = x
+        xs = x.tolist()
+        for row in reduced_rows:
+            if sum(map(xs.__getitem__, row)) < 1.0 - FEAS_TOL:
+                # The simplex counts a row's entries as distinct variables,
+                # so a row that repeats an index can end here; name it.
+                for i, r in enumerate(lp.rows):
+                    if len(set(r)) < len(r):
+                        raise InputError(f"row {i} repeats a variable index: {r}")
+                raise PathCutError("solver returned an infeasible point")
     values.flags.writeable = False
     return LPSolution(values=values, objective_value=float(np.dot(values, costs)))
 

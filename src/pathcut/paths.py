@@ -115,7 +115,7 @@ class PathIterator:
         for v in nodes:
             node = node.setdefault(v, {})
         self._pending = (nodes, dev)
-        return Path(nodes)
+        return Path._trusted(nodes)
 
     def _spawn_deviations(self, parent: tuple, dev: int) -> None:
         """Push the shortest deviation of ``parent`` at each spur index from

@@ -2,15 +2,18 @@
 
 import heapq
 import math
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 from hypothesis import strategies as st
 
 from pathcut import (
-    ConvergenceError, Graph, InputError, Path, PathCutError, edge_key, path_length, shortest_path,
+    ConvergenceError, Graph, InfeasibleError, InputError, Path, PathCutError, edge_key, path_length,
+    shortest_path,
 )
-from pathcut.lp import FEAS_TOL, RelaxedCutLP
+from pathcut.cover import DEFAULT_RETRY_CAP, LPCoverResult
+from pathcut.errors import RoundingFailureError
+from pathcut.lp import FEAS_TOL, LPSolution, RelaxedCutLP, _bounded_simplex
 from pathcut.reduction import enumerate_simple_paths
 
 #: Float costs for cover tests: exact ties, a pair that differs in the
@@ -454,3 +457,59 @@ def reference_greedy_path_cover(g, p_star, paths):
             edges_of_path[pid] = set()
             remaining -= 1
     return frozenset(chosen)
+
+
+def reference_solve_relaxed(lp):
+    """``pathcut.lp.solve_relaxed`` as it read before its feasibility
+    check moved to the reduced array: the full ``values.tolist()`` pass.
+    The library must return the same bytes."""
+    n = len(lp.edge_order)
+    for i, row in enumerate(lp.rows):
+        if not row:
+            raise InfeasibleError(f"row {i} is empty")
+    values = np.zeros(n)
+    costs = np.zeros(n)
+    if lp.rows:
+        active = sorted({j for row in lp.rows for j in row})
+        if active[0] < 0 or active[-1] >= n:
+            raise InputError(f"row index out of range for {n} variables")
+        remap = {j: i for i, j in enumerate(active)}
+        reduced_rows = [tuple(map(remap.__getitem__, row)) for row in lp.rows]
+        costs[active] = [lp.costs[j] for j in active]
+        values[active] = _bounded_simplex(reduced_rows, costs[active])
+    vals = values.tolist()
+    for row in lp.rows:
+        if sum(map(vals.__getitem__, row)) < 1.0 - FEAS_TOL:
+            # The simplex counts a row's entries as distinct variables, so
+            # a row that repeats an index can end here; name it.
+            for i, r in enumerate(lp.rows):
+                if len(set(r)) < len(r):
+                    raise InputError(f"row {i} repeats a variable index: {r}")
+            raise PathCutError("solver returned an infeasible point")
+    values.flags.writeable = False
+    return LPSolution(values=values, objective_value=float(np.dot(values, costs)))
+
+
+def reference_lp_path_cover(g, p_star, paths, rng, solver=reference_solve_relaxed):
+    """``pathcut.cover.lp_path_cover`` as it read before rounding narrowed
+    to the columns of nonzero value: full-width mask, ``tolist`` and
+    ``compress`` over every column, on the uncached LP. The library must
+    return the same result and leave ``rng`` in the same state."""
+    if not paths:
+        raise InputError("lp_path_cover needs at least one constraint path")
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    lp = reference_build_cover_lp(g, p_star, paths)
+    sol = solver(lp)
+    n_draws = math.ceil(math.log(4 * len(paths)))
+    bound = 4.0 * math.log(4 * len(paths)) * sol.objective_value
+    probs = np.asarray(sol.values)
+    for retries in range(DEFAULT_RETRY_CAP):
+        kept = (rng.random((n_draws, len(probs))) < probs).any(axis=0).tolist()
+        if not all(any(map(kept.__getitem__, row)) for row in lp.rows):
+            continue
+        cost = float(np.fromiter(compress(lp.costs, kept), dtype=float).sum())
+        if cost <= bound + 1e-9:
+            return LPCoverResult(edges=frozenset(compress(lp.edge_order, kept)),
+                                 retries=retries, solution=sol)
+    raise RoundingFailureError(f"randomized rounding failed {DEFAULT_RETRY_CAP} times", solution=sol)

@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 
 import pathcut.cover
-from helpers import FLOAT_COSTS, random_graph, reference_greedy_path_cover
+from helpers import (
+    FLOAT_COSTS,
+    random_graph,
+    reference_greedy_path_cover,
+    reference_lp_path_cover,
+    reference_solve_relaxed,
+)
 from pathcut import Graph, InputError, Path, path_length
 from pathcut.cover import greedy_path_cover, lp_path_cover
 from pathcut.errors import RoundingFailureError
-from pathcut.lp import build_cover_lp, is_integral
+from pathcut.generators import GeneratorSpec, generate
+from pathcut.lp import LPSolution, RelaxedCutLP, build_cover_lp, is_integral, solve_relaxed
 from pathcut.sweeps import clique_instance
 
 
@@ -261,3 +268,152 @@ def test_greedy_matches_edge_keyed_reference_on_seeded_instances():
             seen["error"] += isinstance(want, str)
             seen["multi-edge cover"] += not isinstance(want, str) and len(want) > 1
     assert min(seen.values()) >= 20, seen
+
+
+def _wide_instance(seed):
+    """Seeded ER graph with n in [200, 500], mean degree about 8, integer
+    or float costs with zeros, a protected walk and a few constraint walks:
+    the LP has about 1,000-2,000 columns and a few dozen active ones."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 501))
+    unit = generate(GeneratorSpec("er", n=n, p=8 / n, seed=seed))
+    floats = seed % 2 == 1
+    records = []
+    for u, v in unit.edges():
+        if rng.random() < 0.2:
+            c = 0
+        elif floats:
+            c = FLOAT_COSTS[int(rng.integers(len(FLOAT_COSTS)))]
+        else:
+            c = int(rng.integers(1, 4))
+        records.append((u, v, 1, c))
+    g = Graph(n, records)
+    p_star = _walk(rng, g, 2, 6)
+    protected = frozenset(p_star.edges)
+    paths = [p for p in (_walk(rng, g, 2, 10) for _ in range(int(rng.integers(2, 9))))
+             if not protected.issuperset(p.edges)]
+    return rng, g, p_star, paths
+
+
+def _scaled(solve, factor):
+    """Solver that shrinks every value by ``factor``: rounding then
+    misses rows and retries, or runs out of attempts."""
+    def solver(lp):
+        sol = solve(lp)
+        return LPSolution(values=np.asarray(sol.values) * factor, objective_value=sol.objective_value)
+    return solver
+
+
+def _outside_mass(solve, seed):
+    """Solver in the seam's tuple form that also puts a positive value,
+    -0.0 or a tiny negative value on columns outside every row."""
+    def solver(lp):
+        sol = solve(lp)
+        values = list(sol.values)
+        in_rows = {j for row in lp.rows for j in row}
+        outside = [j for j in range(len(values)) if j not in in_rows]
+        pick = np.random.default_rng(seed).choice(outside, size=12, replace=False).tolist()
+        for j, v in zip(pick, (0.7, 0.05, 0.5, 1.0, -0.0, -0.0, -1e-300, -5e-324, -1e-12,
+                               0.25, -0.0, 1e-300)):
+            values[j] = v
+        return LPSolution(values=tuple(values), objective_value=sol.objective_value + 0.5)
+    return solver
+
+
+def _rounded(cover, g, p_star, paths, seed, solver):
+    rng = np.random.default_rng(seed)
+    try:
+        res = cover(g, p_star, paths, rng, solver=solver)
+        out = (res.edges, res.retries, res.solution)
+    except RoundingFailureError as exc:
+        out = (str(exc), None, exc.solution)
+    sol = out[2]
+    return (out[0], out[1], np.asarray(sol.values).tobytes(), sol.objective_value.hex(),
+            rng.bit_generator.state)
+
+
+def test_lp_cover_matches_full_width_reference_bytes():
+    """Rounding over the columns of nonzero value returns what the
+    full-width rounding returned, on 240 wide seeded instances: the edges,
+    retries, solution bytes, objective bits, and the generator state after
+    the call. Each instance rounds twice on one graph, the second time with
+    one more constraint, so the second build reads its rows from the cache.
+    A third of the instances shrink the values so that rounding retries,
+    and some run out of attempts; a sixth put mass on columns outside every
+    row through the solver seam."""
+    seen = {"int": 0, "float": 0, "retries": 0, "failed": 0, "outside kept": 0, "zero cost": 0}
+    for seed in range(240):
+        rng, g, p_star, paths = _wide_instance(seed)
+        assert len(paths) >= 2, seed
+        mode = seed % 6
+        if mode in (0, 1):
+            factor = (0.3, 0.15)[mode]
+            ours, ref = _scaled(solve_relaxed, factor), _scaled(reference_solve_relaxed, factor)
+        elif mode == 2:
+            ours, ref = _outside_mass(solve_relaxed, seed), _outside_mass(reference_solve_relaxed, seed)
+        else:
+            ours, ref = solve_relaxed, reference_solve_relaxed
+        seen["float" if seed % 2 else "int"] += 1
+        seen["zero cost"] += 0 in g.costs.values()
+        for k in (len(paths) - 1, len(paths)):
+            draw_seed = int(rng.integers(2**32))
+            got = _rounded(lp_path_cover, g, p_star, paths[:k], draw_seed, ours)
+            want = _rounded(reference_lp_path_cover, g, p_star, paths[:k], draw_seed, ref)
+            assert got == want, (seed, k)
+            if got[1] is None:
+                seen["failed"] += 1
+                continue
+            seen["retries"] += got[1] > 0
+            if mode == 2:
+                lp = build_cover_lp(g, p_star, paths[:k])
+                in_rows = {lp.edge_order[j] for row in lp.rows for j in row}
+                seen["outside kept"] += not got[0] <= in_rows
+    assert min(seen.values()) >= 10, seen
+
+
+class _CountingColumns:
+    """Column sequence that counts its reads and refuses a full pass."""
+
+    def __init__(self, items):
+        self._items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return self._items[j]
+
+    def __iter__(self):
+        raise AssertionError("a pass over every column")
+
+
+def test_lp_cover_reads_active_columns_only(monkeypatch):
+    """On a 72x72 lattice (10,224 columns), a solve and rounding read the
+    cost and edge of a few columns per active one, never all of them."""
+    g = generate(GeneratorSpec("lattice", rows=72, cols=72))
+    rng = np.random.default_rng(12)
+    p_star = _walk(rng, g, 10, 30)
+    paths = [p for p in (_walk(rng, g, 5, 40) for _ in range(12))
+             if not set(p.edges) <= set(p_star.edges)]
+    built = []
+
+    def counting_build(*args):
+        lp = build_cover_lp(*args)
+        lp = RelaxedCutLP(edge_order=_CountingColumns(lp.edge_order),
+                          costs=_CountingColumns(lp.costs), rows=lp.rows)
+        built.append(lp)
+        return lp
+
+    monkeypatch.setattr(pathcut.cover, "build_cover_lp", counting_build)
+    assert g.edge_count >= 10_000
+    for seed in range(5):
+        res = lp_path_cover(g, p_star, paths, rng=seed)
+        lp = built[-1]
+        active = len({j for row in lp.rows for j in row})
+        assert 10 <= active <= 400
+        assert lp.edge_order.reads == len(res.edges) <= active
+        # One read per active column in the solve, one per kept column on
+        # each draw that covers every row.
+        assert lp.costs.reads <= active * (res.retries + 2)

@@ -226,17 +226,67 @@ def test_cover_lp_column_cache_holds_one_entry():
     first, second, *others = k_shortest_paths(g, s, t, 6)
     assert g._columns is None
     lp = build_cover_lp(g, first, others)
-    key, edge_order, index, costs = g._columns
+    key, edge_order, index, costs, rows = g._columns
     assert key == frozenset(first.edges)
     assert (edge_order, costs) == (lp.edge_order, lp.costs)
     assert index == {e: j for j, e in enumerate(edge_order)}
+    assert rows == {p.nodes: row for p, row in zip(others, lp.rows)}
     build_cover_lp(g, second, others)
     assert g._columns[0] == frozenset(second.edges)
+    assert g._columns[4] is not rows
     assert g == fresh and fresh._columns is None
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and copy._columns == g._columns
     assert build_cover_lp(copy, first, others) == lp
     assert g.remove_edges([first.edges[0]])._columns is None
+
+
+def test_cover_lp_errors_are_not_memoized():
+    # A path that raises stores no row, so it raises again on the next
+    # call, also after other paths filled the row cache.
+    records = [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 1, 5), (2, 3, 1, 7), (0, 3, 1, 11)]
+    g = Graph(4, records)
+    p_star = Path((0, 1, 2, 3))
+    ok = [Path((0, 2, 3)), Path((0, 3))]
+    for paths, message in (
+        ([Path((0, 1, 2))], r"^uncuttable constraint: Path\(0-1-2\) has only protected edges$"),
+        ([Path((0, 1, 3))], r"^constraint path uses unknown edge \(1, 3\)$"),
+    ):
+        for _ in range(2):
+            assert build_cover_lp(g, p_star, ok).rows == ((0,), (1,))
+            with pytest.raises(InputError, match=message):
+                build_cover_lp(g, p_star, ok + paths)
+        assert set(g._columns[4]) == {p.nodes for p in ok}
+
+
+def test_memoized_rows_match_reference_while_protected_paths_alternate():
+    # Each protected path takes a run of growing constraint sets before the
+    # other takes over: within a run every row but the newest comes from
+    # the cache, and a cache kept across a change of protected set would
+    # serve rows indexed for the other path.
+    rng = np.random.default_rng(811)
+    checked = 0
+    for _ in range(20):
+        g = _zero_cost_graph(rng, int(rng.integers(7, 12)), float(rng.uniform(0.3, 0.7)))
+        pair = reachable_pair(rng, g)
+        if pair is None:
+            continue
+        ranked = k_shortest_paths(g, *pair, 10)
+        if len(ranked) < 6:
+            continue
+        stars = ranked[:2]
+        for run in range(4):
+            p_star = stars[run % 2]
+            others = [p for p in ranked if p != p_star]
+            memo = None
+            for k in range(1, len(others) + 1):
+                got = build_cover_lp(g, p_star, others[:k])
+                assert got == reference_build_cover_lp(g, p_star, others[:k])
+                assert memo is None or g._columns[4] is memo
+                memo = g._columns[4]
+                assert memo == {p.nodes: row for p, row in zip(others[:k], got.rows)}
+                checked += 1
+    assert checked > 100
 
 
 def test_rows_sum_to_at_least_one():

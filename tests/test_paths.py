@@ -390,3 +390,31 @@ def test_lawler_ranking_runs_fewer_spur_searches(monkeypatch):
     monkeypatch.setattr(pathcut.paths, "shortest_path", counting("bounded"))
     assert [p.nodes for p in PathIterator(g, 0, 35, limit=40)] == got
     assert (calls["library"], calls["bounded"], calls["bounded none"]) == (236, 236, 166), calls
+
+
+def _same_as_checked(p):
+    assert type(p) is Path and all(type(v) is int for v in p.nodes)
+    q = Path(p.nodes)
+    assert (p.nodes, p.edges, hash(p)) == (q.nodes, q.edges, hash(q))
+
+
+def test_kernel_paths_equal_checked_paths():
+    # Searches and the ranking build their paths unchecked; each must be
+    # the path the public constructor builds from the same nodes.
+    rng = np.random.default_rng(4242)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(4, 14))
+        g = random_graph(rng, n, float(rng.uniform(0.3, 0.8)))
+        if trial % 2:
+            g = Graph(n, [(u, v, w / 7, c) for u, v, w, c in g.edge_records()])
+        s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+        same = shortest_path(g, s, s)
+        _same_as_checked(same)
+        for p in PathIterator(g, s, t, banned_edges=g.edges()[:2], limit=12):
+            _same_as_checked(p)
+            checked += 1
+        competitor = next_shortest_excluding(g, s, t, Path((s, t)))
+        if competitor is not None:
+            _same_as_checked(competitor)
+    assert checked > 100
