@@ -37,7 +37,8 @@ METHODS = (
 )
 #: Relative tolerance of greedy eigenscore's tie rule (see _top_eigenscore).
 TIE_RTOL = 1e-9
-#: Power-iteration steps before principal_eigenvector gives up.
+#: principal_eigenvector's relative residual tolerance, and its step limit.
+POWER_TOL = 1e-8
 MAX_POWER_ITER = 10_000
 
 
@@ -116,7 +117,7 @@ def _top_eigenscore(g: Graph):
     that, and ratios further apart are ranked as they are. This does not
     make plans independent of the summation order or the numpy build in
     every case: an order can make the residual test pass one iterate
-    earlier or later (vectors about ``tol`` apart), and a ratio lying
+    earlier or later (vectors about ``POWER_TOL`` apart), and a ratio lying
     right at the ``top * (1 - TIE_RTOL)`` floor can fall on either side
     of it. Zero-cost edges (ratio ``inf``) tie only with each other, and
     when every ratio is 0 all tie.
@@ -150,13 +151,13 @@ def _adjacency_product(g: Graph):
     return lambda x: np.bincount(dst, weights=x[src], minlength=n)
 
 
-def principal_eigenvector(g: Graph, tol: float = 1e-8) -> np.ndarray:
+def principal_eigenvector(g: Graph) -> np.ndarray:
     """Unit-norm nonnegative principal eigenvector of the unweighted
     adjacency matrix, by power iteration.
 
     Iterates with ``A + I`` so bipartite graphs (whose spectrum is
     symmetric) still converge; the residual test uses ``A`` itself:
-    ``||Av - lambda*v|| <= tol * lambda`` with the Rayleigh-quotient
+    ``||Av - lambda*v|| <= POWER_TOL * lambda`` with the Rayleigh-quotient
     estimate of ``lambda``.
 
     Each step computes one product ``A @ v`` and uses it for the Rayleigh
@@ -183,7 +184,7 @@ def principal_eigenvector(g: Graph, tol: float = 1e-8) -> np.ndarray:
         r = av - lam * nxt
         residual = math.sqrt(r.dot(r))
         v = nxt
-        if residual <= tol * max(lam, 1e-30):
+        if residual <= POWER_TOL * max(lam, 1e-30):
             return v
     raise ConvergenceError(f"power iteration did not converge in {MAX_POWER_ITER} steps")
 

@@ -167,7 +167,7 @@ def _ba(spec: GeneratorSpec) -> Graph:
         for tgt in sorted(targets):
             edges[(tgt, new)] = 1
             repeated.extend((tgt, new))
-    return Graph._trusted(n, edges)
+    return Graph._trusted(n, dict.fromkeys(sorted(edges), 1))  # (tgt, new) came by new
 
 
 def _kronecker(spec: GeneratorSpec) -> Graph:

@@ -1,14 +1,14 @@
 """Undirected graphs with per-edge traversal weights and removal costs.
 
 Edges are addressed everywhere by their canonical key: the endpoint pair
-sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. Graphs
-are immutable after construction: an attack bans the edges it cuts
-instead of building a residual graph. Construction records whether every
-weight is a Python ``int`` (``_int_weights``; sums are then exact). A
-graph builds its adjacency lists on the first search, and caches two
-things, one entry each: the distance bound :func:`shortest_path` uses for
-its last target, and the cut LP's columns and rows for its last
-protected path (see :func:`pathcut.lp.build_cover_lp`).
+sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. A
+graph's maps iterate in sorted key order, fixed at construction. Graphs
+are immutable: attacks ban edges instead of building residual graphs.
+Construction records whether every weight is a Python ``int``
+(``_int_weights``; sums are then exact). A graph builds its adjacency
+lists on the first search and caches one entry each of the distance bound
+:func:`shortest_path` uses for its last target and the cut LP's columns
+and rows (:func:`pathcut.lp.build_cover_lp`) for its last protected path.
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -64,9 +64,10 @@ class Graph:
         When cost is omitted it defaults to the weight. Self-loops and
         duplicate unordered pairs are rejected.
 
-    Construction stores the weight and cost maps; :meth:`_adjacency` builds
-    the adjacency lists on the first search, so a graph read only for its
-    keys (the unit-weight graph ``assign_weights`` reads) never builds them.
+    Construction stores the weight and cost maps in sorted key order,
+    whatever the record order; :meth:`_adjacency` builds the adjacency
+    lists on the first search, so a graph read only for its keys (the
+    unit-weight graph ``assign_weights`` reads) never builds them.
     """
 
     __slots__ = ("node_count", "_weights", "_costs", "_adj", "_int_weights", "_bound", "_columns")
@@ -109,23 +110,25 @@ class Graph:
                 raise InputError(f"weight or cost on edge {k} is negative or not finite")
             weights[k] = w
             costs[k] = c
-        self._fill(node_count, weights, costs, all(type(w) is int for w in weights.values()))
+        keys = sorted(weights)
+        self._fill(node_count, {k: weights[k] for k in keys}, {k: costs[k] for k in keys},
+                   all(type(w) is int for w in weights.values()))
 
     @classmethod
     def _trusted(cls, node_count: int, weights: dict) -> "Graph":
         """Unchecked graph over a map the library built, with canonical,
-        distinct, in-range keys and Python ``int`` weights (the generators'
-        unit weights, ``assign_weights``' ``tolist`` draws), so no weight is
-        scanned; each cost equals its weight. The one dict serves as both
-        maps: a graph never mutates them and exposes them read-only."""
+        distinct, in-range keys in sorted order and Python ``int`` weights
+        (the generators' unit weights, ``assign_weights``' ``tolist`` draws),
+        so no weight is scanned; each cost equals its weight. One dict serves
+        as both maps: a graph never mutates them and exposes them read-only."""
         g = cls.__new__(cls)
         g._fill(node_count, weights, weights, True)
         return g
 
     def _fill(self, node_count: int, weights: dict, costs: dict, int_weights: bool) -> None:
         """The one construction body; it builds no adjacency lists.
-        ``int_weights`` says whether every weight is a Python ``int``, so
-        that sums are exact."""
+        Both maps must iterate in sorted key order. ``int_weights`` says
+        whether every weight is a Python ``int``, so that sums are exact."""
         self.node_count = node_count
         self._weights = weights
         self._costs = costs
@@ -141,16 +144,16 @@ class Graph:
     def _adjacency(self) -> list[list[tuple[int, float]]]:
         """Per-node ``(neighbour, weight)`` lists, built on the first call.
 
-        Neighbours are appended in sorted key order, which leaves every
-        list sorted by node id: for a node ``x`` the keys ``(a, x)`` with
-        ``a < x`` all sort before the keys ``(x, b)``. The lists are
+        Neighbours are appended in the map's sorted key order, which leaves
+        every list sorted by node id: for a node ``x`` the keys ``(a, x)``
+        with ``a < x`` all sort before the keys ``(x, b)``. The lists are
         stored by one assignment, as the distance bound is: two threads
         may both build them, and each reader sees ``None`` or a whole
         list."""
         adj = self._adj
         if adj is None:
             adj = [[] for _ in range(self.node_count)]
-            for (u, v), w in sorted(self._weights.items()):
+            for (u, v), w in self._weights.items():
                 adj[u].append((v, w))
                 adj[v].append((u, w))
             self._adj = adj
@@ -164,12 +167,12 @@ class Graph:
 
     @property
     def weights(self):
-        """Read-only mapping EdgeKey -> weight."""
+        """Read-only mapping EdgeKey -> weight, in sorted key order."""
         return MappingProxyType(self._weights)
 
     @property
     def costs(self):
-        """Read-only mapping EdgeKey -> removal cost."""
+        """Read-only mapping EdgeKey -> removal cost, in sorted key order."""
         return MappingProxyType(self._costs)
 
     def check_node(self, u) -> int:
@@ -196,11 +199,11 @@ class Graph:
             raise InputError(f"no edge between {u} and {v}") from None
 
     def edges(self) -> list[EdgeKey]:
-        """All edge keys, sorted (deterministic iteration order)."""
-        return sorted(self._weights)
+        """All edge keys, in sorted order (the maps' order)."""
+        return list(self._weights)
 
     def edge_records(self) -> list[tuple[int, int, float, float]]:
-        return [(u, v, self._weights[(u, v)], self._costs[(u, v)]) for u, v in self.edges()]
+        return [(u, v, w, self._costs[(u, v)]) for (u, v), w in self._weights.items()]
 
     def neighbors(self, u: int) -> Sequence[tuple[int, float]]:
         """Neighbors of ``u`` as (node, weight) pairs, sorted by node id."""
@@ -210,6 +213,7 @@ class Graph:
         return len(self._adjacency()[self.check_node(u)])
 
     def total_weight(self):
+        """Sum of the weights in sorted key order, whatever the record order."""
         return sum(self._weights.values())
 
     # -- derivation ------------------------------------------------------
@@ -311,8 +315,8 @@ def path_length(g: Graph, p: Path):
     ``g``.
     """
     total = 0
-    for u, v in p.edges:
-        total += g.weight(u, v)
+    for e in p.edges:  # canonical keys; ``g.weight`` raises for a missing edge
+        total += g._weights[e] if e in g._weights else g.weight(*e)
     return total
 
 
@@ -501,7 +505,7 @@ def make_cut_plan(g: Graph, p_star: Path, removed: Iterable, method_tag: str, **
     for k in sorted(keys):
         if k in protected:
             raise InputError(f"plan removes protected edge {k}")
-        total += g.cost(*k)
+        total += g._costs[k] if k in g._costs else g.cost(*k)  # g.cost raises
     return CutPlan(
         removed_edges=keys,
         total_cost=total,

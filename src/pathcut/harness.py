@@ -127,7 +127,7 @@ def load_edge_list(path) -> LoadedGraph:
         n = max(node_hint, len(labels))
         label_list = tuple(sorted(labels, key=labels.get))
         label_list += tuple(str(i) for i in range(len(label_list), n))
-    graph = Graph(n, sorted(records.values()))
+    graph = Graph(n, records.values())
     return LoadedGraph(graph=graph, labels=label_list)
 
 

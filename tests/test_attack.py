@@ -215,10 +215,11 @@ def test_eigenvector_single_edge_and_clique():
         principal_eigenvector(Graph(0))
 
 
-def test_eigenvector_matches_dense_solver():
+def test_eigenvector_matches_dense_solver(monkeypatch):
     rng = np.random.default_rng(8)
     g = random_graph(rng, 30, 0.2)
-    v = principal_eigenvector(g, tol=1e-10)
+    monkeypatch.setattr(pathcut.attack, "POWER_TOL", 1e-10)
+    v = principal_eigenvector(g)
     A = np.zeros((30, 30))
     for u, w in g.edges():
         A[u, w] = A[w, u] = 1.0
@@ -239,21 +240,23 @@ EIGEN_IDS = ["lattice-10x10", "er-60", "k7", "isolated-node", "no-edges"]
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("g", EIGEN_GRAPHS, ids=EIGEN_IDS)
-def test_eigenvector_bit_identical_to_three_product_loop(g, tol):
+def test_eigenvector_bit_identical_to_three_product_loop(g, tol, monkeypatch):
     # Bit identity, not closeness: on the same product, computing A @ v
     # once per step and reusing it must not change a single iterate.
-    got = principal_eigenvector(g, tol=tol)
+    monkeypatch.setattr(pathcut.attack, "POWER_TOL", tol)
+    got = principal_eigenvector(g)
     expect = reference_principal_eigenvector(g, tol=tol, product=_adjacency_product)
     assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("g", EIGEN_GRAPHS, ids=EIGEN_IDS)
-def test_eigenvector_close_to_dense_three_product_loop(g, tol):
+def test_eigenvector_close_to_dense_three_product_loop(g, tol, monkeypatch):
     # The sparse product sums in another order than a dense matvec, so the
     # vectors may differ in the last bits (greedy eigenscore's tie rule
     # absorbs that), but no more.
-    got = principal_eigenvector(g, tol=tol)
+    monkeypatch.setattr(pathcut.attack, "POWER_TOL", tol)
+    got = principal_eigenvector(g)
     expect = reference_principal_eigenvector(g, tol=tol)
     assert np.max(np.abs(got - expect)) <= 1e-12
     av = dense_adjacency_product(g)(got)

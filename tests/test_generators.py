@@ -203,8 +203,10 @@ FAMILY_SPECS = [
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family)
 def test_trusted_build_matches_validated_build(spec, kind):
     # generate and assign_weights build without record checks; the result
-    # must be what Graph(n, records) builds from the same keys in the same
-    # order, down to dict order and adjacency lists.
+    # must be what Graph(n, records) builds from the same records, down to
+    # dict order and adjacency lists. Graph(n, records) stores its maps in
+    # sorted key order, so this pins _trusted's contract that every family
+    # and scheme hands it a map already in sorted order.
     g = generate(spec)
     if kind is not None:
         g = assign_weights(g, WeightScheme(kind=kind, value=2, seed=4))

@@ -2,7 +2,7 @@ import pickle
 import re
 import sys
 import threading
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -21,9 +21,13 @@ from pathcut import (
     Graph,
     InputError,
     Path,
+    TerminalCutInstance,
+    create_force_path_input,
     edge_key,
+    load_edge_list,
     make_cut_plan,
     path_length,
+    save_edge_list,
     shortest_path,
     strictly_longer,
 )
@@ -94,6 +98,79 @@ def test_graph_adjacency_matches_sorted_weight_map():
         records = [records[i] for i in rng.permutation(len(records))]
         g = Graph(n, records)
         assert g._adjacency() == reference_adjacency(g)
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def _heavy_edge_bits(g):
+    # The three terminal edges create_force_path_input weighs from
+    # total_weight(), as exact bits.
+    fpc = create_force_path_input(TerminalCutInstance(graph=g, budget=1, terminals=(0, 1, 2)))
+    return [(_bits(fpc.graph.weight(*k)), _bits(fpc.graph.cost(*k))) for k in ((0, 1), (1, 2), (0, 2))]
+
+
+def _seeded_records(kind, seed):
+    # Records of a seeded G(24, 0.3) in sorted key order, some written
+    # (v, u); weights are ints, ints with many zeros, or floats whose sums
+    # round, and costs are drawn separately.
+    rng = np.random.default_rng(seed)
+    floats = (0.1, 0.2, 0.3, 0.7, 1e16, 1.0)
+    records = []
+    for u, v in combinations(range(24), 2):
+        if rng.random() >= 0.3:
+            continue
+        if kind == "int":
+            w = int(rng.integers(1, 20))
+        elif kind == "zero":
+            w = int(rng.integers(0, 3)) * int(rng.integers(0, 2))
+        else:
+            w = floats[int(rng.integers(len(floats)))]
+        c = floats[int(rng.integers(len(floats)))]
+        records.append((v, u, w, c) if rng.random() < 0.5 else (u, v, w, c))
+    return records
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("kind", ["int", "zero", "float"])
+def test_record_order_does_not_matter(kind, seed):
+    # Sorted, reversed and shuffled records build the same graph, down to
+    # the maps' iteration order, the adjacency lists and the bits of
+    # total_weight(), which feed create_force_path_input's heavy edges.
+    records = _seeded_records(kind, seed)
+    shuffled = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
+    graphs = [Graph(24, recs) for recs in (records, records[::-1], shuffled)]
+    keys = sorted(edge_key(u, v) for u, v, _, _ in records)
+    views = []
+    for g in graphs:
+        assert g.edges() == list(g.weights) == list(g.costs) == keys
+        assert g._adjacency() == reference_adjacency(g)
+        views.append((g.edge_records(), g._adjacency(), _bits(g.total_weight()), _heavy_edge_bits(g)))
+    assert views[0] == views[1] == views[2]
+
+
+def test_float_total_weight_does_not_depend_on_record_order():
+    # Summed in record order, these six weights give three different
+    # floats over their 720 orders.
+    weights = (0.1, 0.2, 0.3, 0.7, 1e16, 1.0)
+    seen = set()
+    for order in permutations(range(len(weights))):
+        g = Graph(len(weights) + 1, [(i, i + 1, weights[i]) for i in order])
+        seen.add((g.total_weight().hex(), tuple(_heavy_edge_bits(g))))
+    assert len(seen) == 1
+
+
+def test_load_edge_list_does_not_depend_on_line_order(tmp_path):
+    g = Graph(24, _seeded_records("float", 5))
+    save_edge_list(tmp_path / "sorted.edges", g)
+    lines = (tmp_path / "sorted.edges").read_text(encoding="ascii").splitlines()
+    order = np.random.default_rng(5).permutation(len(lines))
+    (tmp_path / "shuffled.edges").write_text("".join(lines[i] + "\n" for i in order), encoding="ascii")
+    want = load_edge_list(tmp_path / "sorted.edges")
+    got = load_edge_list(tmp_path / "shuffled.edges")
+    assert want.graph == got.graph == g and want.labels == got.labels
+    assert got.graph.edge_records() == want.graph.edge_records() == g.edge_records()
 
 
 def test_adjacency_built_concurrently_by_first_searches():
