@@ -81,7 +81,7 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
     removed: frozenset = frozenset()
     while True:
         p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed)
-        if p is None or strictly_longer(path_length(g, p), p_len):
+        if p is None or strictly_longer(length := path_length(g, p), p_len):
             break
         constraints.append(p)
         if len(constraints) > cap:
@@ -90,13 +90,15 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
                 partial={"constraints": len(constraints), "removed_edges": removed},
             )
         removed = cut(constraints, removed)
-    certificate = (None, None, p_len) if p is None else (p.nodes, path_length(g, p), p_len)
+    certificate = (None, None, p_len) if p is None else (p.nodes, length, p_len)
     return removed, len(constraints), certificate
 
 
 def _cheapest_edge(g: Graph):
-    """greedy-cost's rule: the cheapest candidate (ties: smallest edge key)."""
-    return lambda candidates: min(candidates, key=lambda e: (g.cost(*e), e))
+    """greedy-cost's rule: the cheapest candidate (ties: smallest edge key).
+    Candidates are edges of a ``Path``, so canonical keys of ``g``."""
+    costs = g._costs
+    return lambda candidates: min(candidates, key=lambda e: (costs[e], e))
 
 
 def _top_eigenscore(g: Graph):
@@ -123,12 +125,13 @@ def _top_eigenscore(g: Graph):
     when every ratio is 0 all tie.
     """
     vector = principal_eigenvector(g)
+    costs = g._costs  # candidates are canonical keys, as in _cheapest_edge
 
     def choose(candidates):
         def ratio(e):
             u, v = e
             score = float(vector[u] * vector[v])
-            cost = g.cost(u, v)
+            cost = costs[e]
             return math.inf if cost == 0 else score / cost
 
         ratios = [ratio(e) for e in candidates]

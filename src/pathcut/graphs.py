@@ -392,12 +392,16 @@ def shortest_path(
     ranking put 3-5-0 before 3-4-2-5-0, which has the same float length
     and the smaller node sequence (see ``tests/test_paths.py``).
 
-    A push for ``v`` is skipped when its length exceeds the smallest length
-    already pushed for ``v``. That is exact: the cheaper entry pops first
-    and finishes ``v``, so the skipped one could only have been popped and
-    discarded. Pushes of equal length are kept, since the node sequence
-    decides between them. So a node's first-popped entry has the smallest
-    length pushed, which is read back from ``best``.
+    One map is the search's state: ``best[v]`` is the smallest length
+    pushed for ``v``, or ``-inf`` once ``v`` is finished (popped) or if it
+    is banned. Pops of a ``-inf`` node are discarded, and a push for ``v``
+    is skipped when its length exceeds ``best[v]``. That is exact: the
+    cheaper entry pops first and finishes ``v``, so the skipped one could
+    only have been popped and discarded. Pushes of equal length are kept,
+    since the node sequence decides between them. Every test of a push
+    (``best``, the bound, the banned edges, ``max_length``) only filters
+    and has no side effect, so their order changes no result; ``best``
+    goes first, since on a dense graph nearly every neighbour fails it.
 
     ``banned_nodes``/``banned_edges``/``allowed_nodes`` restrict the search
     (used by the path-ranking iterator and by neighborhood-masked runs).
@@ -423,27 +427,25 @@ def shortest_path(
         return None
     adj = g._adjacency()
     heap: list[tuple] = [(bound[s], (s,))]
-    done: set[int] = set()
-    best: dict[int, float] = {s: 0}
+    best: dict[int, float] = dict.fromkeys(banned_nodes, -inf)
+    best[s] = 0
     while heap:
         _, nodes = heapq.heappop(heap)
         u = nodes[-1]
-        if u in done:
+        dist = best[u]
+        if dist == -inf:
             continue
-        done.add(u)
         if u == t:
             return Path._trusted(nodes)
-        dist = best[u]
+        best[u] = -inf
         for v, w in adj[u]:
-            if v in done or v in banned_nodes:
+            d = dist + w
+            if d > best.get(v, inf):
                 continue
             h = bound[v]
             if h == inf:
                 continue
             if banned_edges and ((u, v) if u < v else (v, u)) in banned_edges:
-                continue
-            d = dist + w
-            if d > best.get(v, inf):
                 continue
             key = d + h
             if key > limit:

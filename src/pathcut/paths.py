@@ -1,6 +1,6 @@
 """Ranking simple s-t paths by length, lazily.
 
-:class:`PathIterator` yields simple paths in nondecreasing
+:func:`PathIterator` yields simple paths in nondecreasing
 ``(length, node sequence)`` order using deviation-based ranking: each
 yielded path spawns candidates that share a root prefix and deviate at a
 spur node, with the spur search banning the root's interior nodes and the
@@ -8,16 +8,16 @@ deviation edges already taken by yielded paths with the same prefix: the
 edges to the children of the root's node in a trie of the yielded paths.
 
 Candidates wait in one list sorted by ``(length, nodes)``, so ties
-resolve to the lexicographically smallest sequence. Generation is lazy;
-the constraint-generation oracle (:func:`next_shortest_excluding`)
-materializes at most two paths per call.
+resolve to the lexicographically smallest sequence. Generation is lazy:
+a path spawns its deviations after its ``yield``, when the next path is
+requested, and the constraint-generation oracle
+(:func:`next_shortest_excluding`) materializes at most two paths per call.
 
 Spur searches follow Lawler's rule: a path spawns deviations only from
 its own deviation index onward, the position where it left the yielded
 path that first pushed it (0 for the first shortest path). Searches at
 earlier positions would repeat ones already made, so the ranking is the
-same as when every position is searched (see
-:meth:`PathIterator._spawn_deviations`).
+same as when every position is searched (see :func:`_ranking`).
 
 A consumer that will take at most ``limit`` paths says so. With ``need``
 paths still to yield, the list keeps its ``need`` first candidates only.
@@ -49,7 +49,8 @@ from .errors import InputError, check_count
 from .graphs import Graph, Path, edge_key, path_length, shortest_path
 
 
-class PathIterator:
+def PathIterator(g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
+                 limit: Optional[int] = None) -> Iterator[Path]:
     """Single-consumer iterator over simple s-t paths of an immutable graph.
 
     ``allowed_nodes`` restricts enumeration to the induced subgraph on that
@@ -58,105 +59,90 @@ class PathIterator:
     attacks express the residual graph after their cuts.
     ``limit`` caps the number of paths yielded; a consumer that knows how
     many it will take passes it, so that spur searches can stop early.
+
+    The call checks the arguments and makes the first search. A yielded
+    path spawns its deviations after its ``yield``, so a consumer that
+    stops after one path (the oracle, usually) pays for one search only.
     """
+    s = g.check_node(s)
+    t = g.check_node(t)
+    if s == t:
+        raise InputError("path enumeration needs distinct endpoints")
+    if limit is not None:
+        check_count("limit", limit, 0)
+    allowed = frozenset(allowed_nodes) if allowed_nodes is not None else None
+    banned = frozenset(edge_key(*e) for e in banned_edges)
+    first = shortest_path(g, s, t, banned_edges=banned, allowed_nodes=allowed)
+    return _ranking(g, t, allowed, banned, limit, first)
 
-    def __init__(self, g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
-                 limit: Optional[int] = None):
-        s = g.check_node(s)
-        t = g.check_node(t)
-        if s == t:
-            raise InputError("path enumeration needs distinct endpoints")
-        if limit is not None:
-            check_count("limit", limit, 0)
-        self._g = g
-        self._t = t
-        self._allowed = frozenset(allowed_nodes) if allowed_nodes is not None else None
-        self._banned = frozenset(edge_key(*e) for e in banned_edges)
-        # (length, nodes, deviation index), sorted; at most ``_left`` of them.
-        self._candidates: list[tuple] = []
-        self._seen: set[tuple] = set()
-        self._trie: dict = {}  # yielded paths as nested {node: subtrie}
-        # (nodes, deviation index) of the yielded path awaiting its spawn.
-        self._pending: tuple | None = None
-        # Paths left to yield, or None without a limit.
-        self._left = limit
-        self._cutoff = limit is not None and g._int_weights
-        first = shortest_path(g, s, t, banned_edges=self._banned, allowed_nodes=self._allowed)
-        if first is not None:
-            self._push(path_length(g, first), first.nodes, 0)
 
-    def _push(self, length, nodes: tuple, dev: int) -> None:
+def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
+             first: Optional[Path]) -> Iterator[Path]:
+    """The ranking behind :func:`PathIterator`, with ``left`` paths still to
+    yield (None without a limit). After its ``yield``, a path ``parent``
+    spawns the shortest deviation at each spur index from its deviation
+    index ``dev`` onward (Lawler's rule). The search at root
+    ``parent[:i + 1]`` bans the edge at ``i`` of every yielded path with
+    that root, read from the trie node the loop walks down to.
+
+    Skipping the indices ``i < dev`` is exact. A yielded path that deviated
+    after ``i`` shares its edge at ``i`` with its parent, which has the same
+    root, so each banned edge belongs to a yielded path with that root and
+    deviation index at most ``i``. The last such path spawned at ``i`` after
+    it was yielded, with every one of these edges banned, so its search
+    found the same spur path this one would, and that candidate is already
+    in ``seen``.
+
+    With a limit, each search is cut off above the last candidate's length
+    once the list is full; the module docstring argues why that and
+    Lawler's rule together stay exact.
+    """
+    # (length, nodes, deviation index), sorted; at most ``left`` of them.
+    candidates: list[tuple] = []
+    seen: set[tuple] = set()
+    trie: dict = {}  # yielded paths as nested {node: subtrie}
+    cutoff = left is not None and g._int_weights
+
+    def push(length, nodes: tuple, dev: int) -> None:
         # Node sequences are unique in the list, so ``dev`` never decides
         # the order: it only records where the first push deviated.
-        if nodes not in self._seen:
-            self._seen.add(nodes)
-            insort(self._candidates, (length, nodes, dev))
-            if self._left is not None and len(self._candidates) > self._left:
-                self._candidates.pop()
+        if nodes not in seen:
+            seen.add(nodes)
+            insort(candidates, (length, nodes, dev))
+            if left is not None and len(candidates) > left:
+                candidates.pop()
 
-    def __iter__(self) -> Iterator[Path]:
-        return self
-
-    def __next__(self) -> Path:
-        # Deviations of the last yielded path are spawned only when the
-        # next path is actually requested, so a consumer that stops after
-        # one path (the oracle, usually) pays for one search only.
-        if self._left == 0:
-            raise StopIteration
-        if self._pending is not None:
-            self._spawn_deviations(*self._pending)
-            self._pending = None
-        if not self._candidates:
-            raise StopIteration
-        _, nodes, dev = self._candidates.pop(0)
-        if self._left is not None:
-            self._left -= 1
-        node = self._trie
-        for v in nodes:
+    if first is not None:
+        push(path_length(g, first), first.nodes, 0)
+    while candidates:
+        _, parent, dev = candidates.pop(0)
+        if left is not None:
+            left -= 1
+        node = trie
+        for v in parent:
             node = node.setdefault(v, {})
-        self._pending = (nodes, dev)
-        return Path._trusted(nodes)
-
-    def _spawn_deviations(self, parent: tuple, dev: int) -> None:
-        """Push the shortest deviation of ``parent`` at each spur index from
-        its deviation index ``dev`` onward (Lawler's rule). The search at
-        root ``parent[:i + 1]`` bans the edge at ``i`` of every yielded path
-        with that root, read from the trie node the loop walks down to.
-
-        Skipping the indices ``i < dev`` is exact. A yielded path that
-        deviated after ``i`` shares its edge at ``i`` with its parent, which
-        has the same root, so each banned edge belongs to a yielded path
-        with that root and deviation index at most ``i``. The last such path
-        spawned at ``i`` after it was yielded, with every one of these edges
-        banned, so its search found the same spur path this one would, and
-        that candidate is already in ``_seen``.
-
-        With a limit, each search is cut off above the last candidate's
-        length once the list is full; the module docstring argues why that
-        and Lawler's rule together stay exact.
-        """
-        g = self._g
+        yield Path._trusted(parent)
+        if left == 0:
+            return
         prefix_len = [0]
         for a, b in zip(parent, parent[1:]):  # a path of ``g``: every key is an edge
             prefix_len.append(prefix_len[-1] + g._weights[(a, b) if a < b else (b, a)])
-        node = self._trie
+        node = trie
         for v in parent[:dev]:
             node = node[v]
         for i in range(dev, len(parent) - 1):
             spur = parent[i]
             node = node[spur]
+            # A child of ``spur`` is another node of a simple path, never ``spur``.
             spur_path = shortest_path(
-                g,
-                spur,
-                self._t,
-                banned_nodes=frozenset(parent[:i]),
-                banned_edges=self._banned.union([edge_key(spur, v) for v in node]),
-                allowed_nodes=self._allowed,
-                max_length=(self._candidates[-1][0] - prefix_len[i]
-                            if self._cutoff and len(self._candidates) == self._left else None),
+                g, spur, t, banned_nodes=frozenset(parent[:i]),
+                banned_edges=banned.union([(spur, v) if spur < v else (v, spur) for v in node]),
+                allowed_nodes=allowed,
+                max_length=(candidates[-1][0] - prefix_len[i]
+                            if cutoff and len(candidates) == left else None),
             )
             if spur_path is not None:
-                self._push(prefix_len[i] + path_length(g, spur_path), parent[:i] + spur_path.nodes, i)
+                push(prefix_len[i] + path_length(g, spur_path), parent[:i] + spur_path.nodes, i)
 
 
 def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> list[Path]:

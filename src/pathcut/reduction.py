@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import InfeasibleError, InputError, SizeError
+from .errors import InfeasibleError, InputError, SizeError, check_count
 from .graphs import (
     CutPlan,
     Graph,
@@ -190,6 +190,7 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, max_cuttable: int = MAX_B
     hitting-set problem exactly. The feasibility certificate (shortest
     surviving competitor) is derived from the enumeration itself.
     """
+    check_count("max_cuttable", max_cuttable, 0)
     for u, v in p_star.edges:
         if not g.has_edge(u, v):
             raise InputError(f"target path edge ({u}, {v}) is not in the graph")

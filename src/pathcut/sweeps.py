@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .graphs import Graph, Path
 from .reduction import TerminalCutInstance, brute_force_3tc, brute_force_force_path_cut, solve_3tc_via_fpc
 
@@ -95,6 +95,8 @@ def reduction_equivalence_sweep(
     memoized per transformed graph; the transformation pipeline itself
     runs for every (instance, budget, eps) triple.
     """
+    check_count("random_instances", random_instances, 0)
+    check_count("random_nodes", random_nodes, 3)
     rng = np.random.default_rng(seed)
     checked = 0
     disagreements = 0

@@ -228,6 +228,10 @@ def _bad_inputs(tmp_path):
         "negative neighborhood cap": (["attack", "--graph", str(good), "--rank", "1", "--source", "0",
                                        "--target", "2", "--neighborhood-cap", "-1"],
                                       "neighborhood_cap must be >= 0, got -1"),
+        **{f"{n} random nodes": (["reduce-check", "--random-nodes", str(n)],
+                                 f"random_nodes must be >= 3, got {n}") for n in (0, 1, 2)},
+        "negative brute-force cap": (["brute-force", "--graph", str(good), "--p-star", "0,1,2",
+                                      "--max-cuttable", "-1"], "max_cuttable must be >= 0, got -1"),
     }
 
 
@@ -238,7 +242,8 @@ def _bad_inputs(tmp_path):
     "non-numeric initiator", "zero initiator", "infinite kronecker density",
     "kronecker density above one", "infinite poisson rate", "poisson rate too large",
     "uniform upper beyond int64", "negative generator seed", "negative weight seed",
-    "negative neighborhood cap",
+    "negative neighborhood cap", "0 random nodes", "1 random nodes", "2 random nodes",
+    "negative brute-force cap",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]

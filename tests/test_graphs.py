@@ -425,6 +425,37 @@ def test_bans_after_cached_unbanned_bound_match_reference():
             assert g._bound[0] == t
 
 
+def test_banned_nodes_at_the_source_match_reference():
+    # Banned nodes start the search as finished nodes. A source with one
+    # unbanned neighbour must leave through it; a target reached only
+    # through a banned node is unreachable.
+    rng = np.random.default_rng(2121)
+    cases = 0
+    while cases < 40:
+        n = int(rng.integers(6, 12))
+        g = random_graph(rng, n, float(rng.uniform(0.3, 0.8)), max_weight=4)
+        s, t = 0, n - 1
+        neighbours = sorted(v for v, _ in g.neighbors(s))
+        if t in neighbours or len(neighbours) < 2:
+            continue
+        keep = neighbours[int(rng.integers(len(neighbours)))]
+        banned = frozenset(neighbours) - {keep}
+        got = shortest_path(g, s, t, banned_nodes=banned)
+        expect = reference_shortest_path(g, s, t, banned_nodes=banned)
+        assert (got and got.nodes) == (expect and expect.nodes)
+        assert got is None or got.nodes[1] == keep
+        cases += 1
+    # Two seeded clusters {0..4} and {6..9} joined only through node 5.
+    records = [(u, v, int(rng.integers(1, 5))) for block in (range(5), range(6, 10))
+               for u, v in combinations(block, 2) if rng.random() < 0.8]
+    records += [(3, 5, 1), (4, 5, 2), (5, 6, 1), (5, 8, 3)]
+    g = Graph(10, records)
+    assert 5 in shortest_path(g, 0, 9).nodes
+    banned = frozenset({5})
+    assert shortest_path(g, 0, 9, banned_nodes=banned) is None
+    assert reference_shortest_path(g, 0, 9, banned_nodes=banned) is None
+
+
 def test_remove_edges_identity_empty_and_triangle():
     tri = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     assert tri.remove_edges([]) == tri

@@ -267,6 +267,29 @@ def test_ranked_paths_match_unbounded_reference(monkeypatch):
     assert all(len(calls) > 50 for calls in cut_off.values()), {k: len(v) for k, v in cut_off.items()}
 
 
+def test_the_ranking_is_lazy(monkeypatch):
+    # The call makes the first search; a yielded path spawns its spur
+    # searches only when the next path is requested.
+    g, _ = clique_instance(6)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shortest_path(*args, **kwargs)
+
+    monkeypatch.setattr(pathcut.paths, "shortest_path", counted)
+    ranking = PathIterator(g, 0, 1)
+    assert len(calls) == 1
+    first = next(ranking)
+    assert len(calls) == 1
+    next(ranking)
+    assert len(calls) == 1 + len(first.nodes) - 1
+    calls.clear()
+    # The first path is not p*, so the oracle stops after one search.
+    assert next_shortest_excluding(g, 0, 1, Path((0, 1))) == first
+    assert len(calls) == 1
+
+
 def test_bounded_ranking_is_a_prefix_of_the_unbounded_one(monkeypatch):
     # For every k from 1 to 60, the iterator limited to k paths yields the
     # first k of the unbounded ranking, or all of it when there are fewer.
@@ -286,7 +309,7 @@ def test_bounded_ranking_is_a_prefix_of_the_unbounded_one(monkeypatch):
                 for p in ranking:
                     got.append(p.nodes)
                     # Only the candidates that can still be yielded are kept.
-                    assert len(ranking._candidates) <= k - len(got)
+                    assert len(ranking.gi_frame.f_locals["candidates"]) <= k - len(got)
                 assert got == full[:k], (kind, k, s, t, restrict)
                 short += len(full) < k
         mask = restrict.get("allowed_nodes")
