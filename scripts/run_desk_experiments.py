@@ -6,7 +6,9 @@ Runs the four attack methods over synthetic families sized for a laptop
 quadratic blowup is still tractable), the three weight schemes, target
 ranks {5, 20, 50}, 20 repetitions per block. One results directory per
 (family, size, scheme) block with records.jsonl / timings.jsonl /
-summary.txt.
+summary.txt. A block whose generator spec and scheme an earlier block
+already ran is skipped (the complete-n500 blocks would repeat complete-n100
+byte for byte), and the run prints which block it repeats.
 
 Use --quick for a minutes-long smoke variant.
 """
@@ -58,11 +60,16 @@ def main() -> int:
 
     out_root = Path(args.out)
     started = time.time()
+    ran = {}  # (generator spec, scheme) -> the block that ran it
     for n in sizes:
         specs = family_specs(n)
         for family in args.families.split(","):
             for scheme in args.schemes.split(","):
                 block = out_root / f"{family}-n{n}-{scheme}"
+                first = ran.setdefault((specs[family], scheme), block)
+                if first != block:
+                    print(f"[{family} n={n} {scheme}] repeats {first}; skipped")
+                    continue
                 cfg = ExperimentConfig(
                     generator=specs[family],
                     weight_scheme=WeightScheme(kind=scheme),

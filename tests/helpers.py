@@ -32,6 +32,18 @@ def random_graph(rng, n, p, max_weight=10, costs_equal_weights=True):
     return Graph(n, records)
 
 
+def residual_graph(g, removed):
+    """``g`` without the edges ``removed``, rebuilt from its records; an
+    edge not in ``g`` is rejected, as ``Graph.remove_edges`` rejects it."""
+    gone = set()
+    for e in removed:
+        k = edge_key(*e)
+        if k not in g.weights:
+            raise InputError(f"cannot remove unknown edge {k}")
+        gone.add(k)
+    return Graph(g.node_count, [r for r in g.edge_records() if r[:2] not in gone])
+
+
 def reachable_pair(rng, g):
     """Some (s, t) with an s-t path, or None."""
     comp = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import random_graph
+from helpers import random_graph, residual_graph
 from pathcut import (
     AttackConfig,
     Graph,
@@ -50,7 +50,7 @@ def verified_exclusive(g, p_star, plan):
     """Re-check the success predicate from the plan contents alone."""
     if plan.removed_edges & frozenset(p_star.edges):
         return False
-    residual = g.remove_edges(plan.removed_edges)
+    residual = residual_graph(g, plan.removed_edges)
     alt = next_shortest_excluding(residual, p_star.source, p_star.target, p_star)
     return alt is None or strictly_longer(
         path_length(residual, alt), path_length(g, p_star)

@@ -10,6 +10,7 @@ from helpers import (
     dense_adjacency_product,
     random_graph,
     reference_principal_eigenvector,
+    residual_graph,
     shuffled_adjacency_product,
 )
 from pathcut import Graph, InputError, IterationLimitError, Path, path_length, strictly_longer
@@ -29,7 +30,7 @@ from pathcut.sweeps import clique_instance
 
 
 def assert_exclusive(g, p_star, plan):
-    residual = g.remove_edges(plan.removed_edges)
+    residual = residual_graph(g, plan.removed_edges)
     alt = next_shortest_excluding(residual, p_star.source, p_star.target, p_star)
     target_len = path_length(g, p_star)
     assert alt is None or strictly_longer(path_length(residual, alt), target_len)

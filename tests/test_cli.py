@@ -230,6 +230,10 @@ def _bad_inputs(tmp_path):
                                       "neighborhood_cap must be >= 0, got -1"),
         **{f"{n} random nodes": (["reduce-check", "--random-nodes", str(n)],
                                  f"random_nodes must be >= 3, got {n}") for n in (0, 1, 2)},
+        **{f"{n} max nodes": (["reduce-check", "--max-nodes", str(n), "--random-instances", "0"],
+                              f"max_nodes must be >= 3, got {n}") for n in (-5, 2)},
+        **{f"eps {e}": (["reduce-check", "--max-nodes", "3", "--random-instances", "0", "--eps", e],
+                        f"eps must be positive and finite, got {e}") for e in ("nan", "inf")},
         "negative brute-force cap": (["brute-force", "--graph", str(good), "--p-star", "0,1,2",
                                       "--max-cuttable", "-1"], "max_cuttable must be >= 0, got -1"),
     }
@@ -243,7 +247,7 @@ def _bad_inputs(tmp_path):
     "kronecker density above one", "infinite poisson rate", "poisson rate too large",
     "uniform upper beyond int64", "negative generator seed", "negative weight seed",
     "negative neighborhood cap", "0 random nodes", "1 random nodes", "2 random nodes",
-    "negative brute-force cap",
+    "-5 max nodes", "2 max nodes", "eps nan", "eps inf", "negative brute-force cap",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]

@@ -12,7 +12,7 @@ from helpers import (
     reference_lp_path_cover,
     reference_solve_relaxed,
 )
-from pathcut import Graph, InputError, Path, path_length
+from pathcut import AttackConfig, Graph, InputError, Path, path_length, run_attack
 from pathcut.cover import greedy_path_cover, lp_path_cover
 from pathcut.errors import RoundingFailureError
 from pathcut.generators import GeneratorSpec, generate
@@ -417,3 +417,21 @@ def test_lp_cover_reads_active_columns_only(monkeypatch):
         # One read per active column in the solve, one per kept column on
         # each draw that covers every row.
         assert lp.costs.reads <= active * (res.retries + 2)
+
+
+@pytest.mark.parametrize("method", ["pathattack-lp", "pathattack-greedy"])
+def test_only_the_lp_cover_counts_as_an_lp_build(monkeypatch, method):
+    """The benchmark's tracer counts calls of ``cover.build_cover_lp`` as
+    LP builds: one per PATHATTACK-LP iteration, none for the greedy cover,
+    which reaches the same builder through ``pathcut.lp``."""
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build_cover_lp(*args)
+
+    monkeypatch.setattr(pathcut.cover, "build_cover_lp", counting_build)
+    g, p_star = clique_instance(6)
+    plan = run_attack(g, p_star, AttackConfig(method=method))
+    assert plan.iterations > 1
+    assert len(calls) == (plan.iterations if method == "pathattack-lp" else 0)

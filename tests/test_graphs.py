@@ -15,6 +15,7 @@ from helpers import (
     random_graph,
     reference_adjacency,
     reference_shortest_path,
+    residual_graph,
     small_graph_and_pair,
 )
 from pathcut import (
@@ -480,6 +481,16 @@ def test_remove_edges_preserves_survivors(case):
     for u, v in h.edges():
         assert h.weight(u, v) == g.weight(u, v)
         assert h.cost(u, v) == g.cost(u, v)
+
+
+@given(small_graph_and_pair())
+def test_residual_graph_helper_matches_remove_edges(case):
+    # The tests that check plans on residual graphs build them with the helper.
+    g, _, _ = case
+    victim = [(v, u) for u, v in g.edges()[1::2]]
+    assert residual_graph(g, victim) == g.remove_edges(victim)
+    with pytest.raises(InputError, match="unknown edge"):
+        residual_graph(Graph(3, [(0, 1, 1)]), [(1, 2)])
 
 
 @given(small_graph_and_pair())

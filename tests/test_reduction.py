@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from helpers import random_graph
+from helpers import random_graph, residual_graph
 from pathcut import Graph, InputError, Path, SizeError, path_length
 from pathcut.reduction import (
     TerminalCutInstance,
@@ -20,6 +22,11 @@ def test_instance_validation():
         TerminalCutInstance(graph=g, budget=1, terminals=(0, 1, 1))
     with pytest.raises(InputError):
         TerminalCutInstance(graph=g, budget=-1, terminals=(0, 1, 2))
+    # Accepted, a NaN budget made the transformation answer False on the
+    # path 0-1-2, where brute force answers True.
+    path = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(InputError, match="budget must be nonnegative"):
+        TerminalCutInstance(graph=path, budget=math.nan, terminals=(0, 1, 2))
 
 
 def test_transform_path_graph():
@@ -65,6 +72,9 @@ def test_transform_requires_positive_eps():
     inst = TerminalCutInstance(graph=g, budget=0, terminals=(0, 1, 2))
     with pytest.raises(InputError):
         create_force_path_input(inst, eps=0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(InputError, match=f"eps must be positive and finite, got {eps}"):
+            create_force_path_input(inst, eps=eps)
 
 
 def test_solve_triangle_budgets():
@@ -121,7 +131,7 @@ def test_path_confinement_in_solved_instances():
         if not brute_force_3tc(inst):
             continue
         checked += 1
-        residual = fpc.graph.remove_edges(plan.removed_edges)
+        residual = residual_graph(fpc.graph, plan.removed_edges)
         survivors = [nodes for _, nodes in enumerate_simple_paths(residual, 0, 2)]
         assert survivors == [(0, 2), (0, 1, 2)] or survivors == [(0, 1, 2), (0, 2)]
 
