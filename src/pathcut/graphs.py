@@ -175,7 +175,8 @@ class Graph:
         return MappingProxyType(self._costs)
 
     def check_node(self, u) -> int:
-        u = _as_node(u)
+        if type(u) is not int:
+            u = _as_node(u)
         if not 0 <= u < self.node_count:
             raise InputError(f"node {u} out of range for {self.node_count} nodes")
         return u
@@ -391,10 +392,11 @@ def shortest_path(
     ranking put 3-5-0 before 3-4-2-5-0, which has the same float length
     and the smaller node sequence (see ``tests/test_paths.py``).
 
-    One map is the search's state: ``best[v]`` is the smallest length
-    pushed for ``v``, or ``-inf`` once ``v`` is finished (popped) or if it
-    is banned. Pops of a ``-inf`` node are discarded, and a push for ``v``
-    is skipped when its length exceeds ``best[v]``. That is exact: the
+    One list, indexed by node and made per search, is the search's state:
+    ``best[v]`` is the smallest length pushed for ``v`` (``inf`` before the
+    first push), or ``-inf`` once ``v`` is finished (popped) or if it is
+    banned. Pops of a ``-inf`` node are discarded, and a push for ``v`` is
+    skipped when its length exceeds ``best[v]``. That is exact: the
     cheaper entry pops first and finishes ``v``, so the skipped one could
     only have been popped and discarded. Pushes of equal length are kept,
     since the node sequence decides between them. Every test of a push
@@ -404,15 +406,22 @@ def shortest_path(
 
     ``banned_nodes``/``banned_edges``/``allowed_nodes`` restrict the search
     (used by the path-ranking iterator and by neighborhood-masked runs).
+    An entry of ``banned_nodes`` equal to no node id of ``g`` bans
+    nothing. ``banned_edges`` must hold canonical keys (see
+    :func:`edge_key`): the search looks up each edge by its canonical key
+    only, so a reversed key bans nothing. :func:`~pathcut.paths.PathIterator`
+    canonicalizes the keys it is given.
 
     With ``max_length``, the search returns None when the shortest path is
     longer than ``max_length``; otherwise it returns the same path as
     without it, ties included. An entry whose key exceeds ``max_length`` is
     never pushed; :mod:`pathcut.paths` argues why that is exact, for the
-    ranking cutoff that passes it.
+    ranking cutoff that passes it. A NaN ``max_length`` is an input error.
     """
     s = g.check_node(s)
     t = g.check_node(t)
+    if max_length is not None and max_length != max_length:
+        raise InputError("max_length must not be NaN")
     if s in banned_nodes or t in banned_nodes:
         return None
     if allowed_nodes is not None and (s not in allowed_nodes or t not in allowed_nodes):
@@ -426,7 +435,14 @@ def shortest_path(
         return None
     adj = g._adjacency()
     heap: list[tuple] = [(bound[s], (s,))]
-    best: dict[int, float] = dict.fromkeys(banned_nodes, -inf)
+    n = g.node_count
+    best = [inf] * n
+    for x in banned_nodes:
+        if type(x) is int:
+            if 0 <= x < n:
+                best[x] = -inf
+        elif x in range(n):  # a numpy integer, say
+            best[range(n).index(x)] = -inf
     best[s] = 0
     while heap:
         _, nodes = heapq.heappop(heap)
@@ -439,7 +455,7 @@ def shortest_path(
         best[u] = -inf
         for v, w in adj[u]:
             d = dist + w
-            if d > best.get(v, inf):
+            if d > best[v]:
                 continue
             h = bound[v]
             if h == inf:

@@ -56,7 +56,10 @@ def PathIterator(g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
     ``allowed_nodes`` restricts enumeration to the induced subgraph on that
     node subset (used for hop-bounded neighborhoods on grid-like graphs).
     ``banned_edges`` enumerates as if those edges were absent, which is how
-    attacks express the residual graph after their cuts.
+    attacks express the residual graph after their cuts. Either orientation
+    names an edge. A frozenset of edge keys of ``g``, which are canonical
+    (the cuts attacks pass), is used as it is; any other input is
+    canonicalized with :func:`~pathcut.graphs.edge_key` and its errors.
     ``limit`` caps the number of paths yielded; a consumer that knows how
     many it will take passes it, so that spur searches can stop early.
 
@@ -71,7 +74,10 @@ def PathIterator(g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
     if limit is not None:
         check_count("limit", limit, 0)
     allowed = frozenset(allowed_nodes) if allowed_nodes is not None else None
-    banned = frozenset(edge_key(*e) for e in banned_edges)
+    if type(banned_edges) is frozenset and all(map(g._weights.__contains__, banned_edges)):
+        banned = banned_edges
+    else:
+        banned = frozenset(edge_key(*e) for e in banned_edges)
     first = shortest_path(g, s, t, banned_edges=banned, allowed_nodes=allowed)
     return _ranking(g, t, allowed, banned, limit, first)
 

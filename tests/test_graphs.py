@@ -457,6 +457,27 @@ def test_banned_nodes_at_the_source_match_reference():
     assert reference_shortest_path(g, 0, 9, banned_nodes=banned) is None
 
 
+def test_banned_nodes_that_are_no_node_ids_ban_nothing():
+    # An entry equal to no node id of the graph bans nothing, whatever its
+    # value; an integer of another type that equals a node id bans it.
+    g = Graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)])
+    n = g.node_count
+    for extra in (-1, n, n + 7):
+        assert shortest_path(g, 0, 3, banned_nodes=frozenset({extra})).nodes == (0, 1, 3)
+        assert shortest_path(g, 0, 3, banned_nodes=frozenset({extra, 1})).nodes == (0, 2, 3)
+    assert shortest_path(g, 0, 3, banned_nodes=frozenset({np.int64(1)})).nodes == (0, 2, 3)
+    assert shortest_path(g, 0, 3, banned_nodes=frozenset({np.int64(1), np.int64(2)})) is None
+
+
+def test_nan_max_length_is_an_input_error():
+    # Both branches: a search, and s == t, which returns before searching.
+    g = Graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)])
+    for t in (3, 0):
+        with pytest.raises(InputError, match="max_length must not be NaN"):
+            shortest_path(g, 0, t, max_length=float("nan"))
+        assert shortest_path(g, 0, t, max_length=float("inf")).nodes[-1] == t
+
+
 def test_remove_edges_identity_empty_and_triangle():
     tri = Graph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     assert tri.remove_edges([]) == tri

@@ -208,6 +208,51 @@ def test_banned_edges_equal_removed_edges():
             assert [p.nodes for p in islice(got, 6)] == [p.nodes for p in islice(expect, 6)]
 
 
+def test_banned_edges_in_any_form_rank_alike(monkeypatch):
+    # A frozenset of the graph's edge keys reaches the searches as it is;
+    # every other form is canonicalized first, with the same errors.
+    rng = np.random.default_rng(2323)
+    g = random_graph(rng, 9, 0.6)
+    n = g.node_count
+    edges = g.edges()
+    ranked = brute_sorted_paths(g, 0, n - 1)
+    p_star = Path(ranked[len(ranked) // 2][1])
+    cut = [e for e in edges if e not in p_star.edges and rng.random() < 0.3]
+    forms = {
+        "canonical frozenset": lambda: frozenset(cut),
+        "reversed list": lambda: [(v, u) for u, v in cut],
+        "set": lambda: set(cut),
+        "generator": lambda: ((v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(cut)),
+        "frozenset with a reversed key": lambda: frozenset(cut[:-1] + [cut[-1][::-1]]),
+    }
+    residual = residual_graph(g, cut)
+    expect_paths = [p.nodes for p in islice(PathIterator(residual, 0, n - 1), 8)]
+    expect_next = next_shortest_excluding(residual, 0, n - 1, p_star)
+    assert expect_paths != [p.nodes for p in islice(PathIterator(g, 0, n - 1), 8)]
+    for name, form in forms.items():
+        got = [p.nodes for p in islice(PathIterator(g, 0, n - 1, banned_edges=form()), 8)]
+        assert got == expect_paths, name
+        assert next_shortest_excluding(g, 0, n - 1, p_star, banned_edges=form()) == expect_next, name
+    bans = []
+
+    def recorded(*args, **kwargs):
+        bans.append(kwargs["banned_edges"])
+        return shortest_path(*args, **kwargs)
+
+    monkeypatch.setattr(pathcut.paths, "shortest_path", recorded)
+    canonical = frozenset(cut)
+    PathIterator(g, 0, n - 1, banned_edges=canonical)
+    assert bans[-1] is canonical
+    PathIterator(g, 0, n - 1, banned_edges=set(cut))
+    assert bans[-1] == canonical and type(bans[-1]) is frozenset
+    for bad, error in (((1, 1), InputError), ((0, 1, 2), TypeError)):
+        for form in (frozenset({bad}), [bad], frozenset({bad, edges[0]})):
+            with pytest.raises(error):
+                PathIterator(g, 0, n - 1, banned_edges=form)
+            with pytest.raises(error):
+                next_shortest_excluding(g, 0, n - 1, p_star, banned_edges=form)
+
+
 def _ranked(g, s, t, count, **restrict):
     return [p.nodes for p in islice(PathIterator(g, s, t, **restrict), count)]
 
