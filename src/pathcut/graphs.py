@@ -110,9 +110,9 @@ class Graph:
                 raise InputError(f"weight or cost on edge {k} is negative or not finite")
             weights[k] = w
             costs[k] = c
-        keys = sorted(weights)
-        self._fill(node_count, {k: weights[k] for k in keys}, {k: costs[k] for k in keys},
-                   all(type(w) is int for w in weights.values()))
+        if (keys := sorted(weights)) != list(weights):
+            weights, costs = {k: weights[k] for k in keys}, {k: costs[k] for k in keys}
+        self._fill(node_count, weights, costs, all(type(w) is int for w in weights.values()))
 
     @classmethod
     def _trusted(cls, node_count: int, weights: dict) -> "Graph":

@@ -43,6 +43,7 @@ the result raises :class:`~pathcut.errors.InfeasibleError`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Optional, Sequence
@@ -92,38 +93,40 @@ def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutL
     path with no cuttable edge, or with an edge not in ``g``, raises
     :class:`InputError`.
 
-    The columns -- ``edge_order``, the edge -> variable index map and
-    ``costs`` -- depend only on ``g`` and the protected edge set, and a
-    path's row only on those and its node sequence. ``g._columns`` holds
-    ``(protected set, edge_order, index, costs, rows by node sequence)``
-    for the last protected set. Constraint generation calls this once per
-    iteration with one more path and builds only that path's row; the LP
-    returned holds every row. The cache is replaced whole by one
-    assignment when the protected set changes, like the distance bound of
-    :func:`~pathcut.graphs.shortest_path`; the row dict only grows. A row
-    is a pure function of the graph, the protected set and the path, so
-    two threads that store one store equal tuples. A path that raises is
-    not stored, so it raises on every call.
+    ``g._columns`` holds ``(protected set, edge_order, costs, rows by
+    node sequence)`` for the last protected set. A miss cuts the
+    protected edges' positions out of the graph's key and cost lists, and
+    a row's columns are its edges' ``bisect`` ranks in ``edge_order``.
+    Both are exact, as the maps iterate in sorted key order: the cut
+    lists are the filtered maps and a key's rank is its column. Each
+    constraint-generation iteration adds one path and builds only its
+    row; the LP returned holds every row. The cache is replaced whole by
+    one assignment when the protected set changes, like the distance
+    bound of :func:`~pathcut.graphs.shortest_path`; the row dict only
+    grows. A row is a pure function of the graph, the protected set and
+    the path's nodes, so two threads that store one store equal tuples. A
+    path that raises is not stored, so it raises on every call.
     """
     protected = frozenset(p_star.edges)
     cached = g._columns
     if cached is not None and cached[0] == protected:
-        _, edge_order, index, cvec, memo = cached
+        _, edge_order, cvec, memo = cached
     else:
-        edge_order = tuple(filterfalse(protected.__contains__, g.edges()))
-        index = dict(zip(edge_order, range(len(edge_order))))
-        cvec = tuple(map(g.costs.__getitem__, edge_order))
-        memo = {}
-        g._columns = (protected, edge_order, index, cvec, memo)
+        edge_order, cvec = g.edges(), list(g._costs.values())
+        for e in g._weights.keys() & protected:
+            i = bisect_left(edge_order, e)
+            del edge_order[i], cvec[i]
+        edge_order, cvec, memo = tuple(edge_order), tuple(cvec), {}
+        g._columns = (protected, edge_order, cvec, memo)
     rows = []
     for p in paths:
         row = memo.get(p.nodes)
         if row is None:
-            cuttable = filterfalse(protected.__contains__, p.edges)
-            try:
-                row = tuple(sorted(set(map(index.__getitem__, cuttable))))
-            except KeyError as exc:
-                raise InputError(f"constraint path uses unknown edge {exc.args[0]}") from None
+            cuttable = [e for e in p.edges if e not in protected]
+            unknown = next(filterfalse(g._weights.__contains__, cuttable), None)
+            if unknown is not None:
+                raise InputError(f"constraint path uses unknown edge {unknown}")
+            row = tuple(sorted({bisect_left(edge_order, e) for e in cuttable}))
             if not row:
                 raise InputError(f"uncuttable constraint: {p!r} has only protected edges")
             memo[p.nodes] = row

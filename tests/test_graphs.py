@@ -139,16 +139,20 @@ def test_record_order_does_not_matter(kind, seed):
     # Sorted, reversed and shuffled records build the same graph, down to
     # the maps' iteration order, the adjacency lists and the bits of
     # total_weight(), which feed create_force_path_input's heavy edges.
+    # Sorted records keep the maps as read; the others rebuild them, also
+    # when only the last two records are swapped.
     records = _seeded_records(kind, seed)
     shuffled = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
-    graphs = [Graph(24, recs) for recs in (records, records[::-1], shuffled)]
+    swapped = records[:-2] + records[:-3:-1]
+    graphs = [Graph(24, recs) for recs in (records, records[::-1], shuffled, swapped)]
     keys = sorted(edge_key(u, v) for u, v, _, _ in records)
     views = []
     for g in graphs:
+        assert g == graphs[0]
         assert g.edges() == list(g.weights) == list(g.costs) == keys
         assert g._adjacency() == reference_adjacency(g)
         views.append((g.edge_records(), g._adjacency(), _bits(g.total_weight()), _heavy_edge_bits(g)))
-    assert views[0] == views[1] == views[2]
+    assert views[0] == views[1] == views[2] == views[3]
 
 
 def test_float_total_weight_does_not_depend_on_record_order():

@@ -1,6 +1,7 @@
 import math
 import pickle
-from itertools import combinations
+import re
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.optimize import linprog
 import pathcut.lp
 from pathcut import AttackConfig, Graph, InfeasibleError, InputError, PathCutError, Path, run_attack
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
-from pathcut.harness import select_p_star
+from pathcut.harness import select_p_star, select_terminals
 from pathcut.lp import (
     _bounded_simplex,
     RelaxedCutLP,
@@ -226,14 +227,18 @@ def test_cover_lp_column_cache_holds_one_entry():
     first, second, *others = k_shortest_paths(g, s, t, 6)
     assert g._columns is None
     lp = build_cover_lp(g, first, others)
-    key, edge_order, index, costs, rows = g._columns
+    key, edge_order, costs, rows = g._columns
     assert key == frozenset(first.edges)
     assert (edge_order, costs) == (lp.edge_order, lp.costs)
-    assert index == {e: j for j, e in enumerate(edge_order)}
+    # Each cached row holds the edge_order positions of its path's
+    # cuttable edges.
+    for p in others:
+        cuttable = [e for e in p.edges if e not in key]
+        assert rows[p.nodes] == tuple(sorted(map(edge_order.index, cuttable)))
     assert rows == {p.nodes: row for p, row in zip(others, lp.rows)}
     build_cover_lp(g, second, others)
     assert g._columns[0] == frozenset(second.edges)
-    assert g._columns[4] is not rows
+    assert g._columns[3] is not rows
     assert g == fresh and fresh._columns is None
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and copy._columns == g._columns
@@ -256,7 +261,7 @@ def test_cover_lp_errors_are_not_memoized():
             assert build_cover_lp(g, p_star, ok).rows == ((0,), (1,))
             with pytest.raises(InputError, match=message):
                 build_cover_lp(g, p_star, ok + paths)
-        assert set(g._columns[4]) == {p.nodes for p in ok}
+        assert set(g._columns[3]) == {p.nodes for p in ok}
 
 
 def test_memoized_rows_match_reference_while_protected_paths_alternate():
@@ -282,11 +287,108 @@ def test_memoized_rows_match_reference_while_protected_paths_alternate():
             for k in range(1, len(others) + 1):
                 got = build_cover_lp(g, p_star, others[:k])
                 assert got == reference_build_cover_lp(g, p_star, others[:k])
-                assert memo is None or g._columns[4] is memo
-                memo = g._columns[4]
+                assert memo is None or g._columns[3] is memo
+                memo = g._columns[3]
                 assert memo == {p.nodes: row for p, row in zip(others[:k], got.rows)}
                 checked += 1
     assert checked > 100
+
+
+def _check_cold_and_warm(g, p_star, paths, warm):
+    """``build_cover_lp`` on a copy of ``g`` with a cold cache, then twice
+    on ``warm`` (a miss, then a hit), equals the uncached reference."""
+    want = reference_build_cover_lp(g, p_star, paths)
+    cold = Graph(g.node_count, g.edge_records())
+    assert cold._columns is None
+    assert build_cover_lp(cold, p_star, paths) == want
+    assert build_cover_lp(warm, p_star, paths) == want
+    assert build_cover_lp(warm, p_star, paths) == want
+    assert warm._columns[0] == frozenset(p_star.edges)
+
+
+def test_sliced_columns_match_reference_at_every_position():
+    # Every ranked path of up to three edges between any two nodes is the
+    # protected path in turn, so protected edges sit at the first and the
+    # last sorted key and at adjacent positions, and constraint paths
+    # share edges with them. One graph's cache stays warm across all of
+    # them, filled by the protected set before.
+    rng = np.random.default_rng(812)
+    g = _zero_cost_graph(rng, 7, 0.7)
+    keys = g.edges()
+    warm = Graph(g.node_count, g.edge_records())
+    seen = set()
+    for s, t in combinations(range(g.node_count), 2):
+        ranked = k_shortest_paths(g, s, t, 12)
+        for p_star in ranked:
+            if p_star.num_edges > 3:
+                continue
+            protected = set(p_star.edges)
+            paths = [p for p in ranked if not protected.issuperset(p.edges)]
+            if not paths:
+                continue
+            _check_cold_and_warm(g, p_star, paths, warm)
+            cut = sorted(map(keys.index, protected))
+            seen.update(
+                name for name, hit in (
+                    ("first", cut[0] == 0),
+                    ("last", cut[-1] == len(keys) - 1),
+                    ("adjacent", any(b == a + 1 for a, b in zip(cut, cut[1:]))),
+                    ("shared", any(protected.intersection(p.edges) for p in paths)),
+                ) if hit
+            )
+    assert seen == {"first", "last", "adjacent", "shared"}
+
+
+# Keys (0, 2) (1, 2) (1, 3) (2, 3) (2, 4): (0, 1) sorts before the first,
+# (1, 4) between two keys and (3, 4) after the last.
+_GAPPED = [(0, 2, 1, 3), (1, 2, 1, 5), (1, 3, 1, 7), (2, 3, 1, 11), (2, 4, 1, 13)]
+
+
+def test_protected_edges_missing_from_the_graph_are_ignored():
+    # A protected path may use edges the graph lacks: they get no column
+    # and cut no position, and constraint paths may use them too, since
+    # protected edges are skipped before any lookup.
+    g = Graph(5, _GAPPED)
+    warm = Graph(5, _GAPPED)
+    candidates = [Path(nodes) for k in (2, 3, 4) for nodes in permutations(range(5), k)]
+    checked = 0
+    for p_star in (Path((1, 0, 2)), Path((2, 4, 3)), Path((3, 1, 4, 2)), Path((1, 0)), Path((4, 3))):
+        protected = frozenset(p_star.edges)
+        assert not protected <= set(g.edges())
+        paths = [p for p in candidates
+                 if all(e in protected or g.has_edge(*e) for e in p.edges)
+                 and not protected.issuperset(p.edges)]
+        _check_cold_and_warm(g, p_star, paths, warm)
+        checked += sum(not protected.isdisjoint(p.edges) for p in paths)
+    assert checked > 0
+
+
+def test_unknown_edge_error_names_the_first_in_path_order():
+    # Protected edges are skipped, present or not; the first unknown edge
+    # in path order is named, not the first in sorted order, cold or warm,
+    # and on every call.
+    warm = Graph(5, _GAPPED)
+    p_star = Path((1, 0, 2))
+    for nodes, named in (((0, 1, 4, 3), (1, 4)), ((2, 3, 4, 1), (3, 4)), ((0, 2, 3, 4), (3, 4))):
+        message = f"^{re.escape(f'constraint path uses unknown edge {named}')}$"
+        for g in (Graph(5, _GAPPED), warm, warm):
+            with pytest.raises(InputError, match=message):
+                build_cover_lp(g, p_star, [Path((1, 2)), Path(nodes)])
+        assert Path(nodes).nodes not in warm._columns[3]
+
+
+def test_sliced_columns_match_reference_on_a_25000_edge_graph():
+    # BA n=5,000, m=5 with Poisson weights: a few seeded protected paths
+    # between seeded terminals, each against the paths ranked before it.
+    g = generate(GeneratorSpec(family="ba", n=5000, m=5, seed=1))
+    g = assign_weights(g, WeightScheme(kind="poisson", seed=2))
+    assert g.edge_count > 24_000
+    warm = Graph(g.node_count, g.edge_records())
+    for seed in (3, 4):
+        s, t = select_terminals(g, "uniform", seed)
+        ranked = k_shortest_paths(g, s, t, 8)
+        for rank in (4, 6, 8):
+            _check_cold_and_warm(g, ranked[rank - 1], ranked[:rank - 1], warm)
 
 
 def test_rows_sum_to_at_least_one():
