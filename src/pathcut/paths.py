@@ -38,6 +38,15 @@ path then, so it cannot be yielded. The cutoff is exact only with exact
 sums, so it applies when every weight is an ``int``. With float weights
 one node sequence can be pushed from two deviation indices with lengths
 an ulp apart, and those graphs search without a cutoff.
+
+Under the cutoff, the ranking runs a spur search only if some neighbour
+``v`` of the spur has ``w(spur, v) + bound[v] <= max_length``, is not in
+the root, is not a trie child of the spur, and is not across a banned
+edge; ``bound`` is the distance bound the search reads, fetched once per
+ranking. That is exact: it is the search's own push filter on its first
+expansion, from the spur at length 0, so a skipped search would push
+nothing and return None. Rankings and ties stay the same; only the
+number of searches falls.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from bisect import insort
 from typing import Iterator, Optional
 
 from .errors import InputError, check_count
-from .graphs import Graph, Path, edge_key, path_length, shortest_path
+from .graphs import Graph, Path, _distance_bound, edge_key, path_length, shortest_path
 
 
 def PathIterator(g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
@@ -100,8 +109,9 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
     in ``seen``.
 
     With a limit, each search is cut off above the last candidate's length
-    once the list is full; the module docstring argues why that and
-    Lawler's rule together stay exact.
+    once the list is full, and a spur that no edge can leave within the
+    cutoff is skipped; the module docstring argues why these and Lawler's
+    rule together stay exact.
     """
     # (length, nodes, deviation index), sorted; at most ``left`` of them.
     candidates: list[tuple] = []
@@ -120,6 +130,11 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
 
     if first is not None:
         push(path_length(g, first), first.nodes, 0)
+        if cutoff:
+            # Held for the whole ranking: the graph caches one bound only,
+            # and another ranking may replace it between two spurs.
+            bound = _distance_bound(g, t, allowed)
+            adj = g._adjacency()
     while candidates:
         _, parent, dev = candidates.pop(0)
         if left is not None:
@@ -139,13 +154,21 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
         for i in range(dev, len(parent) - 1):
             spur = parent[i]
             node = node[spur]
+            limit = candidates[-1][0] - prefix_len[i] if cutoff and len(candidates) == left else None
+            if limit is not None:
+                # Skip a search whose first expansion would push nothing (see
+                # the module docstring).
+                for v, w in adj[spur]:
+                    if (w + bound[v] <= limit and v not in node and v not in parent[:i]
+                            and ((spur, v) if spur < v else (v, spur)) not in banned):
+                        break
+                else:
+                    continue
             # A child of ``spur`` is another node of a simple path, never ``spur``.
             spur_path = shortest_path(
                 g, spur, t, banned_nodes=frozenset(parent[:i]),
                 banned_edges=banned.union([(spur, v) if spur < v else (v, spur) for v in node]),
-                allowed_nodes=allowed,
-                max_length=(candidates[-1][0] - prefix_len[i]
-                            if cutoff and len(candidates) == left else None),
+                allowed_nodes=allowed, max_length=limit,
             )
             if spur_path is not None:
                 push(prefix_len[i] + path_length(g, spur_path), parent[:i] + spur_path.nodes, i)

@@ -152,6 +152,37 @@ def checked_shortest_path(cut_off):
     return search
 
 
+def recorded(search, calls):
+    """``search`` that appends each call's ``(s, t, restrictions)`` to
+    ``calls``, ``max_length`` left out, so that the calls of a limited
+    ranking compare with those of an unlimited one."""
+    def wrapper(g, s, t, max_length=None, **restrict):
+        calls.append((s, t, restrict))
+        return search(g, s, t, max_length=max_length, **restrict)
+
+    return wrapper
+
+
+def skipped_searches(unbounded, bounded):
+    """The calls of ``unbounded`` that ``bounded`` does not make.
+
+    A limited ranking yields the paths of the unlimited one and visits the
+    same spur positions with the same bans, but skips the searches that
+    cannot leave the spur within its cutoff. So its calls must be
+    ``unbounded`` with some calls left out, in order; this asserts that.
+    """
+    skipped = []
+    rest = iter(bounded)
+    want = next(rest, None)
+    for call in unbounded:
+        if call == want:
+            want = next(rest, None)
+        else:
+            skipped.append(call)
+    assert want is None, ("a search the unlimited ranking does not make", want)
+    return skipped
+
+
 def reference_path_iterator(g, s, t, allowed_nodes=None, banned_edges=()):
     """``PathIterator`` without Lawler's rule: every yielded path runs a
     spur search at every index, not only from its deviation index on.

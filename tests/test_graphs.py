@@ -13,9 +13,11 @@ from helpers import (
     brute_shortest,
     checked_shortest_path,
     random_graph,
+    recorded,
     reference_adjacency,
     reference_shortest_path,
     residual_graph,
+    skipped_searches,
     small_graph_and_pair,
 )
 from pathcut import (
@@ -343,26 +345,24 @@ def test_pruned_shortest_path_matches_reference_in_spur_searches(monkeypatch):
     # Every spur search of a ranking run on a weighted lattice agrees with
     # the unpruned reference, unbounded and with a limit of 40 paths. With
     # the limit, a search returns None exactly when the reference path is
-    # longer than its cutoff.
+    # longer than its cutoff, and the ranking skips the spurs that no edge
+    # leaves within the cutoff. Both runs visit the same spur positions, so
+    # a position is cut off in the kernel or skipped, or searched in full.
     g = assign_weights(generate(GeneratorSpec("lattice", rows=6, cols=6)),
                        WeightScheme("uniform", upper=3, seed=5))
-    calls = []
+    unbounded, calls = [], []
     cut_off = []
     search = checked_shortest_path(cut_off)
-
-    def checked(g, s, t, **restrict):
-        calls.append(restrict)
-        return search(g, s, t, **restrict)
-
-    monkeypatch.setattr(pathcut.paths, "shortest_path", checked)
+    monkeypatch.setattr(pathcut.paths, "shortest_path", recorded(search, unbounded))
     ranked = list(islice(PathIterator(g, 0, 35), 40))
     assert len(ranked) == 40
-    assert sum(1 for r in calls if r.get("banned_nodes")) > 100
+    assert sum(1 for _, _, r in unbounded if r.get("banned_nodes")) > 100
     assert not cut_off
-    del calls[:]
+    monkeypatch.setattr(pathcut.paths, "shortest_path", recorded(search, calls))
     assert list(PathIterator(g, 0, 35, limit=40)) == ranked
-    assert sum(1 for r in calls if r.get("banned_nodes")) > 100
-    assert len(cut_off) > 50
+    skipped = skipped_searches(unbounded, calls)
+    assert sum(1 for _, _, r in calls + skipped if r.get("banned_nodes")) > 100
+    assert len(cut_off) + len(skipped) > 50
 
 
 def test_distance_bound_cache_holds_one_target():

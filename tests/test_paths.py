@@ -10,15 +10,18 @@ from helpers import (
     brute_sorted_paths,
     checked_shortest_path,
     random_graph,
+    recorded,
     reference_path_iterator,
     reference_shortest_path,
     residual_graph,
+    skipped_searches,
     small_graph_and_pair,
 )
-from pathcut import Graph, InputError, Path, path_length, shortest_path
+from pathcut import Graph, InputError, Path, bfs_hops, path_length, shortest_path
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
-from pathcut.harness import select_p_star
+from pathcut.harness import neighborhood_mask, select_p_star
 from pathcut.paths import PathIterator, k_shortest_paths, next_shortest_excluding
+from pathcut.reduction import enumerate_simple_paths
 from pathcut.sweeps import clique_instance
 
 
@@ -291,26 +294,32 @@ def test_ranked_paths_match_unbounded_reference(monkeypatch):
     # iterator limited to 60 paths must rank the same, with every spur
     # search checked against the reference: None exactly when the
     # reference path is longer than the cutoff, the same nodes otherwise.
+    # It makes the unbounded run's searches, less the spurs it skips.
     rng = np.random.default_rng(4406)
     weight_draws = _weight_draws(rng)
     graphs = compared = 0
     cut_off = {kind: [] for kind in weight_draws}
+    skipped = {kind: [] for kind in weight_draws}
     for kind in list(weight_draws) * 60:
         g, s, t, restrict = _random_case(rng, weight_draws[kind])
         got = _ranked(g, s, t, 60, **restrict)
+        unbounded, calls = [], []
         with monkeypatch.context() as m:
-            m.setattr(pathcut.paths, "shortest_path", reference_shortest_path)
+            m.setattr(pathcut.paths, "shortest_path", recorded(reference_shortest_path, unbounded))
             expect = _ranked(g, s, t, 60, **restrict)
         with monkeypatch.context() as m:
-            m.setattr(pathcut.paths, "shortest_path", checked_shortest_path(cut_off[kind]))
+            m.setattr(pathcut.paths, "shortest_path", recorded(checked_shortest_path(cut_off[kind]), calls))
             bounded = [p.nodes for p in PathIterator(g, s, t, limit=60, **restrict)]
         assert got == expect == bounded, (kind, s, t, restrict)
+        skipped[kind] += skipped_searches(unbounded, calls)
         graphs += 1
         compared += len(got)
     assert graphs >= 300 and compared > 5000
-    # Float weights rank without a cutoff; every int kind cuts searches off.
-    assert not cut_off.pop("float")
-    assert all(len(calls) > 50 for calls in cut_off.values()), {k: len(v) for k, v in cut_off.items()}
+    # Float weights rank without a cutoff; every int kind cuts searches off,
+    # in the kernel or by skipping the spur.
+    assert not cut_off.pop("float") and not skipped.pop("float")
+    assert all(len(cut_off[k]) + len(skipped[k]) > 50 for k in cut_off), \
+        {k: (len(cut_off[k]), len(skipped[k])) for k in cut_off}
 
 
 def test_the_ranking_is_lazy(monkeypatch):
@@ -339,17 +348,27 @@ def test_the_ranking_is_lazy(monkeypatch):
 def test_bounded_ranking_is_a_prefix_of_the_unbounded_one(monkeypatch):
     # For every k from 1 to 60, the iterator limited to k paths yields the
     # first k of the unbounded ranking, or all of it when there are fewer.
-    # k_shortest_paths, which passes k as the limit, agrees on masks.
+    # It makes the searches the unbounded ranking makes up to its k-th
+    # path, less the spurs it skips. k_shortest_paths, which passes k as
+    # the limit, agrees on masks.
     rng = np.random.default_rng(1414)
     weight_draws = _weight_draws(rng)
     short = cut = 0
     for kind in list(weight_draws) * 6:
         g, s, t, restrict = _random_case(rng, weight_draws[kind], (4, 9))
-        full = _ranked(g, s, t, 61, **restrict)
-        cut_off = []
+        unbounded, made = [], []  # made[j]: searches before the (j + 1)-th path
         with monkeypatch.context() as m:
-            m.setattr(pathcut.paths, "shortest_path", checked_shortest_path(cut_off))
+            m.setattr(pathcut.paths, "shortest_path", recorded(shortest_path, unbounded))
+            full = []
+            for p in islice(PathIterator(g, s, t, **restrict), 61):
+                made.append(len(unbounded))
+                full.append(p.nodes)
+        cut_off = []
+        skipped = 0
+        with monkeypatch.context() as m:
             for k in range(1, 61):
+                calls = []
+                m.setattr(pathcut.paths, "shortest_path", recorded(checked_shortest_path(cut_off), calls))
                 ranking = PathIterator(g, s, t, limit=k, **restrict)
                 got = []
                 for p in ranking:
@@ -358,12 +377,14 @@ def test_bounded_ranking_is_a_prefix_of_the_unbounded_one(monkeypatch):
                     assert len(ranking.gi_frame.f_locals["candidates"]) <= k - len(got)
                 assert got == full[:k], (kind, k, s, t, restrict)
                 short += len(full) < k
+                before_kth = unbounded[:made[k - 1]] if k <= len(full) else unbounded
+                skipped += len(skipped_searches(before_kth, calls))
         mask = restrict.get("allowed_nodes")
         for k in (1, 2, 5, 60):
             assert [p.nodes for p in k_shortest_paths(g, s, t, k, allowed_nodes=mask)] == \
                 _ranked(g, s, t, k, allowed_nodes=mask)
-        assert kind != "float" or not cut_off
-        cut += len(cut_off)
+        assert kind != "float" or not (cut_off or skipped)
+        cut += len(cut_off) + skipped
     assert short > 700 and cut > 500, (short, cut)
 
 
@@ -452,13 +473,55 @@ def test_lawler_ranking_runs_fewer_spur_searches(monkeypatch):
     expect = [p.nodes for p in islice(reference_path_iterator(g, 0, 35), 40)]
     assert got == expect and len(got) == 40
     assert calls["library"] < calls["reference"], calls
-    # The ranking limited to 40 paths makes the same searches, and the
-    # cutoff ends most of them early. Both counts are pinned, so a change
-    # to Lawler's rule or to the cutoff shows here, not only in the traced
-    # benchmark counts.
+    # The ranking limited to 40 paths visits the same spur positions. It
+    # skips the 139 spurs that no edge leaves within the cutoff, and 27
+    # of the 97 searches it makes return None. The counts are pinned, so a
+    # change to Lawler's rule or to the cutoff shows here, not only in the
+    # traced benchmark counts.
     monkeypatch.setattr(pathcut.paths, "shortest_path", counting("bounded"))
     assert [p.nodes for p in PathIterator(g, 0, 35, limit=40)] == got
-    assert (calls["library"], calls["bounded"], calls["bounded none"]) == (236, 236, 166), calls
+    assert (calls["library"], calls["bounded"], calls["bounded none"]) == (236, 97, 27), calls
+    assert calls["library"] - calls["bounded"] == 139
+
+
+def test_interleaved_rankings_on_one_graph_match_their_solo_runs():
+    # The graph caches the distance bound of one target, and every spur
+    # search of a ranking replaces it. Two limited rankings to different
+    # targets, one masked, advanced in turn on one graph, must each yield
+    # what they yield alone: a ranking tests its spurs against its own bound.
+    g = assign_weights(generate(GeneratorSpec("lattice", rows=7, cols=7)),
+                       WeightScheme("uniform", upper=9, seed=4))
+    runs = [dict(s=0, t=48, limit=40),
+            dict(s=45, t=3, limit=40, allowed_nodes=neighborhood_mask(g, 45, 8))]
+    solo = [[p.nodes for p in PathIterator(g, **run)] for run in runs]
+    assert all(len(paths) == 40 for paths in solo)
+    together = ([], [])
+    for a, b in zip(*(PathIterator(g, **run) for run in runs)):
+        together[0].append(a.nodes)
+        together[1].append(b.nodes)
+    assert list(together) == solo
+
+
+def test_masked_lattices_rank_as_brute_force():
+    # Lattice-hop's shape at desk scale: grids with integer weights, t some
+    # hops from s, a hop mask around s a little wider, and long paths with
+    # many spur positions. For every k up to the number of paths in the
+    # mask, k_shortest_paths is the first k of all simple paths sorted by
+    # (length, nodes).
+    checked = masked = 0
+    for rows, cols, upper, seed in ((3, 4, 1, 0), (4, 4, 3, 1), (3, 5, 9, 2), (4, 4, 41, 3)):
+        g = assign_weights(generate(GeneratorSpec("lattice", rows=rows, cols=cols)),
+                           WeightScheme("uniform", upper=upper, seed=seed))
+        for s, hops, extra in ((0, 3, 1), (1, 2, 2), (cols + 1, 2, 1)):
+            t = max(v for v, d in bfs_hops(g, s).items() if d == hops)
+            mask = neighborhood_mask(g, s, hops + extra)
+            every = [nodes for _, nodes in enumerate_simple_paths(g, s, t, allowed_nodes=mask)]
+            for k in range(1, len(every) + 1):
+                assert [p.nodes for p in k_shortest_paths(g, s, t, k, allowed_nodes=mask)] == every[:k], \
+                    (rows, cols, upper, s, t, k)
+            checked += len(every)
+            masked += len(mask) < g.node_count
+    assert checked > 300 and masked > 6, (checked, masked)
 
 
 def _same_as_checked(p):
