@@ -67,7 +67,25 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
     """The loop of the module docstring; ``cut(constraints, removed)``
     returns the next cut. The oracle gets the cut as banned edges, so the
     residual graph is never built. Returns ``(removed, iterations,
-    certificate)``; the certificate is the final oracle call."""
+    certificate)``; the certificate is the final oracle call.
+
+    The loop tells the oracle when ``p_star`` is known to be the first
+    path of the residual graph, so that it skips its first search. Let the
+    answer at cut ``R`` rank after ``p_star`` by ``(path_length, nodes)``.
+    The oracle's first search returns the ``(path_length, nodes)`` minimum
+    of ``g`` minus ``R`` (:func:`~pathcut.graphs.shortest_path`), and no
+    cut rule cuts an edge of ``p_star``, so that minimum was ``p_star``:
+    any other would have been the answer. A cut ``R' ⊇ R`` only removes
+    paths, and ``p_star`` is still among them, so it is still the minimum.
+    The loop keeps the first such ``R`` it meets. A baseline's cuts only
+    grow, so the fact holds from its first answer after ``p_star`` on;
+    PATHATTACK uses it whenever a new cover contains ``R``. With float
+    weights, two routes to a node of different lengths can tie once an
+    edge is added and the sums round; the search keeps only the shorter
+    route, whose node sequence need not be the smaller. So the minimum is
+    exact only with ``int`` weights, and the fact is used on those graphs
+    only, as is the ranking's cutoff (:mod:`pathcut.paths`).
+    """
     if p_star.num_edges == 0:
         raise InputError("target path must have at least one edge")
     for u, v in p_star.edges:
@@ -79,10 +97,14 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
 
     constraints: list[Path] = []
     removed: frozenset = frozenset()
+    first_at: Optional[frozenset] = None  # the cut R of the docstring
     while True:
-        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed)
+        known = first_at is not None and first_at <= removed
+        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed, p_star_first=known)
         if p is None or strictly_longer(length := path_length(g, p), p_len):
             break
+        if first_at is None and g._int_weights and (length, p.nodes) > (p_len, p_star.nodes):
+            first_at = removed
         constraints.append(p)
         if len(constraints) > cap:
             raise IterationLimitError(
@@ -171,7 +193,8 @@ def principal_eigenvector(g: Graph) -> np.ndarray:
     few units in the last place; greedy eigenscore's tie rule absorbs
     that noise (see :func:`_top_eigenscore` for the limits). Norms are
     ``math.sqrt(x.dot(x))``, the sum ``np.linalg.norm`` computes for a
-    real vector, without its dispatch.
+    real vector, without its dispatch; the Rayleigh quotient is the same
+    ``dot``.
     """
     n = g.node_count
     if n == 0:
@@ -183,7 +206,7 @@ def principal_eigenvector(g: Graph) -> np.ndarray:
         nxt = av + v
         nxt /= math.sqrt(nxt.dot(nxt))
         av = product(nxt)
-        lam = float(nxt @ av)
+        lam = nxt.dot(av)
         r = av - lam * nxt
         residual = math.sqrt(r.dot(r))
         v = nxt

@@ -10,8 +10,9 @@ edges to the children of the root's node in a trie of the yielded paths.
 Candidates wait in one list sorted by ``(length, nodes)``, so ties
 resolve to the lexicographically smallest sequence. Generation is lazy:
 a path spawns its deviations after its ``yield``, when the next path is
-requested, and the constraint-generation oracle
-(:func:`next_shortest_excluding`) materializes at most two paths per call.
+requested. The constraint-generation oracle
+(:func:`next_shortest_excluding`) ranks only when its first search returns
+the protected path, and then stops after the second path.
 
 Spur searches follow Lawler's rule: a path spawns deviations only from
 its own deviation index onward, the position where it left the yielded
@@ -74,8 +75,17 @@ def PathIterator(g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
 
     The call checks the arguments and makes the first search. A yielded
     path spawns its deviations after its ``yield``, so a consumer that
-    stops after one path (the oracle, usually) pays for one search only.
+    stops after one path pays for one search only.
     """
+    s, t, allowed, banned = _arguments(g, s, t, allowed_nodes, banned_edges, limit)
+    first = shortest_path(g, s, t, banned_edges=banned, allowed_nodes=allowed)
+    return _ranking(g, t, allowed, banned, limit, first)
+
+
+def _arguments(g: Graph, s, t, allowed_nodes, banned_edges, limit=None):
+    """``(s, t, allowed, banned)`` checked and canonicalized as
+    :func:`PathIterator` documents, in this order: ``s``, ``t``, distinct
+    endpoints, ``limit``, ``allowed_nodes``, ``banned_edges``."""
     s = g.check_node(s)
     t = g.check_node(t)
     if s == t:
@@ -87,8 +97,7 @@ def PathIterator(g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
         banned = banned_edges
     else:
         banned = frozenset(edge_key(*e) for e in banned_edges)
-    first = shortest_path(g, s, t, banned_edges=banned, allowed_nodes=allowed)
-    return _ranking(g, t, allowed, banned, limit, first)
+    return s, t, allowed, banned
 
 
 def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
@@ -184,7 +193,8 @@ def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> li
     return list(PathIterator(g, s, t, allowed_nodes=allowed_nodes, limit=k))
 
 
-def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges=()) -> Optional[Path]:
+def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges=(), *,
+                            p_star_first: bool = False) -> Optional[Path]:
     """Minimum-length simple s-t path whose node sequence differs from
     ``p_star``, or None if no such path exists.
 
@@ -195,9 +205,21 @@ def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges
     removed from ``g``. The search spans all of ``g``: a node mask limits
     only the choice of ``p_star`` (:func:`k_shortest_paths`), never the
     competitors an attack must cut.
+
+    The first search answers the call unless it returns ``p_star``; only
+    then does the ranking run, for its second path. ``p_star_first=True``
+    tells the oracle that the first search would return ``p_star``, a path
+    of ``g`` minus ``banned_edges``; the oracle then ranks from ``p_star``
+    without that search. The attack loop knows this from earlier answers
+    (see :func:`pathcut.attack._force_path`).
     """
-    skip = p_star.nodes
-    for p in PathIterator(g, s, t, banned_edges=banned_edges, limit=2):
-        if p.nodes != skip:
-            return p
-    return None
+    s, t, _, banned = _arguments(g, s, t, None, banned_edges)
+    if p_star_first:
+        first = p_star
+    else:
+        first = shortest_path(g, s, t, banned_edges=banned)
+        if first is None or first.nodes != p_star.nodes:
+            return first
+    ranking = _ranking(g, t, None, banned, 2, first)
+    next(ranking)  # ``p_star``
+    return next(ranking, None)

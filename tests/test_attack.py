@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import pathlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ import pathcut.harness
 from helpers import (
     dense_adjacency_product,
     random_graph,
+    reachable_pair,
     reference_principal_eigenvector,
     residual_graph,
     shuffled_adjacency_product,
 )
-from pathcut import Graph, InputError, IterationLimitError, Path, path_length, strictly_longer
+from pathcut import (
+    Graph, InputError, IterationLimitError, Path, path_length, shortest_path, strictly_longer,
+)
 from pathcut.attack import (
     METHODS,
     AttackConfig,
@@ -23,7 +28,10 @@ from pathcut.attack import (
 )
 from pathcut.cli import main
 from pathcut.generators import GeneratorSpec, WeightScheme, generate
-from pathcut.harness import ExperimentConfig, run_experiments, save_edge_list
+from pathcut.harness import (
+    ExperimentConfig, InstanceSkip, load_edge_list, run_experiments, save_edge_list, select_p_star,
+    select_terminals,
+)
 from pathcut.paths import k_shortest_paths, next_shortest_excluding
 from pathcut.reduction import brute_force_force_path_cut
 from pathcut.sweeps import clique_instance
@@ -433,3 +441,46 @@ def test_certificate_when_already_exclusive(method):
     assert plan.removed_edges == frozenset()
     assert plan.iterations == 0
     assert plan.certificate == ((0, 2), 4, 2)
+
+
+def test_attacks_tell_the_oracle_only_what_its_first_search_would_return(monkeypatch):
+    # _force_path passes p_star_first=True only where the first search of
+    # the residual graph returns p*, and every answer must equal a call in
+    # the default mode. Equal-weight cliques and tied random graphs make
+    # p* come first often, and PATHATTACK's covers there can drop an edge
+    # that an earlier cut held; float weights must never use the fact.
+    told = {"int": 0, "float": 0}
+    calls = 0
+
+    def oracle(g, s, t, p_star, banned_edges=(), **kwargs):
+        nonlocal calls
+        got = next_shortest_excluding(g, s, t, p_star, banned_edges, **kwargs)
+        assert got == next_shortest_excluding(g, s, t, p_star, banned_edges)
+        if kwargs.get("p_star_first"):
+            assert shortest_path(g, s, t, banned_edges=banned_edges) == p_star
+            told["int" if g._int_weights else "float"] += 1
+        calls += 1
+        return got
+
+    monkeypatch.setattr(pathcut.attack, "next_shortest_excluding", oracle)
+    cases = []
+    for n in range(5, 13):
+        clique = Graph(n, [(u, v, 1) for u, v in combinations(range(n), 2)])
+        cases += [(clique, select_p_star(clique, 0, n - 1, k)) for k in (2, n)]
+    floats = load_edge_list(pathlib.Path(__file__).parents[1] / "scripts" / "float_weights.edges").graph
+    rng = np.random.default_rng(31)
+    for seed in range(6):
+        s, t = select_terminals(floats, "uniform", seed)
+        cases += [(floats, select_p_star(floats, s, t, k)) for k in (2, 5, 20)]
+    for _ in range(30):
+        g = random_graph(rng, int(rng.integers(7, 12)), 0.6, max_weight=2)
+        s, t = reachable_pair(rng, g)
+        for k in (2, 4, 8):
+            try:
+                cases.append((g, select_p_star(g, s, t, k)))
+            except InstanceSkip:
+                pass
+    for g, p_star in cases:
+        for method in METHODS:
+            run_attack(g, p_star, AttackConfig(method=method))
+    assert told["float"] == 0 and told["int"] > 100 and calls > 1000, (told, calls)

@@ -388,25 +388,81 @@ def test_bounded_ranking_is_a_prefix_of_the_unbounded_one(monkeypatch):
     assert short > 700 and cut > 500, (short, cut)
 
 
-def test_oracle_agrees_with_unbounded_iterator():
-    # next_shortest_excluding limits its ranking to two paths; it must
-    # return the first path of the unbounded ranking that is not p*, for
-    # p* anywhere in the ranking, absent from it, or a ghost whose edges
-    # are missing, with and without bans.
+def test_oracle_agrees_with_unbounded_iterator(monkeypatch):
+    # next_shortest_excluding ranks at most two paths; it must return the
+    # first path of the unbounded ranking that is not p*, for p* anywhere
+    # in the ranking, absent from it, or a ghost whose edges are missing,
+    # with and without bans. When its first search returns a path other
+    # than p*, that search is the only one. Told that p* is the ranking's
+    # first path, it must give the same answer with one search fewer.
     rng = np.random.default_rng(2718)
     weight_draws = _weight_draws(rng)
-    checked = 0
+    calls = []
+    monkeypatch.setattr(pathcut.paths, "shortest_path", recorded(shortest_path, calls))
+
+    def searches(**told):
+        calls.clear()
+        got = next_shortest_excluding(g, s, t, Path(star), banned_edges=banned, **told)
+        return (got and got.nodes), len(calls)
+
+    checked = answered_first = told_first = 0
     for kind in list(weight_draws) * 30:
         g, s, t, restrict = _random_case(rng, weight_draws[kind])
         banned = restrict.get("banned_edges", ())
         ranked = _ranked(g, s, t, 8, banned_edges=banned)
         ghost = (s,) + tuple(u for u in range(g.node_count) if u not in (s, t))[:2] + (t,)
         for star in ranked[:4] + [ghost]:
-            got = next_shortest_excluding(g, s, t, Path(star), banned_edges=banned)
+            got, made = searches()
             expect = next((nodes for nodes in ranked if nodes != star), None)
-            assert (got and got.nodes) == expect, (kind, s, t, star, banned)
+            assert got == expect, (kind, s, t, star, banned)
             checked += 1
-    assert checked > 500
+            if ranked[:1] == [star]:
+                assert searches(p_star_first=True) == (got, made - 1), (kind, s, t, star, banned)
+                told_first += 1
+            else:
+                assert made == 1, (kind, s, t, star, banned)
+                answered_first += 1
+    assert checked > 500 and answered_first > 300 and told_first > 100, (
+        checked, answered_first, told_first)
+
+
+def test_iterator_and_oracle_check_arguments_in_one_order():
+    # The first fault in the order s, t, distinct endpoints, limit, node
+    # mask, bans decides the error, for the iterator and the oracle alike
+    # (the oracle takes no limit and no mask).
+    g = Graph(3, [(0, 1, 1), (1, 2, 1)])
+    order = ("s", "t", "same", "limit", "allowed", "banned")
+    errors = {
+        "s": (InputError, "node 7 out of range for 3 nodes"),
+        "t": (InputError, "node 9 out of range for 3 nodes"),
+        "same": (InputError, "path enumeration needs distinct endpoints"),
+        "limit": (InputError, "limit must be >= 0, got -1"),
+        "allowed": (TypeError, "'int' object is not iterable"),
+        "banned": (InputError, "self-loop at node 1"),
+    }
+
+    def raised(call):
+        with pytest.raises(Exception) as info:
+            call()
+        return info.type, str(info.value)
+
+    tried = 0
+    for mask in range(1, 1 << len(order)):
+        faults = [f for i, f in enumerate(order) if mask >> i & 1]
+        if "t" in faults and "same" in faults:
+            continue
+        s = 7 if "s" in faults else 0
+        t = s if "same" in faults else 9 if "t" in faults else 2
+        banned = [(1, 1)] if "banned" in faults else [(0, 1)]
+        assert raised(lambda: PathIterator(
+            g, s, t, allowed_nodes=5 if "allowed" in faults else None, banned_edges=banned,
+            limit=-1 if "limit" in faults else None)) == errors[faults[0]], faults
+        oracle_faults = [f for f in faults if f not in ("limit", "allowed")]
+        if oracle_faults:
+            assert raised(lambda: next_shortest_excluding(
+                g, s, t, Path((0, 1, 2)), banned_edges=banned)) == errors[oracle_faults[0]], faults
+        tried += 1
+    assert tried == 47
 
 
 def test_float_weights_rank_without_distance_bound():
