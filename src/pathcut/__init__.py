@@ -53,9 +53,7 @@ from .lp import (
     RelaxedCutLP,
     build_cover_lp,
     is_integral,
-    parse_lp_text,
     solve_relaxed,
-    write_lp_text,
 )
 from .paths import PathIterator, k_shortest_paths, next_shortest_excluding
 from .reduction import (

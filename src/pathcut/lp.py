@@ -17,27 +17,6 @@ every row nonempty, starting all edge variables at their upper bound 1
 is feasible. An empty row makes the program infeasible;
 :func:`solve_relaxed` raises :class:`~pathcut.errors.InfeasibleError`
 for it.
-
-Text interchange format (``write_lp_text``/``parse_lp_text``), one ASCII
-line each, for cross-checking against external solvers::
-
-    coverlp 1
-    vars <n>
-    var <index> <u> <v> <cost>      # one per variable, index order
-    row <i1> <i2> ...               # one per constraint; sum of the listed
-                                    # variables >= 1, coefficients all 1
-    end
-
-Variables are bounded to [0, 1]; the objective is min sum(cost * var).
-``parse_lp_text`` raises :class:`~pathcut.errors.InputError` naming the
-line for a malformed document: a missing or bad ``vars`` line, or one
-declaring more variables than the document has lines for; a ``var``
-line without exactly 5 tokens, with an index out of range or repeated,
-with ``u == v``, or with a cost outside ``0 <= c < inf`` (NaN included,
-the rule :class:`~pathcut.graphs.Graph` applies); a ``row`` index out of
-range; a row that is not strictly increasing (the solver counts a row's
-entries as distinct variables). An empty ``row`` line parses; solving
-the result raises :class:`~pathcut.errors.InfeasibleError`.
 """
 
 from __future__ import annotations
@@ -46,7 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -287,16 +266,16 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     """Optimal basic solution of the relaxed LP.
 
     Every row must be a nonempty sorted tuple of distinct variable indices
-    in ``range(len(lp.edge_order))``, as :func:`build_cover_lp` produces
-    (:func:`parse_lp_text` may also yield empty rows). An empty row
-    raises :class:`InfeasibleError` naming the first one; an index out of
-    range raises :class:`InputError`. Variables absent from
-    every row are fixed at 0 (their cost is nonnegative, so this is
-    optimal and keeps the solution a vertex); the simplex runs on the
-    active variables only, and only their costs are read. Row feasibility
-    is re-checked on the simplex's reduced array and rows, which hold the
-    same floats in the same order as the full ones; when the check fails
-    because a row repeats an index, :class:`InputError` names that row.
+    in ``range(len(lp.edge_order))``, as :func:`build_cover_lp` produces.
+    A hand-built LP is checked: an empty row raises
+    :class:`InfeasibleError` naming the first one; an index out of range
+    raises :class:`InputError`. Variables absent from every row are fixed
+    at 0 (their cost is nonnegative, so this is optimal and keeps the
+    solution a vertex); the simplex runs on the active variables only, and
+    only their costs are read. Row feasibility is re-checked on the
+    simplex's reduced array and rows, which hold the same floats in the
+    same order as the full ones; when the check fails because a row
+    repeats an index, :class:`InputError` names that row.
     ``values`` is the simplex's array scattered over all columns, made
     read-only. The objective dots it with the costs, zeroed off the active
     columns, where ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite) are
@@ -335,79 +314,3 @@ def is_integral(sol: LPSolution) -> bool:
     """True iff every variable is within ``INTEGRALITY_TOL`` of 0 or 1."""
     v = np.asarray(sol.values)
     return bool(((v <= INTEGRALITY_TOL) | (v >= 1.0 - INTEGRALITY_TOL)).all())
-
-
-def write_lp_text(lp: RelaxedCutLP) -> str:
-    """Serialize to the line-based interchange format (see module docs)."""
-    lines = ["coverlp 1", f"vars {len(lp.edge_order)}"]
-    for j, (u, v) in enumerate(lp.edge_order):
-        lines.append(f"var {j} {u} {v} {lp.costs[j]!r}")
-    for row in lp.rows:
-        lines.append("row " + " ".join(map(str, row)))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def parse_lp_text(text: str) -> RelaxedCutLP:
-    """Inverse of :func:`write_lp_text`; rejects malformed documents.
-
-    Raises :class:`InputError` naming the offending line (numbered from 1
-    in ``text``) for every check listed in the module docstring.
-    """
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1].split() != ["coverlp", "1"]:
-        raise InputError("not a coverlp-1 document")
-    if lines[-1][1] != "end":
-        raise InputError("missing 'end' line")
-
-    def bad(no: int, ln: str, why: str) -> InputError:
-        return InputError(f"line {no}: {why}: {ln!r}")
-
-    no, ln = lines[1]
-    parts = ln.split()
-    try:
-        nvars = int(parts[1]) if len(parts) == 2 and parts[0] == "vars" else -1
-    except ValueError:
-        nvars = -1
-    if nvars < 0:
-        raise bad(no, ln, "bad vars line")
-    if nvars > len(lines) - 3:  # each variable needs its own var line
-        raise bad(no, ln, f"more variables than the {len(lines) - 3} lines that follow")
-    edge_order: list[Optional[EdgeKey]] = [None] * nvars
-    costs: list[float] = [0.0] * nvars
-    rows: list[tuple[int, ...]] = []
-    for no, ln in lines[2:-1]:
-        parts = ln.split()
-        if parts[0] == "var":
-            if len(parts) != 5:
-                raise bad(no, ln, "a var line has exactly 5 tokens")
-            try:
-                j, u, v = int(parts[1]), int(parts[2]), int(parts[3])
-                cost = float(parts[4])
-            except ValueError:
-                raise bad(no, ln, "malformed var line") from None
-            if not 0 <= j < nvars:
-                raise bad(no, ln, f"var index {j} out of range for {nvars} variables")
-            if edge_order[j] is not None:
-                raise bad(no, ln, f"var index {j} repeated")
-            if u == v:
-                raise bad(no, ln, "an edge needs two distinct endpoints")
-            if not 0 <= cost < math.inf:
-                raise bad(no, ln, "cost must be finite and nonnegative")
-            edge_order[j] = (u, v) if u < v else (v, u)
-            costs[j] = int(cost) if cost.is_integer() else cost
-        elif parts[0] == "row":
-            try:
-                row = tuple(int(p) for p in parts[1:])
-            except ValueError:
-                raise bad(no, ln, "malformed row line") from None
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise bad(no, ln, "row indices must be strictly increasing")
-            if row and (row[0] < 0 or row[-1] >= nvars):
-                raise bad(no, ln, f"row index out of range for {nvars} variables")
-            rows.append(row)
-        else:
-            raise bad(no, ln, "unknown line")
-    if any(e is None for e in edge_order):
-        raise InputError("var lines do not cover every index")
-    return RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(costs), rows=tuple(rows))

@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, check_count
-from .graphs import Graph, Path
+from .graphs import Graph, Path, bfs_hops
 from .reduction import TerminalCutInstance, brute_force_3tc, brute_force_force_path_cut, solve_3tc_via_fpc
 
 #: Node count up to which the sweep tries every weight assignment; larger
@@ -31,20 +31,7 @@ def connected_edge_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def _spans(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+    return len(bfs_hops(Graph(n, [(u, v, 1) for u, v in edges]), 0)) == n
 
 
 def clique_instance(n: int) -> tuple[Graph, Path]:

@@ -161,13 +161,12 @@ def test_mean_retries_small_on_fixed_fractional_instance():
 
 
 def test_solver_seam_accepts_external_engine():
-    # Substitute an external solver, driving it through the text format.
+    # Substitute an external solver: HiGHS reads the RelaxedCutLP as built.
     from scipy.optimize import linprog
 
-    from pathcut.lp import LPSolution, parse_lp_text, write_lp_text
+    from pathcut.lp import LPSolution
 
     def external(lp):
-        lp = parse_lp_text(write_lp_text(lp))  # out-of-process stand-in
         A = np.zeros((len(lp.rows), len(lp.costs)))
         for i, row in enumerate(lp.rows):
             A[i, list(row)] = 1.0

@@ -23,9 +23,7 @@ from pathcut.lp import (
     RelaxedCutLP,
     build_cover_lp,
     is_integral,
-    parse_lp_text,
     solve_relaxed,
-    write_lp_text,
 )
 from pathcut.paths import k_shortest_paths
 
@@ -403,66 +401,6 @@ def test_rows_sum_to_at_least_one():
         sol = solve_relaxed(lp_of(rows, costs))
         for row in rows:
             assert sum(sol.values[j] for j in row) >= 1 - 1e-9
-
-
-def test_text_round_trip():
-    g = Graph(3, [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 1, 4)])
-    lp = build_cover_lp(g, Path((0, 1, 2)), [Path((0, 2))])
-    text = write_lp_text(lp)
-    assert text.startswith("coverlp 1\n")
-    assert text.endswith("end\n")
-    assert parse_lp_text(text) == lp
-    with pytest.raises(InputError):
-        parse_lp_text("not a document\n")
-
-
-DOC_HEAD = "coverlp 1\nvars 2\nvar 0 0 1 3\nvar 1 1 2 4\n"
-
-
-@pytest.mark.parametrize("text, line", [
-    ("coverlp 1\nvar 0 0 1 3\nrow 0\nend\n", 2),  # no vars line
-    ("coverlp 1\nvars x\nend\n", 2),
-    ("coverlp 1\nvars -1\nend\n", 2),
-    ("coverlp 1\nvars 1 2\nvar 0 0 1 3\nend\n", 2),
-    ("coverlp 1\nend\n", 2),
-    ("coverlp 1\nvars 10000000000\nvar 0 0 1 3\nend\n", 2),
-    ("coverlp 1\nvars 1\nvar 0 0 1\nend\n", 3),  # 4 tokens
-    ("coverlp 1\nvars 1\nvar 0 0 1 3 7\nend\n", 3),  # 6 tokens
-    ("coverlp 1\nvars 1\nvar 0 0 one 3\nend\n", 3),
-    ("coverlp 1\nvars 1\nvar 5 0 1 3\nend\n", 3),  # index out of range
-    ("coverlp 1\nvars 1\nvar -1 0 1 3\nend\n", 3),
-    ("coverlp 1\nvars 2\nvar 0 0 1 3\nvar 0 1 2 4\nend\n", 4),  # repeated
-    ("coverlp 1\nvars 1\nvar 0 2 2 3\nend\n", 3),  # u == v
-    ("coverlp 1\nvars 1\nvar 0 0 1 nan\nend\n", 3),
-    ("coverlp 1\nvars 1\nvar 0 0 1 1e400\nend\n", 3),
-    ("coverlp 1\nvars 1\nvar 0 0 1 inf\nend\n", 3),
-    ("coverlp 1\nvars 1\nvar 0 0 1 -3\nend\n", 3),
-    (DOC_HEAD + "row 2\nend\n", 5),  # row index out of range
-    (DOC_HEAD + "row -1 0\nend\n", 5),
-    ("coverlp 1\nvars 1\nvar 0 0 1 3\nrow 3\nend\n", 4),
-    (DOC_HEAD + "row 1 0 0\nend\n", 5),  # not increasing, repeated
-    (DOC_HEAD + "row 0 0\nend\n", 5),
-    (DOC_HEAD + "row 1 0\nend\n", 5),
-    (DOC_HEAD + "row 0 x\nend\n", 5),
-    (DOC_HEAD + "vars 2\nend\n", 5),  # a second vars line is unknown
-], ids=[
-    "missing-vars", "vars-not-int", "vars-negative", "vars-extra-token", "vars-is-end", "vars-too-many",
-    "var-4-tokens", "var-6-tokens", "var-not-int", "var-index-too-large",
-    "var-index-negative", "var-index-repeated", "var-self-loop", "cost-nan",
-    "cost-overflow", "cost-inf", "cost-negative", "row-index-too-large",
-    "row-index-negative", "row-3-of-1-var", "row-unsorted-repeated", "row-repeated",
-    "row-decreasing", "row-not-int", "second-vars-line",
-])
-def test_parse_rejects_malformed_document(text, line):
-    with pytest.raises(InputError, match=f"^line {line}: "):
-        parse_lp_text(text)
-
-
-def test_parse_accepts_zero_cost_and_empty_row():
-    lp = parse_lp_text(DOC_HEAD.replace("var 1 1 2 4", "var 1 2 1 0") + "row 0 1\nrow\nend\n")
-    assert lp.edge_order == ((0, 1), (1, 2))
-    assert lp.costs == (3, 0)
-    assert lp.rows == ((0, 1), ())
 
 
 @pytest.mark.parametrize("row", [(3,), (0, 1), (-1, 0)])
