@@ -384,10 +384,9 @@ def run_experiments(cfg: ExperimentConfig, output_dir=None) -> list[ExperimentRe
                         wall_time_s=time.perf_counter() - start))
                     continue
                 wall = time.perf_counter() - start
-                if method == METHOD_GREEDY_COST:
-                    baseline_cost = plan.total_cost
                 ratio = None
                 if method == METHOD_GREEDY_COST:
+                    baseline_cost = plan.total_cost
                     ratio = 1.0
                 elif baseline_cost is not None and baseline_cost > 0:
                     ratio = plan.total_cost / baseline_cost

@@ -1,0 +1,99 @@
+"""The comparisons of scripts/check_contract.py, on fabricated runs."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_contract.py"
+_spec = importlib.util.spec_from_file_location("check_contract", _SCRIPT)
+contract = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(contract)
+
+BLOCKS = {"a/records.jsonl": b'{"x": 1}\n', "b/records.jsonl": b'{"x": 2}\n'}
+
+
+def fake_run(root, files):
+    root.mkdir()
+    (root / "timings.jsonl").write_bytes(b"not a record\n")
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(exist_ok=True)
+        (root / rel).write_bytes(data)
+    return contract.records_map(root)
+
+
+def write_sums(path, files):
+    path.write_text("".join(f"{hashlib.sha256(data).hexdigest()}  {rel}\n"
+                            for rel, data in files.items()), encoding="ascii")
+    return contract.read_sums(path)
+
+
+def problems(tmp_path, *runs, sums=BLOCKS):
+    maps = {f"run{i}": fake_run(tmp_path / f"run{i}", files) for i, files in enumerate(runs)}
+    return contract.records_problems(maps, write_sums(tmp_path / "set.sha256", sums), "set.sha256")
+
+
+def test_equal_runs_match_the_sums(tmp_path):
+    assert problems(tmp_path, BLOCKS, BLOCKS, BLOCKS) == []
+
+
+@pytest.mark.parametrize("runs, sums, expected", [
+    # a changed digest
+    ((BLOCKS, BLOCKS), {**BLOCKS, "b/records.jsonl": b'{"x": 3}\n'},
+     ["run0: b/records.jsonl differs from set.sha256"]),
+    # a missing block
+    (({"a/records.jsonl": BLOCKS["a/records.jsonl"]},) * 2, BLOCKS,
+     ["run0: b/records.jsonl missing (in set.sha256)"]),
+    # an extra block
+    (({**BLOCKS, "c/records.jsonl": b"{}\n"},) * 2, BLOCKS,
+     ["run0: c/records.jsonl not in set.sha256"]),
+    # two hash-seed runs that differ, the first matching the sums
+    ((BLOCKS, {**BLOCKS, "a/records.jsonl": b'{"x": 0}\n'}), BLOCKS,
+     ["run1: a/records.jsonl differs from run0"]),
+    # a variant that differs from both hash-seed runs
+    ((BLOCKS, BLOCKS, {"b/records.jsonl": BLOCKS["b/records.jsonl"]}), BLOCKS,
+     ["run2: a/records.jsonl missing (in run0)"]),
+    # no records at all, against empty sums
+    (({}, {}), {}, ["run0: no records.jsonl"]),
+])
+def test_records_comparison_names_each_difference(tmp_path, runs, sums, expected):
+    assert problems(tmp_path, *runs, sums=sums) == expected
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0" * 63 + "  records.jsonl\n", 1),
+    ("0" * 64 + " records.jsonl\n", 1),
+    (f"{'0' * 64}  records.jsonl\n{'1' * 64}  records.jsonl\n", 2),
+])
+def test_read_sums_rejects_a_malformed_line_or_a_repeated_file(tmp_path, text, line):
+    (tmp_path / "bad.sha256").write_text(text, encoding="ascii")
+    with pytest.raises(contract.ContractError, match=f"bad.sha256:{line}:"):
+        contract.read_sums(tmp_path / "bad.sha256")
+
+
+def trace_result(workload, correct=True, failed=0, moved=()):
+    counts = {**dict(zip(contract.TRACE_NAMES, contract.TRACE_COUNTS[workload])), **dict(moved)}
+    return {"correct": correct, "failed": failed,
+            "metrics": {name: {"value": value} for name, value in counts.items()}}
+
+
+def test_trace_counts_pin_every_name_on_every_workload():
+    assert set(contract.TRACE_COUNTS) == {"sparse-weighted", "dense-ties", "lattice-hop"}
+    assert all(len(counts) == len(contract.TRACE_NAMES) == 11
+               for counts in contract.TRACE_COUNTS.values())
+    for workload in contract.TRACE_COUNTS:
+        assert contract.trace_problems(workload, trace_result(workload)) == []
+
+
+def test_trace_comparison_names_the_metric_that_moved():
+    result = trace_result("lattice-hop", moved={"attack.constraints_total": 438})
+    assert contract.trace_problems("lattice-hop", result) == [
+        "lattice-hop: attack.constraints_total = 438, expected 439"]
+
+
+@pytest.mark.parametrize("correct", [False, None, 1])
+def test_trace_comparison_fails_unless_correct_is_true(correct):
+    result = trace_result("dense-ties", correct=correct, failed=60)
+    assert contract.trace_problems("dense-ties", result) == [
+        f"dense-ties: correct is {correct!r}, failed: 60"]
