@@ -69,22 +69,11 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
     residual graph is never built. Returns ``(removed, iterations,
     certificate)``; the certificate is the final oracle call.
 
-    The loop tells the oracle when ``p_star`` is known to be the first
-    path of the residual graph, so that it skips its first search. Let the
-    answer at cut ``R`` rank after ``p_star`` by ``(path_length, nodes)``.
-    The oracle's first search returns the ``(path_length, nodes)`` minimum
-    of ``g`` minus ``R`` (:func:`~pathcut.graphs.shortest_path`), and no
-    cut rule cuts an edge of ``p_star``, so that minimum was ``p_star``:
-    any other would have been the answer. A cut ``R' ⊇ R`` only removes
-    paths, and ``p_star`` is still among them, so it is still the minimum.
-    The loop keeps the first such ``R`` it meets. A baseline's cuts only
-    grow, so the fact holds from its first answer after ``p_star`` on;
-    PATHATTACK uses it whenever a new cover contains ``R``. With float
-    weights, two routes to a node of different lengths can tie once an
-    edge is added and the sums round; the search keeps only the shorter
-    route, whose node sequence need not be the smaller. So the minimum is
-    exact only with ``int`` weights, and the fact is used on those graphs
-    only, as is the ranking's cutoff (:mod:`pathcut.paths`).
+    Once an answer ranks after ``p_star`` by ``(path_length, nodes)``,
+    ``p_star`` was first in that residual graph and usually stays first, so
+    the loop passes the oracle's ``p_star_first`` hint from then on. No cut
+    rule cuts an edge of ``p_star``, so the hint is valid input; it saves a
+    search and changes no answer (:func:`~pathcut.paths.next_shortest_excluding`).
     """
     if p_star.num_edges == 0:
         raise InputError("target path must have at least one edge")
@@ -97,14 +86,12 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
 
     constraints: list[Path] = []
     removed: frozenset = frozenset()
-    first_at: Optional[frozenset] = None  # the cut R of the docstring
+    hint = False
     while True:
-        known = first_at is not None and first_at <= removed
-        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed, p_star_first=known)
+        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed, p_star_first=hint)
         if p is None or strictly_longer(length := path_length(g, p), p_len):
             break
-        if first_at is None and g._int_weights and (length, p.nodes) > (p_len, p_star.nodes):
-            first_at = removed
+        hint = hint or (length, p.nodes) > (p_len, p_star.nodes)
         constraints.append(p)
         if len(constraints) > cap:
             raise IterationLimitError(

@@ -11,8 +11,8 @@ Candidates wait in one list sorted by ``(length, nodes)``, so ties
 resolve to the lexicographically smallest sequence. Generation is lazy:
 a path spawns its deviations after its ``yield``, when the next path is
 requested. The constraint-generation oracle
-(:func:`next_shortest_excluding`) ranks only when its first search returns
-the protected path, and then stops after the second path.
+(:func:`next_shortest_excluding`) ranks only from the protected path,
+and stops after the second path.
 
 Spur searches follow Lawler's rule: a path spawns deviations only from
 its own deviation index onward, the position where it left the yielded
@@ -35,10 +35,7 @@ are kept, so ties still resolve by node sequence. The cutoff never rises:
 a pop leaves the list full, and a push can only lower it. Lawler's rule
 stays exact: a skipped search repeats an earlier one, and if that one was
 cut off or its candidate dropped, ``need`` candidates were ahead of its
-path then, so it cannot be yielded. The cutoff is exact only with exact
-sums, so it applies when every weight is an ``int``. With float weights
-one node sequence can be pushed from two deviation indices with lengths
-an ulp apart, and those graphs search without a cutoff.
+path then, so it cannot be yielded.
 
 Under the cutoff, the ranking runs a spur search only if some neighbour
 ``v`` of the spur has ``w(spur, v) + bound[v] <= max_length``, is not in
@@ -48,6 +45,12 @@ ranking. That is exact: it is the search's own push filter on its first
 expansion, from the spur at length 0, so a skipped search would push
 nothing and return None. Rankings and ties stay the same; only the
 number of searches falls.
+
+Three shortcuts need exact sums and apply only when every weight is an
+``int``: the distance bound of :func:`~pathcut.graphs.shortest_path`, the
+ranking's cutoff with its spur skip, and the oracle's ``p_star_first``
+hint. With float weights sums round and ties stop being ties (see the
+float paragraph of :func:`~pathcut.graphs.shortest_path`).
 """
 
 from __future__ import annotations
@@ -208,13 +211,18 @@ def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges
 
     The first search answers the call unless it returns ``p_star``; only
     then does the ranking run, for its second path. ``p_star_first=True``
-    tells the oracle that the first search would return ``p_star``, a path
-    of ``g`` minus ``banned_edges``; the oracle then ranks from ``p_star``
-    without that search. The attack loop knows this from earlier answers
-    (see :func:`pathcut.attack._force_path`).
+    hints that it would; ``p_star`` must then be an s-t path of ``g`` minus
+    ``banned_edges`` (else :class:`~pathcut.errors.InputError`). With ``int``
+    weights the oracle then ranks from ``p_star`` without that search, and
+    the answer is the same wherever ``p_star`` ranks: every other s-t path
+    leaves ``p_star`` at exactly one index, and the spur search there
+    returns the ``(length, nodes)`` minimum of those paths.
     """
     s, t, _, banned = _arguments(g, s, t, None, banned_edges)
-    if p_star_first:
+    if p_star_first and ((p_star.source, p_star.target) != (s, t) or not all(
+            e in g._weights and e not in banned for e in p_star.edges)):
+        raise InputError(f"p_star_first: {p_star.nodes} is not an s-t path of g minus the bans")
+    if p_star_first and g._int_weights:
         first = p_star
     else:
         first = shortest_path(g, s, t, banned_edges=banned)

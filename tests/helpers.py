@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pathcut import (
     ConvergenceError, Graph, InfeasibleError, InputError, Path, PathCutError, edge_key, path_length,
-    shortest_path,
+    shortest_path, strictly_longer,
 )
 from pathcut.cover import DEFAULT_RETRY_CAP, LPCoverResult
 from pathcut.errors import RoundingFailureError
@@ -42,6 +42,45 @@ def residual_graph(g, removed):
             raise InputError(f"cannot remove unknown edge {k}")
         gone.add(k)
     return Graph(g.node_count, [r for r in g.edge_records() if r[:2] not in gone])
+
+
+def exclusive_after(g, p_star, removed):
+    """True iff ``removed`` spares every edge of ``p_star`` and leaves it
+    the strictly shortest simple path between its endpoints.
+
+    Shares no code with the oracle (``pathcut.paths``, ``shortest_path``).
+    With every weight > 0 it applies the rule of ``bench/plancheck.py``:
+    two distance-only Dijkstras, and no edge off ``p_star`` may lie on an
+    s-t walk no longer than ``p_star``. Otherwise it enumerates every
+    simple path. Test graphs have integer weights, so sums are exact.
+    """
+    if frozenset(removed) & frozenset(p_star.edges):
+        return False
+    residual = residual_graph(g, removed)
+    s, t, p_len = p_star.source, p_star.target, path_length(g, p_star)
+    records = residual.edge_records()
+    if any(w <= 0 for _, _, w, _ in records):
+        return all(strictly_longer(length, p_len)
+                   for length, nodes in enumerate_simple_paths(residual, s, t)
+                   if nodes != p_star.nodes)
+    d_s, d_t = _distances(residual, s), _distances(residual, t)
+    on_path = frozenset(p_star.edges)
+    return all(strictly_longer(min(d_s[u] + d_t[v], d_s[v] + d_t[u]) + w, p_len)
+               for u, v, w, _ in records if (u, v) not in on_path)
+
+
+def _distances(g, source):
+    dist = [math.inf] * g.node_count
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d == dist[u]:
+            for v, w in g.neighbors(u):
+                if d + w < dist[v]:
+                    dist[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+    return dist
 
 
 def reachable_pair(rng, g):
@@ -83,10 +122,6 @@ def small_graph_and_pair(draw, max_nodes=8, max_weight=6):
     s = draw(st.integers(0, n - 1))
     t = draw(st.integers(0, n - 1).filter(lambda x: x != s))
     return g, s, t
-
-
-def path_from_nodes(nodes):
-    return Path(tuple(nodes))
 
 
 def reference_shortest_path(g, s, t, banned_nodes=frozenset(), banned_edges=frozenset(),

@@ -12,21 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import random_graph, residual_graph
-from pathcut import (
-    AttackConfig,
-    Graph,
-    InstanceSkip,
-    Path,
-    path_length,
-    strictly_longer,
-)
+from helpers import exclusive_after, random_graph
+from pathcut import AttackConfig, Graph, InstanceSkip, Path, path_length
 from pathcut.attack import METHOD_GREEDY_COST, METHOD_PATHATTACK_LP, METHODS, run_attack
 from pathcut.cover import lp_path_cover
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
 from pathcut.graphs import shortest_path
 from pathcut.harness import ExperimentConfig, run_experiments, select_p_star, select_terminals
-from pathcut.paths import PathIterator, next_shortest_excluding
+from pathcut.paths import PathIterator
 from pathcut.reduction import brute_force_force_path_cut, enumerate_simple_paths
 from pathcut.sweeps import clique_instance, reduction_equivalence_sweep
 
@@ -44,17 +37,6 @@ BANK_SEEDS = 14  # 4 families x 3 schemes x 3 ranks x 14 seeds = 504 instances
 def report(num, name, ok, detail=""):
     print(f"\n[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def verified_exclusive(g, p_star, plan):
-    """Re-check the success predicate from the plan contents alone."""
-    if plan.removed_edges & frozenset(p_star.edges):
-        return False
-    residual = residual_graph(g, plan.removed_edges)
-    alt = next_shortest_excluding(residual, p_star.source, p_star.target, p_star)
-    return alt is None or strictly_longer(
-        path_length(residual, alt), path_length(g, p_star)
-    )
 
 
 @dataclass
@@ -97,7 +79,7 @@ def feasibility_bank():
                     for method in METHODS:
                         plan = run_attack(g, p_star, AttackConfig(method=method, rng_seed=seed))
                         plans[method] = plan
-                        exclusive[method] = verified_exclusive(g, p_star, plan)
+                        exclusive[method] = exclusive_after(g, p_star, plan.removed_edges)
                     runs.append(BankRun(family, scheme, rank, seed, g, p_star, plans, exclusive))
     elapsed = time.perf_counter() - started
     return runs, elapsed

@@ -393,19 +393,22 @@ def test_oracle_agrees_with_unbounded_iterator(monkeypatch):
     # first path of the unbounded ranking that is not p*, for p* anywhere
     # in the ranking, absent from it, or a ghost whose edges are missing,
     # with and without bans. When its first search returns a path other
-    # than p*, that search is the only one. Told that p* is the ranking's
-    # first path, it must give the same answer with one search fewer.
+    # than p*, that search is the only one. Hinted that a p* of the
+    # ranking comes first, it gives the same answer with int weights, and
+    # when p* is first it skips the first search and makes the others;
+    # float graphs ignore the hint.
     rng = np.random.default_rng(2718)
     weight_draws = _weight_draws(rng)
     calls = []
     monkeypatch.setattr(pathcut.paths, "shortest_path", recorded(shortest_path, calls))
 
-    def searches(**told):
+    def searches(**hint):
         calls.clear()
-        got = next_shortest_excluding(g, s, t, Path(star), banned_edges=banned, **told)
-        return (got and got.nodes), len(calls)
+        got = next_shortest_excluding(g, s, t, Path(star), banned_edges=banned, **hint)
+        return (got and got.nodes), list(calls)
 
-    checked = answered_first = told_first = 0
+    checked = answered_first = 0
+    hinted = dict.fromkeys(["first", "later", "float"], 0)
     for kind in list(weight_draws) * 30:
         g, s, t, restrict = _random_case(rng, weight_draws[kind])
         banned = restrict.get("banned_edges", ())
@@ -416,14 +419,39 @@ def test_oracle_agrees_with_unbounded_iterator(monkeypatch):
             expect = next((nodes for nodes in ranked if nodes != star), None)
             assert got == expect, (kind, s, t, star, banned)
             checked += 1
-            if ranked[:1] == [star]:
-                assert searches(p_star_first=True) == (got, made - 1), (kind, s, t, star, banned)
-                told_first += 1
-            else:
-                assert made == 1, (kind, s, t, star, banned)
+            if ranked[:1] != [star]:
+                assert len(made) == 1, (kind, s, t, star, banned)
                 answered_first += 1
-    assert checked > 500 and answered_first > 300 and told_first > 100, (
-        checked, answered_first, told_first)
+            if star not in ranked:  # no path of g minus the bans: no hint
+                continue
+            told = searches(p_star_first=True)
+            if kind == "float":
+                assert told == (got, made), (kind, s, t, star, banned)
+                hinted["float"] += 1
+            elif star == ranked[0]:
+                assert told == (got, made[1:]), (kind, s, t, star, banned)
+                hinted["first"] += 1
+            else:
+                assert told[0] == got, (kind, s, t, star, banned)
+                hinted["later"] += 1
+    assert checked > 500 and answered_first > 300 and min(hinted.values()) > 100, (
+        checked, answered_first, hinted)
+
+
+def test_oracle_rejects_a_hint_that_is_no_path_of_the_graph_minus_its_bans():
+    # Ranked from, a p* through a banned edge would yield a competitor
+    # through that edge, and a ghost p* has no length. Hinted, both raise,
+    # on either kind of weights; unhinted, p* is a descriptor and each
+    # call answers from its first search.
+    records = [(0, 1, 1), (1, 3, 1), (1, 2, 1), (2, 3, 1), (0, 4, 10), (4, 3, 10)]
+    for number in (int, float):
+        g = Graph(5, [(u, v, number(w)) for u, v, w in records])
+        for star, banned, expect in [((0, 1, 3), [(0, 1)], (0, 4, 3)),
+                                     ((0, 3), [], (0, 1, 3)),
+                                     ((1, 3), [], (0, 1, 3))]:
+            assert next_shortest_excluding(g, 0, 3, Path(star), banned).nodes == expect
+            with pytest.raises(InputError, match="p_star_first"):
+                next_shortest_excluding(g, 0, 3, Path(star), banned, p_star_first=True)
 
 
 def test_iterator_and_oracle_check_arguments_in_one_order():
