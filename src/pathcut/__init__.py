@@ -20,6 +20,7 @@ from .errors import (
     InputError,
     InstanceSkip,
     IterationLimitError,
+    MismatchError,
     PathCutError,
     RoundingFailureError,
     SizeError,

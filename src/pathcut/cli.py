@@ -4,8 +4,9 @@ Verbs: ``generate`` (write a synthetic graph as an edge list), ``attack``
 (run one method on one instance), ``experiment`` (seeded batch with
 records/timings/summary output), ``reduce-check`` (verify the 3-terminal
 transformation against direct brute force), ``brute-force`` (exact
-optimum on a small instance). Failures print a JSON error object to
-stderr and exit with the category's code (see :mod:`pathcut.errors`).
+optimum on a small instance). A failure prints a JSON error object with
+its class's category to stderr and exits with its class's code (see
+:mod:`pathcut.errors`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from . import reduction
 from .attack import METHODS, AttackConfig, run_attack
-from .errors import InputError, PathCutError, exit_code_for
+from .errors import InputError, MismatchError, PathCutError
 from .generators import FAMILIES, WEIGHT_KINDS, GeneratorSpec, WeightScheme, assign_weights, generate
 from .graphs import Path, path_length, strictly_longer
 from .harness import (
@@ -209,12 +210,9 @@ def _cmd_reduce_check(args) -> dict:
         eps_values=tuple(args.eps),
         seed=args.seed,
     )
-    result = {"checked": checked, "disagreements": disagreements}
     if disagreements:
-        err = PathCutError(f"{disagreements} disagreement(s) in {checked} checks")
-        err.category = "mismatch"
-        raise err
-    return result
+        raise MismatchError(f"{disagreements} disagreement(s) in {checked} checks")
+    return {"checked": checked, "disagreements": disagreements}
 
 
 def _cmd_brute_force(args) -> dict:
@@ -244,7 +242,7 @@ def main(argv=None) -> int:
     except PathCutError as exc:
         json.dump({"error": exc.category, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return exit_code_for(exc)
+        return exc.exit_code
     json.dump(result, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

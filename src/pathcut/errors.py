@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Every error carries a machine-readable ``category`` that the CLI maps to a
-process exit code.
+Each error class carries its machine-readable ``category`` and the
+process ``exit_code`` the CLI returns for it.
 """
 
 import numbers
@@ -11,26 +11,31 @@ from typing import get_args, get_type_hints
 
 class PathCutError(Exception):
     category = "internal"
+    exit_code = 70
 
 
 class InputError(PathCutError):
     """Malformed input: bad node ids, missing edges, invalid parameters."""
 
     category = "input"
+    exit_code = 2
 
 
 class SizeError(PathCutError):
     """Instance too large for an exact (brute-force) operation."""
 
     category = "size"
+    exit_code = 3
 
 
 class InfeasibleError(PathCutError):
     category = "infeasible"
+    exit_code = 4
 
 
 class ConvergenceError(PathCutError):
     category = "convergence"
+    exit_code = 5
 
 
 class IterationLimitError(PathCutError):
@@ -38,6 +43,7 @@ class IterationLimitError(PathCutError):
     ``{"constraints": cap + 1, "removed_edges": <cut in force>}``."""
 
     category = "iteration-limit"
+    exit_code = 6
 
     def __init__(self, message, partial=None):
         super().__init__(message)
@@ -48,6 +54,7 @@ class RoundingFailureError(PathCutError):
     """Randomized rounding hit its retry cap; carries the fractional solution."""
 
     category = "rounding"
+    exit_code = 7
 
     def __init__(self, message, solution=None):
         super().__init__(message)
@@ -59,19 +66,14 @@ class InstanceSkip(PathCutError):
     requested rank); recorded and skipped, never fatal to a batch."""
 
     category = "skip"
+    exit_code = 8
 
 
-EXIT_CODES = {
-    "input": 2,
-    "size": 3,
-    "infeasible": 4,
-    "convergence": 5,
-    "iteration-limit": 6,
-    "rounding": 7,
-    "skip": 8,
-    "mismatch": 9,
-    "internal": 70,
-}
+class MismatchError(PathCutError):
+    """Two computations that must agree do not (``reduce-check``)."""
+
+    category = "mismatch"
+    exit_code = 9
 
 
 #: Checked type -> (accepted type, its name in the message).
@@ -102,7 +104,3 @@ def check_count(name: str, value, least: int) -> None:
     if value < least:
         raise InputError(f"{name} must be >= {least}, got {value}")
 
-
-def exit_code_for(exc: BaseException) -> int:
-    category = getattr(exc, "category", "internal")
-    return EXIT_CODES.get(category, EXIT_CODES["internal"])

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import InputError, check_count, check_field_types
 from .graphs import Graph
 
-FAMILIES = ("er", "ba", "kronecker", "lattice", "complete")
 WEIGHT_KINDS = ("poisson", "uniform", "equal")
 
 #: Default Kronecker initiator; rescaled per draw so the density parameter
@@ -111,17 +110,9 @@ def _require(cond: bool, message: str) -> None:
 def generate(spec: GeneratorSpec) -> Graph:
     """Graph of the requested family with unit weights and costs."""
     check_count("seed", spec.seed, 0)
-    if spec.family == "er":
-        return _er(spec)
-    if spec.family == "ba":
-        return _ba(spec)
-    if spec.family == "kronecker":
-        return _kronecker(spec)
-    if spec.family == "lattice":
-        return _lattice(spec)
-    if spec.family == "complete":
-        return _complete(spec)
-    raise InputError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    if spec.family not in FAMILIES:
+        raise InputError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    return _BUILDERS[spec.family](spec)
 
 
 def _er(spec: GeneratorSpec) -> Graph:
@@ -220,6 +211,11 @@ def _complete(spec: GeneratorSpec) -> Graph:
     _require(spec.n is not None and spec.n >= 1, "complete needs n >= 1")
     n = spec.n
     return Graph._trusted(n, dict.fromkeys(((u, v) for u in range(n) for v in range(u + 1, n)), 1))
+
+
+_BUILDERS = {"er": _er, "ba": _ba, "kronecker": _kronecker, "lattice": _lattice,
+             "complete": _complete}
+FAMILIES = tuple(_BUILDERS)
 
 
 def assign_weights(g: Graph, scheme: WeightScheme) -> Graph:

@@ -79,30 +79,14 @@ class Graph:
         weights: dict[EdgeKey, float] = {}
         costs: dict[EdgeKey, float] = {}
         inf = math.inf
-        # One loop validates each record. Node ids that are already ``int``
-        # skip ``operator.index``, the common case, and the edge key is
-        # formed inline with the checks and messages of ``edge_key``.
         for rec in edges:
-            n_fields = len(rec)
-            if n_fields == 4:
-                u, v, w, c = rec
-            elif n_fields == 3:
-                u, v, w = rec
-                c = w
-            else:
+            if len(rec) not in (3, 4):
                 raise InputError(f"edge record must be (u, v, w[, c]): {rec!r}")
-            if type(u) is not int:
-                u = _as_node(u)
-            if type(v) is not int:
-                v = _as_node(v)
+            u, v, w, c = rec if len(rec) == 4 else (*rec, rec[2])  # cost defaults to the weight
+            u, v = _as_node(u), _as_node(v)
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise InputError(f"edge ({u}, {v}) out of range for {node_count} nodes")
-            if u < v:
-                k = (u, v)
-            elif u > v:
-                k = (v, u)
-            else:
-                raise InputError(f"self-loop at node {u}")
+            k = edge_key(u, v)
             if k in weights:
                 raise InputError(f"duplicate edge {k}")
             # Comparisons, not math.isfinite: NaN fails them and huge ints pass.
@@ -205,9 +189,10 @@ class Graph:
     def edge_records(self) -> list[tuple[int, int, float, float]]:
         return [(u, v, w, self._costs[(u, v)]) for (u, v), w in self._weights.items()]
 
-    def neighbors(self, u: int) -> Sequence[tuple[int, float]]:
-        """Neighbors of ``u`` as (node, weight) pairs, sorted by node id."""
-        return self._adjacency()[self.check_node(u)]
+    def neighbors(self, u: int) -> tuple[tuple[int, float], ...]:
+        """Neighbors of ``u`` as (node, weight) pairs, sorted by node id: a
+        copy, so that no caller can change the lists the searches read."""
+        return tuple(self._adjacency()[self.check_node(u)])
 
     def degree(self, u: int) -> int:
         return len(self._adjacency()[self.check_node(u)])
@@ -260,16 +245,13 @@ class Path:
     __slots__ = ("nodes", "edges")
 
     def __init__(self, nodes: Sequence[int]):
-        nodes = tuple(n if type(n) is int else _as_node(n) for n in nodes)
+        nodes = tuple(map(_as_node, nodes))
         if not nodes:
             raise InputError("a path needs at least one node")
         if len(set(nodes)) != len(nodes):
             raise InputError(f"path repeats a node: {nodes}")
         self.nodes = nodes
-        # No node repeats, so no edge is a self-loop: keys are formed inline.
-        self.edges: tuple[EdgeKey, ...] = tuple(
-            (a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])
-        )
+        self.edges: tuple[EdgeKey, ...] = tuple(map(edge_key, nodes, nodes[1:]))
 
     @classmethod
     def _trusted(cls, nodes: tuple) -> "Path":

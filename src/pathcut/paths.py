@@ -55,6 +55,7 @@ float paragraph of :func:`~pathcut.graphs.shortest_path`).
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from typing import Iterator, Optional
 
@@ -82,7 +83,7 @@ def PathIterator(g: Graph, s: int, t: int, allowed_nodes=None, banned_edges=(),
     """
     s, t, allowed, banned = _arguments(g, s, t, allowed_nodes, banned_edges, limit)
     first = shortest_path(g, s, t, banned_edges=banned, allowed_nodes=allowed)
-    return _ranking(g, t, allowed, banned, limit, first)
+    return _ranking(g, t, allowed, banned, math.inf if limit is None else limit, first)
 
 
 def _arguments(g: Graph, s, t, allowed_nodes, banned_edges, limit=None):
@@ -103,10 +104,11 @@ def _arguments(g: Graph, s, t, allowed_nodes, banned_edges, limit=None):
     return s, t, allowed, banned
 
 
-def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
+def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: float,
              first: Optional[Path]) -> Iterator[Path]:
     """The ranking behind :func:`PathIterator`, with ``left`` paths still to
-    yield (None without a limit). After its ``yield``, a path ``parent``
+    yield (``math.inf`` without a limit: the list never fills, so nothing is
+    dropped or cut off). After its ``yield``, a path ``parent``
     spawns the shortest deviation at each spur index from its deviation
     index ``dev`` onward (Lawler's rule). The search at root
     ``parent[:i + 1]`` bans the edge at ``i`` of every yielded path with
@@ -129,7 +131,7 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
     candidates: list[tuple] = []
     seen: set[tuple] = set()
     trie: dict = {}  # yielded paths as nested {node: subtrie}
-    cutoff = left is not None and g._int_weights
+    cutoff = g._int_weights
 
     def push(length, nodes: tuple, dev: int) -> None:
         # Node sequences are unique in the list, so ``dev`` never decides
@@ -137,7 +139,7 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
         if nodes not in seen:
             seen.add(nodes)
             insort(candidates, (length, nodes, dev))
-            if left is not None and len(candidates) > left:
+            if len(candidates) > left:
                 candidates.pop()
 
     if first is not None:
@@ -149,8 +151,7 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: Optional[int],
             adj = g._adjacency()
     while candidates:
         _, parent, dev = candidates.pop(0)
-        if left is not None:
-            left -= 1
+        left -= 1
         node = trie
         for v in parent:
             node = node.setdefault(v, {})

@@ -475,3 +475,14 @@ def test_attack_hints_change_no_oracle_answer(monkeypatch):
         for method in METHODS:
             run_attack(g, p_star, AttackConfig(method=method))
     assert told["int"] > 100 and calls > 1000, (told, calls)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("p_star, message", [
+    (Path((1,)), r"^target path must have at least one edge$"),
+    (Path((0, 1, 3)), r"^target path edge \(1, 3\) is not in the graph$"),
+])
+def test_run_attack_rejects_a_target_path_without_edges_or_off_the_graph(method, p_star, message):
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 5)])
+    with pytest.raises(InputError, match=message):
+        run_attack(g, p_star, AttackConfig(method=method))

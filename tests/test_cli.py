@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import pathcut.sweeps
+from pathcut import MismatchError, errors
 from pathcut.cli import main
 from pathcut.harness import save_edge_list
 from pathcut.sweeps import clique_instance
@@ -285,3 +287,40 @@ def test_bad_ranks_keep_argparse_usage_error(capsys):
         main(["experiment", "--family", "complete", "--ranks", "1,x", "--out", "unused"])
     assert exc.value.code == 2
     assert "argument --ranks: invalid _int_list value: '1,x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--source", "0"], ["--target", "2"]])
+def test_attack_rank_needs_source_and_target(tmp_path, capsys, flags):
+    f = tmp_path / "path.edges"
+    f.write_text("0 1 1\n1 2 1\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "attack", "--graph", str(f), "--rank", "1", *flags)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": "--rank needs --source and --target"}
+
+
+def test_reduce_check_disagreement_exits_9_with_a_mismatch_error(capsys, monkeypatch):
+    monkeypatch.setattr(pathcut.sweeps, "reduction_equivalence_sweep", lambda **kwargs: (12, 3))
+    code, out, err = run_cli(capsys, "reduce-check")
+    assert (code, out) == (9, "")
+    assert json.loads(err) == {"error": "mismatch", "message": "3 disagreement(s) in 12 checks"}
+
+
+@pytest.mark.parametrize("cls, category, code", [
+    (errors.InputError, "input", 2),
+    (errors.SizeError, "size", 3),
+    (errors.InfeasibleError, "infeasible", 4),
+    (errors.ConvergenceError, "convergence", 5),
+    (errors.IterationLimitError, "iteration-limit", 6),
+    (errors.RoundingFailureError, "rounding", 7),
+    (errors.InstanceSkip, "skip", 8),
+    (MismatchError, "mismatch", 9),
+    (errors.PathCutError, "internal", 70),
+])
+def test_each_error_class_carries_its_category_and_exit_code(capsys, monkeypatch, cls, category,
+                                                             code):
+    def fail(**kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr(pathcut.sweeps, "reduction_equivalence_sweep", fail)
+    assert run_cli(capsys, "reduce-check") == (code, "", json.dumps(
+        {"error": category, "message": "boom"}) + "\n")

@@ -1,7 +1,8 @@
-"""The comparisons of scripts/check_contract.py, on fabricated runs."""
+"""The comparisons and the step handling of scripts/check_contract.py, on fabricated runs."""
 
 import hashlib
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,3 +98,45 @@ def test_trace_comparison_fails_unless_correct_is_true(correct):
     result = trace_result("dense-ties", correct=correct, failed=60)
     assert contract.trace_problems("dense-ties", result) == [
         f"dense-ties: correct is {correct!r}, failed: 60"]
+
+
+def fake_steps(monkeypatch, **raises):
+    """Replace ``STEPS`` with steps that record their runs and raise the
+    exception given for their name; returns the list of runs."""
+    ran = []
+
+    def step(name):
+        def body():
+            ran.append(name)
+            if name in raises:
+                raise raises[name]
+        return body
+
+    monkeypatch.setattr(contract, "STEPS", {name: step(name) for name in ("a", "b", "c", "d")})
+    return ran
+
+
+def test_main_rejects_an_unknown_step_and_runs_nothing(monkeypatch, capsys):
+    ran = fake_steps(monkeypatch)
+    assert contract.main(["a", "nope"]) == 2
+    assert ran == []
+    assert capsys.readouterr().err == "unknown step nope; steps: a b c d\n"
+
+
+def test_main_names_each_failed_step_and_still_runs_the_rest(monkeypatch, capsys):
+    ran = fake_steps(monkeypatch, a=contract.ContractError("a count moved"),
+                     b=subprocess.CalledProcessError(1, ["cmd"]), c=ZeroDivisionError("crash"))
+    assert contract.main([]) == 1
+    assert ran == ["a", "b", "c", "d"]
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.endswith(" FAILED")] == [
+        "a FAILED", "b FAILED", "c FAILED"]
+    assert "a count moved" in out and "ZeroDivisionError: crash" in out
+    assert out.splitlines()[-1] == "contract: FAILED a b c"
+
+
+def test_main_runs_named_steps_alone_in_the_order_given(monkeypatch, capsys):
+    ran = fake_steps(monkeypatch)
+    assert contract.main(["c", "a"]) == 0
+    assert ran == ["c", "a"]
+    assert capsys.readouterr().out == "== c\n== a\ncontract: all steps passed\n"

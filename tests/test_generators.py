@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -250,3 +251,20 @@ def test_adjacency_is_built_on_first_search_only(spec, kind):
 def test_equal_scheme_rejects_non_finite_or_non_positive_value(value):
     with pytest.raises(InputError, match="^equal scheme needs a positive integer value$"):
         assign_weights(Graph(2, [(0, 1, 1)]), WeightScheme(kind="equal", value=value))
+
+
+def test_ba_with_one_edge_per_node_is_a_tree():
+    spec = GeneratorSpec(family="ba", n=60, m=1, seed=3)
+    g = generate(spec)
+    assert g.node_count == 60 and g.edge_count == 59
+    from pathcut import bfs_hops
+
+    assert len(bfs_hops(g, 0)) == 60
+    assert generate(spec) == g
+
+
+def test_families_keep_their_order_and_the_unknown_family_message():
+    assert pathcut.generators.FAMILIES == ("er", "ba", "kronecker", "lattice", "complete")
+    message = "unknown family 'nope'; choose from ('er', 'ba', 'kronecker', 'lattice', 'complete')"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        generate(GeneratorSpec(family="nope", n=3))

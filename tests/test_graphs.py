@@ -541,3 +541,14 @@ def test_make_cut_plan_protects_target_path():
     assert plan.removed_edges == frozenset({(0, 2)})
     with pytest.raises(InputError):
         make_cut_plan(g, p_star, [(0, 1)], "test")
+
+
+def test_neighbors_is_a_copy_that_cannot_change_a_later_search():
+    g = Graph(3, [(0, 1, 5), (1, 2, 5)])
+    got = g.neighbors(0)
+    assert got == ((1, 5),)
+    with pytest.raises(AttributeError):
+        got.append((2, 1))
+    assert g.neighbors(0) == ((1, 5),) and not g.has_edge(0, 2)
+    assert shortest_path(g, 0, 2) == Path((0, 1, 2))
+    assert list(PathIterator(g, 0, 2)) == [Path((0, 1, 2))]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -390,3 +391,44 @@ def test_load_edge_list_line_numbers_count_every_newline(tmp_path):
     f.write_bytes(b"0 1\r\n# comment\r1 2\n\n2 3 x\n")
     with pytest.raises(InputError, match="mixed.edges:5: not a number: 'x'$"):
         load_edge_list(f)
+
+
+def test_save_edge_list_round_trips_numpy_scalars(tmp_path):
+    g = Graph(4, [(0, 1, np.int64(2), np.int32(7)), (1, 2, np.float64(1.5), np.float32(0.1)),
+                  (2, 3, np.int64(3), np.float64(2.5))])
+    f = tmp_path / "np.edges"
+    save_edge_list(f, g)
+    assert "np." not in f.read_text(encoding="ascii")
+    assert load_edge_list(f).graph == g
+
+
+def test_save_edge_list_writes_python_numbers_by_repr(tmp_path):
+    g = Graph(3, [(0, 1, 2, 0.1), (1, 2, 1e-300, 10**20)])
+    f = tmp_path / "py.edges"
+    save_edge_list(f, g)
+    assert f.read_text(encoding="ascii") == "#nodes 3\n0 1 2 0.1\n1 2 1e-300 100000000000000000000\n"
+    assert load_edge_list(f).graph == g
+
+
+def test_run_experiments_on_an_edge_list_records_each_attack_error(tmp_path):
+    g = Graph(6, [(u, v, 1) for u in range(6) for v in range(u + 1, 6)])
+    f = tmp_path / "k6.edges"
+    save_edge_list(f, g)
+    cfg = ExperimentConfig(edge_list=str(f), p_star_ranks=(2,), repetitions=2, master_seed=3)
+    capped = run_experiments(dataclasses.replace(cfg, iteration_cap=0), output_dir=tmp_path / "out")
+    uncapped = run_experiments(cfg)
+    assert [r.method for r in capped] == [r.method for r in uncapped]
+    for r, ok in zip(capped, uncapped):
+        assert ok.status == "ok"
+        assert (r.status, r.error_category) == ("error", "iteration-limit")
+        assert r.instance == ok.instance and r.instance["source"] == str(f)
+        assert "generator" not in r.instance
+        # The attack seed: the one the uncapped LP run consumed.
+        lp = [x for x in uncapped if x.run_id == r.run_id and x.method == "pathattack-lp"][0]
+        assert r.seed == lp.seed is not None
+        assert r.total_cost is None and r.wall_time_s >= 0
+    records = [json.loads(line) for line in (tmp_path / "out/records.jsonl").read_text().splitlines()]
+    timings = [json.loads(line) for line in (tmp_path / "out/timings.jsonl").read_text().splitlines()]
+    assert len(records) == len(timings) == len(capped)
+    assert all("wall_time_s" not in r for r in records)
+    assert [(t["run_id"], t["method"]) for t in timings] == [(r.run_id, r.method) for r in capped]
