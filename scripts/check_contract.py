@@ -168,7 +168,8 @@ def check_desk_quick():
 def check_float_weights():
     # Desk records have int weights only. A small float-weighted edge list
     # pins the other side: float graphs rank without the spur-search cutoff
-    # and the exact distance bound, and their records must not move either.
+    # and the exact distance bound, but the oracle's first search is capped
+    # at len(p*) for them too, and their records must not move either.
     # The same file with its lines reversed must give the same bytes: a
     # graph's edge order is fixed when it is built, not by the file. Records
     # name the edge list by the path given, so the reversed copy is read by

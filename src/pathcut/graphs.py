@@ -4,11 +4,12 @@ Edges are addressed everywhere by their canonical key: the endpoint pair
 sorted ascending, so ``(u, v)`` and ``(v, u)`` name the same edge. A
 graph's maps iterate in sorted key order, fixed at construction. Graphs
 are immutable: attacks ban edges instead of building residual graphs.
-Construction records whether every weight is a Python ``int``
-(``_int_weights``; sums are then exact). A graph builds its adjacency
-lists on the first search and caches one entry each of the distance bound
-:func:`shortest_path` uses for its last target and the cut LP cache that
-:func:`pathcut.lp.build_cover_lp` keeps and documents.
+Weights and costs are Python ``int`` or ``float`` values
+(:func:`_as_number`), and construction records whether every weight is
+an ``int`` (``_int_weights``; sums are then exact). A graph builds its
+adjacency lists on the first search and caches one entry each of the
+distance bound :func:`shortest_path` uses for its last target and the cut
+LP cache that :func:`pathcut.lp.build_cover_lp` keeps and documents.
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import InputError
 
 EdgeKey = tuple[int, int]
@@ -31,6 +34,21 @@ EdgeKey = tuple[int, int]
 #: Absolute tolerance for length comparisons with real-valued weights.
 #: Integer-weight graphs compare exactly (differences are >= 1 >> tol).
 LENGTH_TOL = 1e-9
+
+
+def _as_number(x, k: EdgeKey):
+    """Weight or cost ``x`` of edge ``k``: an ``int`` (not a ``bool``) or a
+    ``float``, nonnegative and finite. A numpy scalar becomes its Python
+    number through ``.item()``. Any other value raises :class:`InputError`
+    naming ``k``."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    if type(x) is not int and type(x) is not float:
+        raise InputError(f"weight or cost on edge {k} must be an int or a float, got {x!r}")
+    # Comparisons, not math.isfinite: NaN fails them and huge ints pass.
+    if not 0 <= x < math.inf:
+        raise InputError(f"weight or cost on edge {k} is negative or not finite")
+    return x
 
 
 def edge_key(u: int, v: int) -> EdgeKey:
@@ -61,8 +79,9 @@ class Graph:
         Number of nodes; ids are ``0..node_count-1``.
     edges:
         Iterable of ``(u, v, weight)`` or ``(u, v, weight, cost)`` records.
-        When cost is omitted it defaults to the weight. Self-loops and
-        duplicate unordered pairs are rejected.
+        When cost is omitted it defaults to the weight. Self-loops,
+        duplicate unordered pairs and weights or costs that
+        :func:`_as_number` rejects raise :class:`InputError`.
 
     Construction stores the weight and cost maps in sorted key order,
     whatever the record order; :meth:`_adjacency` builds the adjacency
@@ -78,7 +97,6 @@ class Graph:
             raise InputError("node_count must be nonnegative")
         weights: dict[EdgeKey, float] = {}
         costs: dict[EdgeKey, float] = {}
-        inf = math.inf
         for rec in edges:
             if len(rec) not in (3, 4):
                 raise InputError(f"edge record must be (u, v, w[, c]): {rec!r}")
@@ -89,11 +107,8 @@ class Graph:
             k = edge_key(u, v)
             if k in weights:
                 raise InputError(f"duplicate edge {k}")
-            # Comparisons, not math.isfinite: NaN fails them and huge ints pass.
-            if not (0 <= w < inf and 0 <= c < inf):
-                raise InputError(f"weight or cost on edge {k} is negative or not finite")
-            weights[k] = w
-            costs[k] = c
+            weights[k] = _as_number(w, k)
+            costs[k] = _as_number(c, k)
         if (keys := sorted(weights)) != list(weights):
             weights, costs = {k: weights[k] for k in keys}, {k: costs[k] for k in keys}
         self._fill(node_count, weights, costs, all(type(w) is int for w in weights.values()))
@@ -398,7 +413,9 @@ def shortest_path(
     longer than ``max_length``; otherwise it returns the same path as
     without it, ties included. An entry whose key exceeds ``max_length`` is
     never pushed; :mod:`pathcut.paths` argues why that is exact, for the
-    ranking cutoff that passes it. A NaN ``max_length`` is an input error.
+    ranking cutoff that passes it. The oracle's first search passes
+    ``len(p*)`` (:func:`~pathcut.paths.next_shortest_excluding`). A NaN
+    ``max_length`` is an input error.
     """
     s = g.check_node(s)
     t = g.check_node(t)

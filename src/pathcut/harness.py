@@ -132,13 +132,12 @@ def load_edge_list(path) -> LoadedGraph:
 
 
 def save_edge_list(path, g: Graph) -> None:
-    """Write ``g`` so that :func:`load_edge_list` reproduces it exactly.
-    A numpy scalar is written as its Python value, whose ``repr`` is a
-    plain number."""
+    """Write ``g`` so that :func:`load_edge_list` reproduces it exactly:
+    its weights and costs are ``int`` and ``float`` values, whose ``repr``
+    is a plain number."""
     with FsPath(path).open("w", encoding="ascii") as fh:
         fh.write(f"#nodes {g.node_count}\n")
         for u, v, w, c in g.edge_records():
-            w, c = (x.item() if isinstance(x, np.generic) else x for x in (w, c))
             fh.write(f"{u} {v} {w!r} {c!r}\n")
 
 

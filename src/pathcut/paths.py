@@ -50,7 +50,9 @@ Three shortcuts need exact sums and apply only when every weight is an
 ``int``: the distance bound of :func:`~pathcut.graphs.shortest_path`, the
 ranking's cutoff with its spur skip, and the oracle's ``p_star_first``
 hint. With float weights sums round and ties stop being ties (see the
-float paragraph of :func:`~pathcut.graphs.shortest_path`).
+float paragraph of :func:`~pathcut.graphs.shortest_path`). The oracle's
+cap on its first search holds for any weights
+(:func:`next_shortest_excluding`).
 """
 
 from __future__ import annotations
@@ -211,22 +213,36 @@ def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges
     competitors an attack must cut.
 
     The first search answers the call unless it returns ``p_star``; only
-    then does the ranking run, for its second path. ``p_star_first=True``
-    hints that it would; ``p_star`` must then be an s-t path of ``g`` minus
-    ``banned_edges`` (else :class:`~pathcut.errors.InputError`). With ``int``
-    weights the oracle then ranks from ``p_star`` without that search, and
-    the answer is the same wherever ``p_star`` ranks: every other s-t path
-    leaves ``p_star`` at exactly one index, and the spur search there
-    returns the ``(length, nodes)`` minimum of those paths.
+    then does the ranking run, for its second path. ``p_star`` is live
+    when it is an s-t path of ``g`` minus ``banned_edges``. The first search
+    of a live ``p_star`` gets ``max_length=path_length(g, p_star)``, which
+    is exact for any weights, with no rerun: ``p_star`` is not banned, so
+    the shortest path is no longer than it, and by the ``max_length``
+    contract of :func:`~pathcut.graphs.shortest_path` the capped search
+    returns the same path, ties included, and never None. With float
+    weights this holds too: the cap is summed as the search sums, from 0
+    in s-to-t order, float addition rounds monotonically, and the float
+    bound is 0 or infinite. The ranking, for the final call's
+    certificate, runs as it would without the cap.
+
+    ``p_star_first=True`` hints that the first search would return
+    ``p_star``; ``p_star`` must then be live (else
+    :class:`~pathcut.errors.InputError`). With ``int`` weights the oracle
+    then ranks from ``p_star`` without that search, and the answer is the
+    same wherever ``p_star`` ranks: every other s-t path leaves ``p_star``
+    at exactly one index, and the spur search there returns the
+    ``(length, nodes)`` minimum of those paths.
     """
     s, t, _, banned = _arguments(g, s, t, None, banned_edges)
-    if p_star_first and ((p_star.source, p_star.target) != (s, t) or not all(
-            e in g._weights and e not in banned for e in p_star.edges)):
+    live = (p_star.nodes[0] == s and p_star.nodes[-1] == t and banned.isdisjoint(p_star.edges)
+            and all(map(g._weights.__contains__, p_star.edges)))
+    if p_star_first and not live:
         raise InputError(f"p_star_first: {p_star.nodes} is not an s-t path of g minus the bans")
     if p_star_first and g._int_weights:
         first = p_star
     else:
-        first = shortest_path(g, s, t, banned_edges=banned)
+        first = shortest_path(g, s, t, banned_edges=banned,
+                              max_length=path_length(g, p_star) if live else None)
         if first is None or first.nodes != p_star.nodes:
             return first
     ranking = _ranking(g, t, None, banned, 2, first)

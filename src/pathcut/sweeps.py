@@ -123,7 +123,7 @@ def reduction_equivalence_sweep(
         if not _spans(n, edges):
             continue
         weights = rng.integers(1, 3, size=len(edges))
-        g = Graph(n, [(u, v, int(w), int(w)) for (u, v), w in zip(edges, weights)])
+        g = Graph(n, [(u, v, w, w) for (u, v), w in zip(edges, weights)])
         terminals = tuple(int(x) for x in rng.choice(n, size=3, replace=False))
         check(g, terminals, _budget_grid(g.total_weight()))
         produced += 1

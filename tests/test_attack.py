@@ -363,6 +363,25 @@ def test_feasibility_and_protection_on_random_instances():
             assert plan.method_tag == method
 
 
+def test_numpy_int_weights_give_the_plans_of_python_ints():
+    # numpy ints are read as Python ints, so they take the exact int
+    # branches (distance bound, ranking cutoff, p*-first hint) and every
+    # method's plan equals the plan on the same graph built from ints.
+    rng = np.random.default_rng(5)
+    done = 0
+    while done < 6:
+        g = random_graph(rng, 12, 0.4, max_weight=3, costs_equal_weights=False)
+        ranked = k_shortest_paths(g, 0, 11, 6)
+        if len(ranked) < 6:
+            continue
+        done += 1
+        numpy_g = Graph(12, [(u, v, np.int64(w), np.int32(c)) for u, v, w, c in g.edge_records()])
+        assert numpy_g._int_weights and numpy_g == g
+        for method in METHODS:
+            cfg = AttackConfig(method=method, rng_seed=done)
+            assert run_attack(numpy_g, ranked[5], cfg) == run_attack(g, ranked[5], cfg)
+
+
 def test_cost_and_weight_overrides():
     # Costs and weights are decoupled: a costly competitor still must be
     # cut, at its own price.

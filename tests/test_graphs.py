@@ -2,6 +2,8 @@ import pickle
 import re
 import sys
 import threading
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import numpy as np
@@ -212,12 +214,37 @@ def test_adjacency_built_concurrently_by_first_searches():
         sys.setswitchinterval(old_interval)
 
 
-@pytest.mark.parametrize("weight", [1.0, np.int64(1), True])
+@pytest.mark.parametrize("weight", [1.0, pytest.param(np.float64(1), id="float64")])
 def test_only_python_int_weights_are_exact(weight):
     # Sums are exact, and the distance bound and ranking cutoff apply,
-    # only when every weight is a Python int.
-    assert Graph(3, [(0, 1, 1), (1, 2, 1)])._int_weights is True
+    # only when every weight is an int; numpy ints are read as ints.
+    assert Graph(3, [(0, 1, 1), (1, 2, np.int64(1))])._int_weights is True
     assert Graph(3, [(0, 1, 1), (1, 2, weight)])._int_weights is False
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), Decimal("1"), Fraction(1, 3), "1", None, 1j])
+def test_graph_rejects_weights_of_other_types(bad):
+    # Only int (not bool) and float weights and costs, so that sums never
+    # mix types and every graph round-trips through an edge list.
+    shown = bad.item() if isinstance(bad, np.generic) else bad
+    message = f"weight or cost on edge (1, 2) must be an int or a float, got {shown!r}"
+    for record in [(2, 1, bad), (2, 1, 1, bad), (2, 1, bad, 1.5)]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Graph(3, [(0, 1, 1), record])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1, -0.5, np.float64("nan"), np.int64(-2)])
+def test_graph_rejects_negative_or_infinite_lengths(bad):
+    for record in [(2, 1, bad), (2, 1, 1, bad)]:
+        with pytest.raises(InputError, match=r"^weight or cost on edge \(1, 2\) is negative or not finite$"):
+            Graph(3, [(0, 1, 1), record])
+
+
+def test_numpy_weights_become_python_numbers():
+    g = Graph(4, [(0, 1, np.int64(2), np.uint8(3)), (1, 2, np.int32(1), np.float32(0.1)),
+                  (2, 3, np.float64(2.5), np.float16(1))])
+    assert g.edge_records() == [(0, 1, 2, 3), (1, 2, 1, 0.10000000149011612), (2, 3, 2.5, 1.0)]
+    assert [type(x) for rec in g.edge_records() for x in rec[2:]] == [int, int, int, float, float, float]
 
 
 def test_numpy_and_bool_node_ids_become_int():

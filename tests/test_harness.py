@@ -402,6 +402,20 @@ def test_save_edge_list_round_trips_numpy_scalars(tmp_path):
     assert load_edge_list(f).graph == g
 
 
+@pytest.mark.parametrize("value", [0, 7, 10**20, 0.0, 0.1, 1e-300, 1.5e300, np.int64(3), np.uint8(4),
+                                   np.int32(7), np.float32(0.1), np.float64(2.5)])
+def test_save_edge_list_round_trips_every_accepted_type(tmp_path, value):
+    # Every accepted weight and cost is stored as an int or a float, and
+    # loads back as the same number of the same type.
+    g = Graph(3, [(0, 1, value), (1, 2, 1, value)])
+    f = tmp_path / "one.edges"
+    save_edge_list(f, g)
+    loaded = load_edge_list(f).graph
+    assert loaded == g
+    assert [type(x) for rec in loaded.edge_records() for x in rec[2:]] == [
+        type(x) for rec in g.edge_records() for x in rec[2:]]
+
+
 def test_save_edge_list_writes_python_numbers_by_repr(tmp_path):
     g = Graph(3, [(0, 1, 2, 0.1), (1, 2, 1e-300, 10**20)])
     f = tmp_path / "py.edges"

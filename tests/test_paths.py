@@ -396,29 +396,44 @@ def test_oracle_agrees_with_unbounded_iterator(monkeypatch):
     # than p*, that search is the only one. Hinted that a p* of the
     # ranking comes first, it gives the same answer with int weights, and
     # when p* is first it skips the first search and makes the others;
-    # float graphs ignore the hint.
+    # float graphs ignore the hint. A first search is capped at len(p*)
+    # when p* is live (an s-t path of g minus the bans) and uncapped
+    # otherwise: for a ghost, or for a p* through a banned edge.
     rng = np.random.default_rng(2718)
     weight_draws = _weight_draws(rng)
-    calls = []
-    monkeypatch.setattr(pathcut.paths, "shortest_path", recorded(shortest_path, calls))
+    calls, caps = [], []
+
+    def capped(g, s, t, max_length=None, **restrict):
+        caps.append(max_length)
+        return shortest_path(g, s, t, max_length=max_length, **restrict)
+
+    monkeypatch.setattr(pathcut.paths, "shortest_path", recorded(capped, calls))
 
     def searches(**hint):
         calls.clear()
+        caps.clear()
         got = next_shortest_excluding(g, s, t, Path(star), banned_edges=banned, **hint)
         return (got and got.nodes), list(calls)
 
     checked = answered_first = 0
     hinted = dict.fromkeys(["first", "later", "float"], 0)
+    uncapped = dict.fromkeys(["ghost", "banned"], 0)
     for kind in list(weight_draws) * 30:
         g, s, t, restrict = _random_case(rng, weight_draws[kind])
         banned = restrict.get("banned_edges", ())
         ranked = _ranked(g, s, t, 8, banned_edges=banned)
         ghost = (s,) + tuple(u for u in range(g.node_count) if u not in (s, t))[:2] + (t,)
-        for star in ranked[:4] + [ghost]:
+        through_ban = [nodes for nodes in _ranked(g, s, t, 8)
+                       if not set(Path(nodes).edges).isdisjoint(banned)][:1]
+        for star in ranked[:4] + [ghost] + through_ban:
             got, made = searches()
             expect = next((nodes for nodes in ranked if nodes != star), None)
             assert got == expect, (kind, s, t, star, banned)
             checked += 1
+            live = all(g.has_edge(*e) and e not in banned for e in Path(star).edges)
+            assert caps[0] == (path_length(g, Path(star)) if live else None), (kind, s, t, star, banned)
+            if not live:
+                uncapped["ghost" if star == ghost else "banned"] += 1
             if ranked[:1] != [star]:
                 assert len(made) == 1, (kind, s, t, star, banned)
                 answered_first += 1
@@ -436,6 +451,13 @@ def test_oracle_agrees_with_unbounded_iterator(monkeypatch):
                 hinted["later"] += 1
     assert checked > 500 and answered_first > 300 and min(hinted.values()) > 100, (
         checked, answered_first, hinted)
+    assert min(uncapped.values()) > 30, uncapped
+    # The only competitor is longer than p*, which is banned: the first
+    # search runs uncapped and finds it.
+    g = Graph(5, [(0, 1, 1), (1, 3, 1), (0, 4, 10), (4, 3, 10)])
+    s, t, star, banned = 0, 3, (0, 1, 3), [(0, 1)]
+    assert searches() == ((0, 4, 3), [(0, 3, {"banned_edges": frozenset(banned)})])
+    assert caps == [None]
 
 
 def test_oracle_rejects_a_hint_that_is_no_path_of_the_graph_minus_its_bans():
