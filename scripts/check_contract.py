@@ -197,7 +197,7 @@ def check_ba5000():
 STEPS = {
     # Cold cut-LP builds on BA graphs of 25,000 and 250,000 edges: prints
     # the seconds per build and exits 1 on an LP that differs from the
-    # uncached reference build of tests/helpers.py.
+    # reference build of tests/helpers.py.
     "cover-columns": lambda: run(PYTHON_W + ["scripts/time_cover_columns.py"]),
     "bench-tests": lambda: run([sys.executable, "-m", "pytest", "-q", "-W", "error",
                                 "bench/test_bench.py"]),

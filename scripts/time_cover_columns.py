@@ -3,11 +3,11 @@
 
 For BA graphs with m = 5 and n = 5,000 and 50,000 (graph seed 1, Poisson
 weights seed 2, terminals seed 3), ranks the first 50 paths between the
-seeded terminals and builds the cut LP for the paths ranked before the
-50th, protecting the 50th and then the 49th in turn. Every build changes
-the protected set, so each one builds the columns afresh. Prints the
-median seconds of the builds per graph and exits 1 if any LP differs from
-the uncached reference build in ``tests/helpers.py``.
+seeded terminals and builds the cut LP of the first five paths, protecting
+the 50th and then the 49th in turn. Each timed build reads a fresh
+``CutRows``, so it cuts the columns afresh. Prints the median seconds of
+the builds per graph and exits 1 if any LP differs from the reference
+build in ``tests/helpers.py``.
 
     PYTHONPATH=src python scripts/time_cover_columns.py
 """
@@ -23,7 +23,7 @@ from helpers import reference_build_cover_lp  # noqa: E402
 
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate  # noqa: E402
 from pathcut.harness import select_terminals  # noqa: E402
-from pathcut.lp import build_cover_lp  # noqa: E402
+from pathcut.lp import CutRows, build_cover_lp  # noqa: E402
 from pathcut.paths import k_shortest_paths  # noqa: E402
 
 RANK = 50
@@ -45,7 +45,7 @@ def main() -> int:
         for i in range(BUILDS):
             p_star = ranked[RANK - 1 - i % 2]
             t0 = time.perf_counter()
-            lp = build_cover_lp(g, p_star, competitors)
+            lp = build_cover_lp(CutRows(g, p_star, competitors))
             seconds.append(time.perf_counter() - t0)
             equal = equal and lp == reference_build_cover_lp(g, p_star, competitors)
         failures += not equal

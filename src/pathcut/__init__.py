@@ -50,6 +50,7 @@ from .harness import (
     summarize,
 )
 from .lp import (
+    CutRows,
     LPSolution,
     RelaxedCutLP,
     build_cover_lp,

@@ -22,7 +22,7 @@ import numpy as np
 from .cover import LPCoverResult, greedy_path_cover, lp_path_cover
 from .errors import ConvergenceError, InputError, IterationLimitError, check_count
 from .graphs import CutPlan, Graph, Path, make_cut_plan, path_length, strictly_longer
-from .lp import is_integral
+from .lp import CutRows, is_integral
 from .paths import next_shortest_excluding
 
 METHOD_PATHATTACK_LP = "pathattack-lp"
@@ -64,8 +64,8 @@ class AttackConfig:
 
 
 def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
-    """The loop of the module docstring; ``cut(constraints, removed)``
-    returns the next cut. The oracle gets the cut as banned edges, so the
+    """The loop of the module docstring; ``cut(p, removed)`` returns the
+    next cut after the newest competitor ``p``. The oracle gets the cut as banned edges, so the
     residual graph is never built. Returns ``(removed, iterations,
     certificate)``; the certificate is the final oracle call.
 
@@ -84,7 +84,7 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
     p_len = path_length(g, p_star)
     cap = iteration_cap if iteration_cap is not None else 10 * g.edge_count
 
-    constraints: list[Path] = []
+    iterations = 0
     removed: frozenset = frozenset()
     hint = False
     while True:
@@ -92,15 +92,15 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
         if p is None or strictly_longer(length := path_length(g, p), p_len):
             break
         hint = hint or (length, p.nodes) > (p_len, p_star.nodes)
-        constraints.append(p)
-        if len(constraints) > cap:
+        iterations += 1
+        if iterations > cap:
             raise IterationLimitError(
                 f"no feasible plan within {cap} iterations",
-                partial={"constraints": len(constraints), "removed_edges": removed},
+                partial={"constraints": iterations, "removed_edges": removed},
             )
-        removed = cut(constraints, removed)
+        removed = cut(p, removed)
     certificate = (None, None, p_len) if p is None else (p.nodes, length, p_len)
-    return removed, len(constraints), certificate
+    return removed, iterations, certificate
 
 
 def _cheapest_edge(g: Graph):
@@ -211,29 +211,35 @@ def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
     baseline adds one unprotected edge of the newest competitor, chosen by
     :func:`_cheapest_edge` or :func:`_top_eigenscore`; it records no seed
     and no constraints.
+
+    The run owns one :class:`~pathcut.lp.CutRows` of ``p_star``, so it
+    leaves no cover state on ``g``: PATHATTACK adds the newest constraint
+    to it before each cover, and a baseline reads its protected set.
     """
     pathattack = cfg.method in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY)
     retries = 0
     last_lp: Optional[LPCoverResult] = None
+    rows = CutRows(g, p_star)
     if cfg.method == METHOD_PATHATTACK_LP:
         rng = np.random.default_rng(cfg.rng_seed)
 
-        def cut(constraints, removed):
+        def cut(p, removed):
             nonlocal retries, last_lp
-            last_lp = lp_path_cover(g, p_star, constraints, rng)
+            rows.add(p)
+            last_lp = lp_path_cover(rows, rng)
             retries += last_lp.retries
             return last_lp.edges
     elif cfg.method == METHOD_PATHATTACK_GREEDY:
-        def cut(constraints, removed):
-            return greedy_path_cover(g, p_star, constraints)
+        def cut(p, removed):
+            rows.add(p)
+            return greedy_path_cover(rows)
     else:
         choose = (_cheapest_edge if cfg.method == METHOD_GREEDY_COST else _top_eigenscore)(g)
-        protected = frozenset(p_star.edges)
 
-        def cut(constraints, removed):
+        def cut(p, removed):
             # Two simple paths with the same endpoints cannot share all
             # edges, so there is always something to cut.
-            return removed | {choose([e for e in constraints[-1].edges if e not in protected])}
+            return removed | {choose([e for e in p.edges if e not in rows.protected])}
 
     removed, iterations, certificate = _force_path(g, p_star, cfg.iteration_cap, cut)
     return make_cut_plan(

@@ -2,10 +2,14 @@
 
 One weighted set-cover instance, solved two ways: competing paths are
 the universe, edges are the sets (an edge covers every path it lies on)
-and protected-path edges take part in nothing. Both covers read it as the
-cut LP's :class:`~pathcut.lp.RelaxedCutLP`, rows for paths, columns for edges.
+and protected-path edges take part in nothing. Both covers read the
+instance from a :class:`~pathcut.lp.CutRows`, which a PATHATTACK run grows
+by one row per constraint: ``greedy_path_cover`` reads its edge-keyed
+rows, ``lp_path_cover`` the cut LP that
+:func:`~pathcut.lp.build_cover_lp` makes of them, rows for paths,
+columns for edges.
 
-``greedy_path_cover`` repeatedly takes the most cost-effective column
+``greedy_path_cover`` repeatedly takes the most cost-effective edge
 (live-row count per unit cost). ``lp_path_cover`` solves the relaxed LP
 and rounds it randomly, retrying until the result both covers everything
 and stays within ``4*ln(4|P|)`` times the fractional cost.
@@ -16,14 +20,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import lp as _lp
 from .errors import InputError, RoundingFailureError
-from .graphs import Graph, Path
-from .lp import LPSolution, build_cover_lp, solve_relaxed
+from .lp import CutRows, LPSolution, build_cover_lp, solve_relaxed
 
 #: Rounding attempts before giving up; success probability per attempt
 #: exceeds 1/2, so hitting this cap indicates a bug, not bad luck.
@@ -36,45 +37,39 @@ def _cost_effectiveness(count: int, cost) -> float:
     return math.inf if cost == 0 else count / cost
 
 
-def greedy_path_cover(g: Graph, p_star: Path, paths: Sequence[Path]) -> frozenset:
-    """Edge set intersecting every path in ``paths``, built greedily.
+def greedy_path_cover(cut: CutRows) -> frozenset:
+    """Edge set intersecting every row of ``cut``, built greedily.
 
-    Runs on the instance and input checks of :func:`~pathcut.lp.build_cover_lp`;
-    the heap skips stale entries instead of decreasing keys. Ties on
-    cost-effectiveness go to the smallest column index = the smallest edge
-    key, since columns are the cuttable edges in sorted edge-key order.
+    Works on edge keys: costs come from the graph, and ``cut.rows_on``
+    gives each edge's rows. The heap skips stale entries instead of
+    decreasing keys; its entries are ``(-ratio, edge key)``, so ties on
+    cost-effectiveness go to the smallest edge key.
     """
-    # Via pathcut.lp: bench/tracing.py counts this module's build_cover_lp as LP builds.
-    lp = _lp.build_cover_lp(g, p_star, paths)
-    costs, rows = lp.costs, lp.rows
-    rows_on: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            rows_on.setdefault(j, []).append(i)
-    live = {j: len(ids) for j, ids in rows_on.items()}
+    costs, rows, rows_on = cut.g._costs, cut.rows, cut.rows_on
+    live = {e: len(ids) for e, ids in rows_on.items()}
     covered = [False] * len(rows)
 
-    heap = [(-_cost_effectiveness(count, costs[j]), j) for j, count in live.items()]
+    heap = [(-_cost_effectiveness(count, costs[e]), e) for e, count in live.items()]
     heapq.heapify(heap)
-    chosen: list[int] = []
+    chosen = []
     remaining = len(rows)
     while remaining > 0:
-        neg_ratio, j = heapq.heappop(heap)
-        count = live[j]
+        neg_ratio, e = heapq.heappop(heap)
+        count = live[e]
         if count == 0:
             continue
-        current = -_cost_effectiveness(count, costs[j])
+        current = -_cost_effectiveness(count, costs[e])
         if current != neg_ratio:
-            heapq.heappush(heap, (current, j))
+            heapq.heappush(heap, (current, e))
             continue
-        chosen.append(j)
-        for i in rows_on[j]:
+        chosen.append(e)
+        for i in rows_on[e]:
             if not covered[i]:
                 covered[i] = True
                 remaining -= 1
-                for j1 in rows[i]:
-                    live[j1] -= 1
-    return frozenset(map(lp.edge_order.__getitem__, chosen))
+                for e1 in rows[i]:
+                    live[e1] -= 1
+    return frozenset(chosen)
 
 
 @dataclass(frozen=True)
@@ -89,14 +84,8 @@ class LPCoverResult:
     solution: LPSolution
 
 
-def lp_path_cover(
-    g: Graph,
-    p_star: Path,
-    paths: Sequence[Path],
-    rng,
-    solver=solve_relaxed,
-) -> LPCoverResult:
-    """Randomized-rounding cover of ``paths``.
+def lp_path_cover(cut: CutRows, rng, solver=solve_relaxed) -> LPCoverResult:
+    """Randomized-rounding cover of ``cut``'s rows, the paths ``P``.
 
     Solves the relaxed LP once, then repeatedly draws ``ceil(ln 4|P|)``
     Bernoulli rounds per edge with probability equal to its fractional
@@ -120,14 +109,14 @@ def lp_path_cover(
     a column outside every row is kept with its probability like any
     other.
     """
-    if not paths:
+    if not cut.rows:
         raise InputError("lp_path_cover needs at least one constraint path")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    lp = build_cover_lp(g, p_star, paths)
+    lp = build_cover_lp(cut)
     sol = solver(lp)
-    n_draws = math.ceil(math.log(4 * len(paths)))
-    bound = 4.0 * math.log(4 * len(paths)) * sol.objective_value
+    n_draws = math.ceil(math.log(4 * len(lp.rows)))
+    bound = 4.0 * math.log(4 * len(lp.rows)) * sol.objective_value
     probs = np.asarray(sol.values)
     cols = np.flatnonzero(probs)
     live = probs[cols]

@@ -7,9 +7,8 @@ are immutable: attacks ban edges instead of building residual graphs.
 Weights and costs are Python ``int`` or ``float`` values
 (:func:`_as_number`), and construction records whether every weight is
 an ``int`` (``_int_weights``; sums are then exact). A graph builds its
-adjacency lists on the first search and caches one entry each of the
-distance bound :func:`shortest_path` uses for its last target and the cut
-LP cache that :func:`pathcut.lp.build_cover_lp` keeps and documents.
+adjacency lists on the first search and caches one entry of the distance
+bound :func:`shortest_path` uses for its last target.
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -36,15 +35,23 @@ EdgeKey = tuple[int, int]
 LENGTH_TOL = 1e-9
 
 
-def _as_number(x, k: EdgeKey):
-    """Weight or cost ``x`` of edge ``k``: an ``int`` (not a ``bool``) or a
-    ``float``, nonnegative and finite. A numpy scalar becomes its Python
-    number through ``.item()``. Any other value raises :class:`InputError`
-    naming ``k``."""
+def _int_or_float(x, k):
+    """``x`` as an ``int`` (not a ``bool``) or a ``float``: a numpy scalar
+    becomes its Python number through ``.item()``. Any other value raises
+    :class:`InputError` naming ``k``, an edge key for a weight or cost or
+    a parameter's name (``"eps"``)."""
     if isinstance(x, np.generic):
         x = x.item()
     if type(x) is not int and type(x) is not float:
-        raise InputError(f"weight or cost on edge {k} must be an int or a float, got {x!r}")
+        what = k if type(k) is str else f"weight or cost on edge {k}"
+        raise InputError(f"{what} must be an int or a float, got {x!r}")
+    return x
+
+
+def _as_number(x, k: EdgeKey):
+    """Weight or cost ``x`` of edge ``k``: an :func:`_int_or_float`,
+    nonnegative and finite."""
+    x = _int_or_float(x, k)
     # Comparisons, not math.isfinite: NaN fails them and huge ints pass.
     if not 0 <= x < math.inf:
         raise InputError(f"weight or cost on edge {k} is negative or not finite")
@@ -89,7 +96,7 @@ class Graph:
     unit-weight graph ``assign_weights`` reads) never builds them.
     """
 
-    __slots__ = ("node_count", "_weights", "_costs", "_adj", "_int_weights", "_bound", "_columns")
+    __slots__ = ("node_count", "_weights", "_costs", "_adj", "_int_weights", "_bound")
 
     def __init__(self, node_count: int, edges: Iterable[tuple] = ()):
         node_count = _as_node(node_count)
@@ -136,8 +143,6 @@ class Graph:
         self._adj = None
         # (t, allowed_nodes, bound list) of the last search target, or None.
         self._bound = None
-        # The cut LP cache of pathcut.lp.build_cover_lp, or None.
-        self._columns = None
 
     def _adjacency(self) -> list[list[tuple[int, float]]]:
         """Per-node ``(neighbour, weight)`` lists, built on the first call.
@@ -221,7 +226,7 @@ class Graph:
     def remove_edges(self, removed: Iterable) -> "Graph":
         """New graph without ``removed``; weights/costs preserved elsewhere.
         No library code calls it (attacks ban edges). Its callers: ``bench/tracing.py``,
-        ``bench/test_bench.py``, and its tests in ``test_graphs.py`` and ``test_lp.py``."""
+        ``bench/test_bench.py``, and its tests in ``test_graphs.py``."""
         gone = set()
         for e in removed:
             k = edge_key(*e)

@@ -64,53 +64,66 @@ class LPSolution:
     objective_value: float
 
 
-def build_cover_lp(g: Graph, p_star: Path, paths: Sequence[Path]) -> RelaxedCutLP:
-    """Assemble the relaxed cut LP for constraint paths ``paths``.
+class CutRows:
+    """The cover rows of one PATHATTACK run: the constraint paths found so
+    far against the protected path ``p_star`` of ``g``.
 
-    Variables are all edges of ``g`` except the protected path's edges;
-    objective coefficients are the graph's removal costs. A constraint
-    path with no cuttable edge, or with an edge not in ``g``, raises
-    :class:`InputError`.
-
-    ``g._columns`` holds ``(protected set, edge_order, costs, rows by
-    node sequence)`` for the last protected set. A miss cuts the
-    protected edges' positions out of the graph's key and cost lists, and
-    a row's columns are its edges' ``bisect`` ranks in ``edge_order``.
-    Both are exact, as the maps iterate in sorted key order: the cut
-    lists are the filtered maps and a key's rank is its column. Each
-    constraint-generation iteration adds one path and builds only its
-    row; the LP returned holds every row. The cache is replaced whole by
-    one assignment when the protected set changes, like the distance
-    bound of :func:`~pathcut.graphs.shortest_path`; the row dict only
-    grows. A row is a pure function of the graph, the protected set and
-    the path's nodes, so two threads that store one store equal tuples. A
-    path that raises is not stored, so it raises on every call.
+    ``rows[i]`` is the sorted tuple of the cuttable edge keys of the
+    ``i``-th path added, and ``rows_on[e]`` lists, in row order, the rows
+    that hold edge ``e``. Both only grow. ``_lp`` is the LP of the rows
+    ranked so far, which :func:`build_cover_lp` keeps, or None. An attack
+    owns its rows, so no method reads work another method did on the same
+    graph.
     """
-    protected = frozenset(p_star.edges)
-    cached = g._columns
-    if cached is not None and cached[0] == protected:
-        _, edge_order, cvec, memo = cached
-    else:
-        edge_order, cvec = g.edges(), list(g._costs.values())
-        for e in g._weights.keys() & protected:
+
+    def __init__(self, g: Graph, p_star: Path, paths: Sequence[Path] = ()):
+        self.g = g
+        self.protected = frozenset(p_star.edges)
+        self.rows: list[tuple[EdgeKey, ...]] = []
+        self.rows_on: dict[EdgeKey, list[int]] = {}
+        self._lp = None
+        for p in paths:
+            self.add(p)
+
+    def add(self, path: Path) -> None:
+        """Append ``path``'s row. A path with an edge not in the graph, or
+        with no cuttable edge, raises :class:`InputError` and adds nothing.
+        Protected edges are skipped before any lookup."""
+        cuttable = [e for e in path.edges if e not in self.protected]
+        if (unknown := next(filterfalse(self.g._weights.__contains__, cuttable), None)) is not None:
+            raise InputError(f"constraint path uses unknown edge {unknown}")
+        if not cuttable:
+            raise InputError(f"uncuttable constraint: {path!r} has only protected edges")
+        row = tuple(sorted(cuttable))  # a simple path repeats no edge
+        for e in row:
+            self.rows_on.setdefault(e, []).append(len(self.rows))
+        self.rows.append(row)
+
+
+def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
+    """The relaxed cut LP of ``cut``'s rows; the one-shot form is
+    ``build_cover_lp(CutRows(g, p_star, paths))``.
+
+    Variables are all edges of the graph except the protected path's
+    edges; objective coefficients are the graph's removal costs. The first
+    call for ``cut`` cuts the protected edges' positions out of the
+    graph's key and cost lists, and each row is ranked once: its columns
+    are its keys' ``bisect`` ranks in ``edge_order``. Both are exact, as
+    the maps iterate in sorted key order: the cut lists are the filtered
+    maps, a key's rank is its column, and a row of sorted keys gives
+    sorted columns. The LP returned holds every row.
+    """
+    lp = cut._lp
+    if lp is None:
+        edge_order, cvec = cut.g.edges(), list(cut.g._costs.values())
+        for e in cut.g._weights.keys() & cut.protected:
             i = bisect_left(edge_order, e)
             del edge_order[i], cvec[i]
-        edge_order, cvec, memo = tuple(edge_order), tuple(cvec), {}
-        g._columns = (protected, edge_order, cvec, memo)
-    rows = []
-    for p in paths:
-        row = memo.get(p.nodes)
-        if row is None:
-            cuttable = [e for e in p.edges if e not in protected]
-            unknown = next(filterfalse(g._weights.__contains__, cuttable), None)
-            if unknown is not None:
-                raise InputError(f"constraint path uses unknown edge {unknown}")
-            row = tuple(sorted({bisect_left(edge_order, e) for e in cuttable}))
-            if not row:
-                raise InputError(f"uncuttable constraint: {p!r} has only protected edges")
-            memo[p.nodes] = row
-        rows.append(row)
-    return RelaxedCutLP(edge_order=edge_order, costs=cvec, rows=tuple(rows))
+        lp = RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(cvec), rows=())
+    order = lp.edge_order
+    new = tuple([tuple([bisect_left(order, e) for e in row]) for row in cut.rows[len(lp.rows):]])
+    cut._lp = lp = RelaxedCutLP(edge_order=order, costs=lp.costs, rows=lp.rows + new)
+    return lp
 
 
 def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.ndarray:

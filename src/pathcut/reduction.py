@@ -23,6 +23,7 @@ from .graphs import (
     CutPlan,
     Graph,
     Path,
+    _int_or_float,
     edge_key,
     make_cut_plan,
     path_length,
@@ -67,7 +68,9 @@ class ForcePathInstance:
 
 
 def create_force_path_input(inst: TerminalCutInstance, eps: float = 1.0) -> ForcePathInstance:
-    """Build the force-path instance for ``inst`` (see module docs)."""
+    """Build the force-path instance for ``inst`` (see module docs).
+    ``eps`` is a positive, finite ``int`` or ``float``."""
+    eps = _int_or_float(eps, "eps")
     if not 0 < eps < math.inf:
         raise InputError(f"eps must be positive and finite, got {eps}")
     g = inst.graph

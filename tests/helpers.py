@@ -466,8 +466,9 @@ def reference_bounded_simplex(rows, costs):
 
 
 def reference_build_cover_lp(g, p_star, paths):
-    """The cut LP built in full on every call, with no column cache:
-    ``pathcut.lp.build_cover_lp`` must return an equal LP."""
+    """The cut LP built in full through a dict index of the columns:
+    ``pathcut.lp.build_cover_lp(CutRows(g, p_star, paths))`` must return
+    an equal LP."""
     protected = frozenset(p_star.edges)
     edge_order = tuple(e for e in g.edges() if e not in protected)
     index = {e: j for j, e in enumerate(edge_order)}
@@ -488,10 +489,11 @@ def _reference_cost_effectiveness(count, cost):
 
 
 def reference_greedy_path_cover(g, p_star, paths):
-    """Greedy set cover over its own edge-keyed tables, as
-    ``pathcut.cover.greedy_path_cover`` ran before it read the cut LP's
-    rows and columns: the library cover must return the same edge set, or
-    raise an :class:`InputError` with the same message, on every input.
+    """Greedy set cover over its own edge-keyed tables, built afresh on
+    every call: ``pathcut.cover.greedy_path_cover`` on a ``CutRows`` of
+    the same paths must return the same edge set, and building that
+    ``CutRows`` must raise an :class:`InputError` with the same message
+    where this does, on every input.
 
     Ties on cost-effectiveness go to the smallest canonical edge key.
     """
@@ -571,7 +573,7 @@ def reference_solve_relaxed(lp):
 def reference_lp_path_cover(g, p_star, paths, rng, solver=reference_solve_relaxed):
     """``pathcut.cover.lp_path_cover`` as it read before rounding narrowed
     to the columns of nonzero value: full-width mask, ``tolist`` and
-    ``compress`` over every column, on the uncached LP. The library must
+    ``compress`` over every column, on the reference LP. The library must
     return the same result and leave ``rng`` in the same state."""
     if not paths:
         raise InputError("lp_path_cover needs at least one constraint path")

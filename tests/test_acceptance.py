@@ -19,6 +19,7 @@ from pathcut.cover import lp_path_cover
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
 from pathcut.graphs import shortest_path
 from pathcut.harness import ExperimentConfig, run_experiments, select_p_star, select_terminals
+from pathcut.lp import CutRows
 from pathcut.paths import PathIterator
 from pathcut.reduction import brute_force_force_path_cut, enumerate_simple_paths
 from pathcut.sweeps import clique_instance, reduction_equivalence_sweep
@@ -224,7 +225,8 @@ def test_criterion_7_rounding_retries():
     from test_cover import fractional_triangle
 
     g, p_star, paths = fractional_triangle()
-    retries = [lp_path_cover(g, p_star, paths, rng=seed).retries for seed in range(100)]
+    rows = CutRows(g, p_star, paths)
+    retries = [lp_path_cover(rows, rng=seed).retries for seed in range(100)]
     mean = sum(retries) / len(retries)
     report(7, "rounding-retries", mean <= 3, f"mean retries {mean:.3f} over 100 seeds")
 

@@ -25,10 +25,10 @@ from pathcut.attack import (
     run_attack,
 )
 from pathcut.cli import main
-from pathcut.generators import GeneratorSpec, WeightScheme, generate
+from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
 from pathcut.harness import (
-    ExperimentConfig, InstanceSkip, load_edge_list, run_experiments, save_edge_list, select_p_star,
-    select_terminals,
+    ExperimentConfig, InstanceSkip, load_edge_list, neighborhood_mask, run_experiments,
+    save_edge_list, select_p_star, select_terminals,
 )
 from pathcut.paths import k_shortest_paths, next_shortest_excluding
 from pathcut.reduction import brute_force_force_path_cut
@@ -505,3 +505,57 @@ def test_run_attack_rejects_a_target_path_without_edges_or_off_the_graph(method,
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 5)])
     with pytest.raises(InputError, match=message):
         run_attack(g, p_star, AttackConfig(method=method))
+
+
+def _hop_lattice():
+    g = generate(GeneratorSpec("lattice", rows=8, cols=8))
+    g = assign_weights(g, WeightScheme(kind="uniform", seed=1))
+    s, t = select_terminals(g, "hop", 2, hop_distance=5)
+    mask = neighborhood_mask(g, s, 6)
+    return g, select_p_star(g, s, t, 6, allowed_nodes=mask)
+
+
+def _weighted_er():
+    g = generate(GeneratorSpec("er", n=40, p=0.15, seed=5))
+    g = assign_weights(g, WeightScheme(kind="poisson", seed=6))
+    s, t = select_terminals(g, "uniform", 7)
+    return g, select_p_star(g, s, t, 6)
+
+
+#: Instance set-ups, each run afresh per use: a masked p* search in hop
+#: mode leaves the graph's distance bound on the mask, as in the
+#: benchmark's lattice-hop workload.
+ORDER_INSTANCES = {
+    "lattice-hop": _hop_lattice,
+    "clique": lambda: clique_instance(7),
+    "er-weighted": _weighted_er,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_INSTANCES))
+def test_plans_do_not_depend_on_the_order_of_methods(name):
+    # Each method alone on a fresh instance, then all four in METHODS order
+    # and in reverse order on one instance: every CutPlan field is equal.
+    setup = ORDER_INSTANCES[name]
+    alone = {}
+    for method in METHODS:
+        g, p_star = setup()
+        alone[method] = run_attack(g, p_star, AttackConfig(method=method))
+    assert alone["pathattack-lp"].iterations > 1
+    for order in (METHODS, METHODS[::-1]):
+        g, p_star = setup()
+        for method in order:
+            assert run_attack(g, p_star, AttackConfig(method=method)) == alone[method], order
+
+
+@pytest.mark.parametrize("method", ["pathattack-lp", "pathattack-greedy"])
+@pytest.mark.parametrize("name", sorted(ORDER_INSTANCES))
+def test_pathattack_leaves_no_cover_state_on_the_graph(name, method):
+    # A graph has no instance dict, and after an attack every slot but the
+    # adjacency lists and the distance bound reads as on a fresh copy.
+    g, p_star = ORDER_INSTANCES[name]()
+    fresh = Graph(g.node_count, g.edge_records())
+    run_attack(g, p_star, AttackConfig(method=method))
+    assert not hasattr(g, "__dict__")
+    for slot in set(Graph.__slots__) - {"_adj", "_bound"}:
+        assert getattr(g, slot) == getattr(fresh, slot), slot

@@ -16,7 +16,7 @@ from pathcut import AttackConfig, Graph, InputError, Path, path_length, run_atta
 from pathcut.cover import greedy_path_cover, lp_path_cover
 from pathcut.errors import RoundingFailureError
 from pathcut.generators import GeneratorSpec, generate
-from pathcut.lp import LPSolution, RelaxedCutLP, build_cover_lp, is_integral, solve_relaxed
+from pathcut.lp import CutRows, LPSolution, RelaxedCutLP, build_cover_lp, is_integral, solve_relaxed
 from pathcut.sweeps import clique_instance
 
 
@@ -44,14 +44,14 @@ def covers(edge_set, paths, protected):
 
 def test_greedy_empty_input():
     g, p_star, _ = fractional_triangle()
-    assert greedy_path_cover(g, p_star, []) == frozenset()
+    assert greedy_path_cover(CutRows(g, p_star)) == frozenset()
 
 
 def test_greedy_on_five_clique_cuts_three_edges_around_a_terminal():
     g, p_star = clique_instance(5)
     two_hop = [Path((0, x, 1)) for x in (2, 3, 4)]
     three_hop = [Path((0, x, y, 1)) for x in (2, 3, 4) for y in (2, 3, 4) if x != y]
-    cut = greedy_path_cover(g, p_star, two_hop + three_hop)
+    cut = greedy_path_cover(CutRows(g, p_star, two_hop + three_hop))
     assert sum(g.cost(*e) for e in cut) == 3
     # All three cuts are incident to one endpoint of the protected edge.
     assert cut == frozenset({(0, 2), (0, 3), (0, 4)})
@@ -59,7 +59,7 @@ def test_greedy_on_five_clique_cuts_three_edges_around_a_terminal():
 
 def test_greedy_triple_overlap_matches_brute_force():
     g, p_star, paths = fractional_triangle()
-    cut = greedy_path_cover(g, p_star, paths)
+    cut = greedy_path_cover(CutRows(g, p_star, paths))
     protected = frozenset(p_star.edges)
     assert covers(cut, paths, protected)
     assert sum(g.cost(*e) for e in cut) == 2  # brute-force optimum below
@@ -75,7 +75,7 @@ def test_greedy_triple_overlap_matches_brute_force():
 def test_greedy_rejects_uncuttable_path():
     g, p_star, _ = fractional_triangle()
     with pytest.raises(InputError):
-        greedy_path_cover(g, p_star, [Path((0, 1, 2))])
+        greedy_path_cover(CutRows(g, p_star, [Path((0, 1, 2))]))
 
 
 def test_greedy_deterministic():
@@ -87,9 +87,9 @@ def test_greedy_deterministic():
     if len(paths) < 3:
         pytest.skip("seeded graph too sparse")
     p_star = paths[2]
-    ref = greedy_path_cover(g, p_star, [paths[0], paths[1]])
+    ref = greedy_path_cover(CutRows(g, p_star, [paths[0], paths[1]]))
     for _ in range(5):
-        assert greedy_path_cover(g, p_star, [paths[0], paths[1]]) == ref
+        assert greedy_path_cover(CutRows(g, p_star, [paths[0], paths[1]])) == ref
 
 
 def test_greedy_zero_cost_edge_taken_first():
@@ -97,14 +97,14 @@ def test_greedy_zero_cost_edge_taken_first():
     g = Graph(4, [(0, 1, 1, 0), (1, 3, 1, 5), (0, 2, 1, 1), (2, 3, 1, 1), (0, 3, 9, 9)])
     p_star = Path((0, 3))
     paths = [Path((0, 1, 3)), Path((0, 2, 3))]
-    cut = greedy_path_cover(g, p_star, paths)
+    cut = greedy_path_cover(CutRows(g, p_star, paths))
     assert (0, 1) in cut
 
 
 def test_lp_cover_single_forced_edge_first_attempt():
     g = Graph(3, [(0, 1, 1, 3), (1, 2, 1, 4), (0, 2, 9, 9)])
     p_star = Path((0, 2))
-    res = lp_path_cover(g, p_star, [Path((0, 1, 2))], rng=0)
+    res = lp_path_cover(CutRows(g, p_star, [Path((0, 1, 2))]), rng=0)
     # Two cuttable edges; the cheaper one is forced to 1 and always drawn.
     assert res.edges == frozenset({(0, 1)})
     assert res.retries == 0
@@ -117,7 +117,7 @@ def test_lp_cover_fractional_triangle_properties():
     bound = 4 * math.log(4 * len(paths)) * 1.5
     sizes = set()
     for seed in range(40):
-        res = lp_path_cover(g, p_star, paths, rng=seed)
+        res = lp_path_cover(CutRows(g, p_star, paths), rng=seed)
         assert res.solution.objective_value == pytest.approx(1.5, abs=1e-9)
         assert covers(res.edges, paths, protected)
         cost = sum(g.cost(*e) for e in res.edges)
@@ -131,9 +131,9 @@ def test_lp_cover_integral_solution_returns_support():
     g = Graph(4, [(0, 1, 1, 2), (1, 3, 1, 3), (0, 2, 1, 4), (2, 3, 1, 5), (0, 3, 9, 9)])
     p_star = Path((0, 3))
     paths = [Path((0, 1, 3)), Path((0, 2, 3))]
-    edge_order = build_cover_lp(g, p_star, paths).edge_order
+    edge_order = build_cover_lp(CutRows(g, p_star, paths)).edge_order
     for seed in range(10):
-        res = lp_path_cover(g, p_star, paths, rng=seed)
+        res = lp_path_cover(CutRows(g, p_star, paths), rng=seed)
         assert is_integral(res.solution)
         support = {e for e, v in zip(edge_order, res.solution.values) if v > 0.5}
         assert res.edges == frozenset(support)
@@ -143,20 +143,20 @@ def test_lp_cover_integral_solution_returns_support():
 def test_lp_cover_requires_paths():
     g, p_star, _ = fractional_triangle()
     with pytest.raises(InputError):
-        lp_path_cover(g, p_star, [], rng=0)
+        lp_path_cover(CutRows(g, p_star), rng=0)
 
 
 def test_lp_cover_retry_cap_raises_with_solution(monkeypatch):
     g, p_star, paths = fractional_triangle()
     monkeypatch.setattr(pathcut.cover, "DEFAULT_RETRY_CAP", 0)
     with pytest.raises(RoundingFailureError, match="failed 0 times") as info:
-        lp_path_cover(g, p_star, paths, rng=0)
+        lp_path_cover(CutRows(g, p_star, paths), rng=0)
     assert info.value.solution.objective_value == pytest.approx(1.5, abs=1e-9)
 
 
 def test_mean_retries_small_on_fixed_fractional_instance():
     g, p_star, paths = fractional_triangle()
-    retries = [lp_path_cover(g, p_star, paths, rng=seed).retries for seed in range(100)]
+    retries = [lp_path_cover(CutRows(g, p_star, paths), rng=seed).retries for seed in range(100)]
     assert sum(retries) / len(retries) <= 3
 
 
@@ -184,8 +184,8 @@ def test_solver_seam_accepts_external_engine():
         )
 
     g, p_star, paths = fractional_triangle()
-    ours = lp_path_cover(g, p_star, paths, rng=3)
-    theirs = lp_path_cover(g, p_star, paths, rng=3, solver=external)
+    ours = lp_path_cover(CutRows(g, p_star, paths), rng=3)
+    theirs = lp_path_cover(CutRows(g, p_star, paths), rng=3, solver=external)
     assert theirs.solution.objective_value == pytest.approx(1.5, abs=1e-7)
     assert covers(theirs.edges, paths, frozenset(p_star.edges))
     assert ours.solution.objective_value == pytest.approx(theirs.solution.objective_value, abs=1e-7)
@@ -224,8 +224,7 @@ def _cover_instance(seed):
                 c = equal
             records.append((u, v, 1, c))
     g = Graph(n, records)
-    # Two protected paths on one graph: the second call misses the
-    # column cache the first one filled.
+    # Two protected paths on one graph, each with its own rows.
     p_stars = [_walk(rng, g, 1, 3) for _ in range(2)]
     paths = [_walk(rng, g, 2, 5) for _ in range(int(rng.integers(0, 9)))]
     # Uncuttable paths are added on purpose below, not by chance.
@@ -240,18 +239,18 @@ def _cover_instance(seed):
     return kind, g, p_stars, paths
 
 
-def _cover_or_message(cover, g, p_star, paths):
+def _cover_or_message(cover):
     try:
-        return cover(g, p_star, paths)
+        return cover()
     except InputError as exc:
         return f"InputError: {exc}"
 
 
 def test_greedy_matches_edge_keyed_reference_on_seeded_instances():
-    """The cover on the cut LP's rows and columns returns the edge set of
-    the edge-keyed reference, or the same InputError message, on 2,000
-    seeded instances (4,000 covers). Any change of the tie rule moves
-    some of the all-equal-cost instances."""
+    """The cover on the rows of a ``CutRows`` returns the edge set of the
+    reference, or the same InputError message, on 2,000 seeded instances
+    (4,000 covers). Any change of the tie rule moves some of the
+    all-equal-cost instances."""
     seen = {"int": 0, "float": 0, "equal": 0, "zero cost": 0, "repeated": 0,
             "empty": 0, "error": 0, "multi-edge cover": 0}
     for seed in range(2000):
@@ -261,8 +260,8 @@ def test_greedy_matches_edge_keyed_reference_on_seeded_instances():
         seen["repeated"] += len(set(paths)) < len(paths)
         seen["empty"] += not paths
         for p_star in p_stars:
-            want = _cover_or_message(reference_greedy_path_cover, g, p_star, paths)
-            got = _cover_or_message(greedy_path_cover, g, p_star, paths)
+            want = _cover_or_message(lambda: reference_greedy_path_cover(g, p_star, paths))
+            got = _cover_or_message(lambda: greedy_path_cover(CutRows(g, p_star, paths)))
             assert got == want, (seed, p_star, paths)
             seen["error"] += isinstance(want, str)
             seen["multi-edge cover"] += not isinstance(want, str) and len(want) > 1
@@ -319,10 +318,12 @@ def _outside_mass(solve, seed):
     return solver
 
 
-def _rounded(cover, g, p_star, paths, seed, solver):
+def _rounded(cover, seed, solver):
+    """``cover(rng, solver)`` with a generator seeded ``seed``, as a
+    comparable tuple that ends with the generator's state."""
     rng = np.random.default_rng(seed)
     try:
-        res = cover(g, p_star, paths, rng, solver=solver)
+        res = cover(rng, solver)
         out = (res.edges, res.retries, res.solution)
     except RoundingFailureError as exc:
         out = (str(exc), None, exc.solution)
@@ -335,8 +336,8 @@ def test_lp_cover_matches_full_width_reference_bytes():
     """Rounding over the columns of nonzero value returns what the
     full-width rounding returned, on 240 wide seeded instances: the edges,
     retries, solution bytes, objective bits, and the generator state after
-    the call. Each instance rounds twice on one graph, the second time with
-    one more constraint, so the second build reads its rows from the cache.
+    the call. Each instance rounds twice on one ``CutRows``, the second time
+    with one more row, so the second build ranks only the new row.
     A third of the instances shrink the values so that rounding retries,
     and some run out of attempts; a sixth put mass on columns outside every
     row through the solver seam."""
@@ -354,17 +355,22 @@ def test_lp_cover_matches_full_width_reference_bytes():
             ours, ref = solve_relaxed, reference_solve_relaxed
         seen["float" if seed % 2 else "int"] += 1
         seen["zero cost"] += 0 in g.costs.values()
+        rows = CutRows(g, p_star, paths[:-1])
         for k in (len(paths) - 1, len(paths)):
+            if k == len(paths):
+                rows.add(paths[-1])
             draw_seed = int(rng.integers(2**32))
-            got = _rounded(lp_path_cover, g, p_star, paths[:k], draw_seed, ours)
-            want = _rounded(reference_lp_path_cover, g, p_star, paths[:k], draw_seed, ref)
+            got = _rounded(lambda r, solver: lp_path_cover(rows, r, solver=solver), draw_seed, ours)
+            want = _rounded(lambda r, solver: reference_lp_path_cover(g, p_star, paths[:k], r,
+                                                                      solver=solver),
+                            draw_seed, ref)
             assert got == want, (seed, k)
             if got[1] is None:
                 seen["failed"] += 1
                 continue
             seen["retries"] += got[1] > 0
             if mode == 2:
-                lp = build_cover_lp(g, p_star, paths[:k])
+                lp = build_cover_lp(rows)
                 in_rows = {lp.edge_order[j] for row in lp.rows for j in row}
                 seen["outside kept"] += not got[0] <= in_rows
     assert min(seen.values()) >= 10, seen
@@ -408,7 +414,7 @@ def test_lp_cover_reads_active_columns_only(monkeypatch):
     monkeypatch.setattr(pathcut.cover, "build_cover_lp", counting_build)
     assert g.edge_count >= 10_000
     for seed in range(5):
-        res = lp_path_cover(g, p_star, paths, rng=seed)
+        res = lp_path_cover(CutRows(g, p_star, paths), rng=seed)
         lp = built[-1]
         active = len({j for row in lp.rows for j in row})
         assert 10 <= active <= 400
@@ -422,7 +428,7 @@ def test_lp_cover_reads_active_columns_only(monkeypatch):
 def test_only_the_lp_cover_counts_as_an_lp_build(monkeypatch, method):
     """The benchmark's tracer counts calls of ``cover.build_cover_lp`` as
     LP builds: one per PATHATTACK-LP iteration, none for the greedy cover,
-    which reaches the same builder through ``pathcut.lp``."""
+    which reads its rows by edge key and builds no LP."""
     calls = []
 
     def counting_build(*args):

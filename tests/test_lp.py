@@ -1,5 +1,5 @@
 import math
-import pickle
+import operator
 import re
 from itertools import combinations, permutations
 
@@ -11,6 +11,7 @@ from helpers import (
     reachable_pair,
     reference_bounded_simplex,
     reference_build_cover_lp,
+    reference_greedy_path_cover,
 )
 from scipy.optimize import linprog
 
@@ -18,8 +19,10 @@ import pathcut.lp
 from pathcut import AttackConfig, Graph, InfeasibleError, InputError, PathCutError, Path, run_attack
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
 from pathcut.harness import select_p_star, select_terminals
+from pathcut.cover import greedy_path_cover
 from pathcut.lp import (
     _bounded_simplex,
+    CutRows,
     RelaxedCutLP,
     build_cover_lp,
     is_integral,
@@ -171,19 +174,23 @@ def test_build_cover_lp_excludes_protected_edges():
     records = [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 1, 5), (2, 3, 1, 7), (0, 3, 1, 11)]
     g = Graph(4, records)
     p_star = Path((0, 1, 2, 3))
-    lp = build_cover_lp(g, p_star, [Path((0, 2, 3)), Path((0, 3))])
+    lp = build_cover_lp(CutRows(g, p_star, [Path((0, 2, 3)), Path((0, 3))]))
     assert lp.edge_order == ((0, 2), (0, 3))
     assert lp.costs == (5, 11)
     assert lp.rows == ((0,), (1,))
-    # Each error reads the same with the column cache warm (g) and cold.
-    assert g._columns is not None
+    # Each error reads the same in a one-shot CutRows and in one whose
+    # rows were already built into an LP.
     for paths, message in (
         ([Path((0, 1, 2))], r"^uncuttable constraint: Path\(0-1-2\) has only protected edges$"),
         ([Path((0, 2, 3)), Path((0, 1, 3))], r"^constraint path uses unknown edge \(1, 3\)$"),
     ):
-        for graph in (g, Graph(4, records)):
-            with pytest.raises(InputError, match=message):
-                build_cover_lp(graph, p_star, paths)
+        with pytest.raises(InputError, match=message):
+            CutRows(g, p_star, paths)
+        grown = CutRows(g, p_star, [Path((0, 3))])
+        build_cover_lp(grown)
+        with pytest.raises(InputError, match=message):
+            for p in paths:
+                grown.add(p)
 
 
 def _zero_cost_graph(rng, n, p):
@@ -193,8 +200,8 @@ def _zero_cost_graph(rng, n, p):
 
 
 def test_build_cover_lp_matches_uncached_reference():
-    # Two protected paths alternate on one graph, so a cache that served
-    # the columns of the other p* would fail the comparison.
+    # Two protected paths alternate on one graph: each one-shot CutRows
+    # reads the columns of its own protected set only.
     rng = np.random.default_rng(808)
     checked = zero_costs = 0
     for _ in range(30):
@@ -210,63 +217,71 @@ def test_build_cover_lp_matches_uncached_reference():
         for i in range(1, len(ranked)):
             p_star = stars[i % 2]
             paths = [p for p in ranked[:i + 1] if p != p_star]
-            got = build_cover_lp(g, p_star, paths)
+            got = build_cover_lp(CutRows(g, p_star, paths))
             assert got == reference_build_cover_lp(g, p_star, paths)
-            assert g._columns[0] == frozenset(p_star.edges)
             checked += 1
             zero_costs += got.costs.count(0)
     assert checked > 50 and zero_costs > 0
 
 
-def test_cover_lp_column_cache_holds_one_entry():
+def test_cut_rows_hold_edge_keyed_rows_and_their_own_columns():
     g = _zero_cost_graph(np.random.default_rng(809), 9, 0.6)
     fresh = Graph(g.node_count, g.edge_records())
     s, t = 0, 8
     first, second, *others = k_shortest_paths(g, s, t, 6)
-    assert g._columns is None
-    lp = build_cover_lp(g, first, others)
-    key, edge_order, costs, rows = g._columns
-    assert key == frozenset(first.edges)
-    assert (edge_order, costs) == (lp.edge_order, lp.costs)
-    # Each cached row holds the edge_order positions of its path's
-    # cuttable edges.
-    for p in others:
-        cuttable = [e for e in p.edges if e not in key]
-        assert rows[p.nodes] == tuple(sorted(map(edge_order.index, cuttable)))
-    assert rows == {p.nodes: row for p, row in zip(others, lp.rows)}
-    build_cover_lp(g, second, others)
-    assert g._columns[0] == frozenset(second.edges)
-    assert g._columns[3] is not rows
-    assert g == fresh and fresh._columns is None
-    copy = pickle.loads(pickle.dumps(g))
-    assert copy == g and copy._columns == g._columns
-    assert build_cover_lp(copy, first, others) == lp
-    assert g.remove_edges([first.edges[0]])._columns is None
+    cut = CutRows(g, first, others)
+    assert cut.protected == frozenset(first.edges)
+    # Each row holds its path's cuttable edge keys, sorted; rows_on lists
+    # each edge's rows in row order.
+    assert cut.rows == [tuple(sorted(set(p.edges) - cut.protected)) for p in others]
+    assert cut.rows_on == {e: [i for i, row in enumerate(cut.rows) if e in row]
+                           for row in cut.rows for e in row}
+    # A row's columns are its keys' positions in edge_order.
+    lp = build_cover_lp(cut)
+    assert lp.rows == tuple(tuple(map(lp.edge_order.index, row)) for row in cut.rows)
+    assert lp == reference_build_cover_lp(g, first, others)
+    # A second protected set on the same graph gets its own columns, and
+    # the first one's LP does not move; the graph holds neither.
+    assert build_cover_lp(CutRows(g, second, others)) == reference_build_cover_lp(g, second, others)
+    assert build_cover_lp(cut) == lp
+    assert g == fresh
 
 
 def test_cover_lp_errors_are_not_memoized():
-    # A path that raises stores no row, so it raises again on the next
-    # call, also after other paths filled the row cache.
+    # A path that raises adds no row: the rows, rows_on and the next LP are
+    # those of the paths added before it, and it raises again on retry.
     records = [(0, 1, 1, 2), (1, 2, 1, 3), (0, 2, 1, 5), (2, 3, 1, 7), (0, 3, 1, 11)]
     g = Graph(4, records)
     p_star = Path((0, 1, 2, 3))
     ok = [Path((0, 2, 3)), Path((0, 3))]
-    for paths, message in (
-        ([Path((0, 1, 2))], r"^uncuttable constraint: Path\(0-1-2\) has only protected edges$"),
-        ([Path((0, 1, 3))], r"^constraint path uses unknown edge \(1, 3\)$"),
+    cut = CutRows(g, p_star, ok)
+    lp = build_cover_lp(cut)
+    assert lp.rows == ((0,), (1,))
+    late = CutRows(g, p_star, ok[:1])
+    for path, message in (
+        (Path((0, 1, 2)), r"^uncuttable constraint: Path\(0-1-2\) has only protected edges$"),
+        (Path((0, 1, 3)), r"^constraint path uses unknown edge \(1, 3\)$"),
+        # The unknown edge follows a cuttable one.
+        (Path((0, 2, 1, 3)), r"^constraint path uses unknown edge \(1, 3\)$"),
     ):
         for _ in range(2):
-            assert build_cover_lp(g, p_star, ok).rows == ((0,), (1,))
             with pytest.raises(InputError, match=message):
-                build_cover_lp(g, p_star, ok + paths)
-        assert set(g._columns[3]) == {p.nodes for p in ok}
+                cut.add(path)
+            assert cut.rows == [((0, 2),), ((0, 3),)]
+            assert cut.rows_on == {(0, 2): [0], (0, 3): [1]}
+            assert build_cover_lp(cut) == lp
+            # Before the first build as well.
+            with pytest.raises(InputError, match=message):
+                late.add(path)
+    late.add(ok[1])
+    assert build_cover_lp(late) == lp
 
 
 def test_memoized_rows_match_reference_while_protected_paths_alternate():
-    # Each protected path takes a run of growing constraint sets before the
-    # other takes over: within a run every row but the newest comes from
-    # the cache, and a cache kept across a change of protected set would
-    # serve rows indexed for the other path.
+    # Two CutRows on one graph, one per protected path, grow one path at a
+    # time in turn. After each step the LP and the greedy cover equal the
+    # references on the paths so far, and the LP keeps the row tuples it
+    # built before: each row is ranked once.
     rng = np.random.default_rng(811)
     checked = 0
     for _ in range(20):
@@ -277,43 +292,42 @@ def test_memoized_rows_match_reference_while_protected_paths_alternate():
         ranked = k_shortest_paths(g, *pair, 10)
         if len(ranked) < 6:
             continue
-        stars = ranked[:2]
-        for run in range(4):
-            p_star = stars[run % 2]
-            others = [p for p in ranked if p != p_star]
-            memo = None
-            for k in range(1, len(others) + 1):
-                got = build_cover_lp(g, p_star, others[:k])
+        runs = [(p_star, [p for p in ranked if p != p_star], CutRows(g, p_star))
+                for p_star in ranked[:2]]
+        previous = [None, None]
+        for k in range(1, len(ranked)):
+            for r, (p_star, others, cut) in enumerate(runs):
+                cut.add(others[k - 1])
+                got = build_cover_lp(cut)
                 assert got == reference_build_cover_lp(g, p_star, others[:k])
-                assert memo is None or g._columns[3] is memo
-                memo = g._columns[3]
-                assert memo == {p.nodes: row for p, row in zip(others[:k], got.rows)}
+                assert greedy_path_cover(cut) == reference_greedy_path_cover(g, p_star, others[:k])
+                if previous[r] is not None:
+                    assert all(map(operator.is_, got.rows, previous[r].rows))
+                previous[r] = got
                 checked += 1
     assert checked > 100
 
 
-def _check_cold_and_warm(g, p_star, paths, warm):
-    """``build_cover_lp`` on a copy of ``g`` with a cold cache, then twice
-    on ``warm`` (a miss, then a hit), equals the uncached reference."""
+def _check_one_shot_and_grown(g, p_star, paths):
+    """``build_cover_lp`` on a one-shot ``CutRows``, and on one grown a
+    path at a time with a build after each, equals the reference."""
     want = reference_build_cover_lp(g, p_star, paths)
-    cold = Graph(g.node_count, g.edge_records())
-    assert cold._columns is None
-    assert build_cover_lp(cold, p_star, paths) == want
-    assert build_cover_lp(warm, p_star, paths) == want
-    assert build_cover_lp(warm, p_star, paths) == want
-    assert warm._columns[0] == frozenset(p_star.edges)
+    assert build_cover_lp(CutRows(g, p_star, paths)) == want
+    grown = CutRows(g, p_star)
+    for p in paths:
+        grown.add(p)
+        build_cover_lp(grown)
+    assert build_cover_lp(grown) == want
 
 
 def test_sliced_columns_match_reference_at_every_position():
     # Every ranked path of up to three edges between any two nodes is the
     # protected path in turn, so protected edges sit at the first and the
     # last sorted key and at adjacent positions, and constraint paths
-    # share edges with them. One graph's cache stays warm across all of
-    # them, filled by the protected set before.
+    # share edges with them.
     rng = np.random.default_rng(812)
     g = _zero_cost_graph(rng, 7, 0.7)
     keys = g.edges()
-    warm = Graph(g.node_count, g.edge_records())
     seen = set()
     for s, t in combinations(range(g.node_count), 2):
         ranked = k_shortest_paths(g, s, t, 12)
@@ -324,7 +338,7 @@ def test_sliced_columns_match_reference_at_every_position():
             paths = [p for p in ranked if not protected.issuperset(p.edges)]
             if not paths:
                 continue
-            _check_cold_and_warm(g, p_star, paths, warm)
+            _check_one_shot_and_grown(g, p_star, paths)
             cut = sorted(map(keys.index, protected))
             seen.update(
                 name for name, hit in (
@@ -347,7 +361,6 @@ def test_protected_edges_missing_from_the_graph_are_ignored():
     # and cut no position, and constraint paths may use them too, since
     # protected edges are skipped before any lookup.
     g = Graph(5, _GAPPED)
-    warm = Graph(5, _GAPPED)
     candidates = [Path(nodes) for k in (2, 3, 4) for nodes in permutations(range(5), k)]
     checked = 0
     for p_star in (Path((1, 0, 2)), Path((2, 4, 3)), Path((3, 1, 4, 2)), Path((1, 0)), Path((4, 3))):
@@ -356,23 +369,27 @@ def test_protected_edges_missing_from_the_graph_are_ignored():
         paths = [p for p in candidates
                  if all(e in protected or g.has_edge(*e) for e in p.edges)
                  and not protected.issuperset(p.edges)]
-        _check_cold_and_warm(g, p_star, paths, warm)
+        _check_one_shot_and_grown(g, p_star, paths)
         checked += sum(not protected.isdisjoint(p.edges) for p in paths)
     assert checked > 0
 
 
 def test_unknown_edge_error_names_the_first_in_path_order():
     # Protected edges are skipped, present or not; the first unknown edge
-    # in path order is named, not the first in sorted order, cold or warm,
-    # and on every call.
-    warm = Graph(5, _GAPPED)
+    # in path order is named, not the first in sorted order, in a one-shot
+    # CutRows and in one grown after a build, on every call.
+    g = Graph(5, _GAPPED)
     p_star = Path((1, 0, 2))
     for nodes, named in (((0, 1, 4, 3), (1, 4)), ((2, 3, 4, 1), (3, 4)), ((0, 2, 3, 4), (3, 4))):
         message = f"^{re.escape(f'constraint path uses unknown edge {named}')}$"
-        for g in (Graph(5, _GAPPED), warm, warm):
+        with pytest.raises(InputError, match=message):
+            CutRows(g, p_star, [Path((1, 2)), Path(nodes)])
+        grown = CutRows(g, p_star, [Path((1, 2))])
+        build_cover_lp(grown)
+        for _ in range(2):
             with pytest.raises(InputError, match=message):
-                build_cover_lp(g, p_star, [Path((1, 2)), Path(nodes)])
-        assert Path(nodes).nodes not in warm._columns[3]
+                grown.add(Path(nodes))
+        assert grown.rows == [((1, 2),)]
 
 
 def test_sliced_columns_match_reference_on_a_25000_edge_graph():
@@ -381,12 +398,11 @@ def test_sliced_columns_match_reference_on_a_25000_edge_graph():
     g = generate(GeneratorSpec(family="ba", n=5000, m=5, seed=1))
     g = assign_weights(g, WeightScheme(kind="poisson", seed=2))
     assert g.edge_count > 24_000
-    warm = Graph(g.node_count, g.edge_records())
     for seed in (3, 4):
         s, t = select_terminals(g, "uniform", seed)
         ranked = k_shortest_paths(g, s, t, 8)
         for rank in (4, 6, 8):
-            _check_cold_and_warm(g, ranked[rank - 1], ranked[:rank - 1], warm)
+            _check_one_shot_and_grown(g, ranked[rank - 1], ranked[:rank - 1])
 
 
 def test_rows_sum_to_at_least_one():

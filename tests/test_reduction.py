@@ -1,4 +1,7 @@
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +78,23 @@ def test_transform_requires_positive_eps():
     for eps in (math.nan, math.inf):
         with pytest.raises(InputError, match=f"eps must be positive and finite, got {eps}"):
             create_force_path_input(inst, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [Decimal("1"), Fraction(1, 2), True, "1"], ids=repr)
+def test_transform_rejects_eps_that_is_not_an_int_or_a_float(eps):
+    # The weight rule of Graph: int (not bool) or float, named in the error.
+    inst = TerminalCutInstance(graph=Graph(3, [(0, 1, 1)]), budget=0, terminals=(0, 1, 2))
+    message = f"eps must be an int or a float, got {eps!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        create_force_path_input(inst, eps=eps)
+
+
+def test_transform_accepts_int_and_float_eps():
+    inst = TerminalCutInstance(graph=Graph(3, [(0, 1, 1)]), budget=0, terminals=(0, 1, 2))
+    for eps, heavy in ((1, 3), (1.0, 3.0), (np.float64(0.5), 2.0)):
+        fpc = create_force_path_input(inst, eps=eps)
+        assert fpc.graph.weights[(1, 2)] == heavy
+        assert type(fpc.graph.weights[(1, 2)]) is type(heavy)
 
 
 def test_solve_triangle_budgets():
