@@ -133,13 +133,13 @@ def _top_eigenscore(g: Graph):
     of it. Zero-cost edges (ratio ``inf``) tie only with each other, and
     when every ratio is 0 all tie.
     """
-    vector = principal_eigenvector(g)
+    vector = principal_eigenvector(g).tolist()
     costs = g._costs  # candidates are canonical keys, as in _cheapest_edge
 
     def choose(candidates):
         def ratio(e):
             u, v = e
-            score = float(vector[u] * vector[v])
+            score = vector[u] * vector[v]
             cost = costs[e]
             return math.inf if cost == 0 else score / cost
 
@@ -170,34 +170,60 @@ def principal_eigenvector(g: Graph) -> np.ndarray:
     Iterates with ``A + I`` so bipartite graphs (whose spectrum is
     symmetric) still converge; the residual test uses ``A`` itself:
     ``||Av - lambda*v|| <= POWER_TOL * lambda`` with the Rayleigh-quotient
-    estimate of ``lambda``.
-
-    Each step computes one product ``A @ v`` and uses it for the Rayleigh
-    quotient, the residual and the next iterate. The product runs over the
-    edge list in both orientations (``np.bincount``), O(n + m) time and
-    memory per step instead of a dense n x n matrix. Its summation order
-    differs from a dense product's, so the vector can differ from one by a
-    few units in the last place; greedy eigenscore's tie rule absorbs
-    that noise (see :func:`_top_eigenscore` for the limits). Norms are
+    estimate of ``lambda``. Each step computes one product ``A @ v`` over
+    the edge list (:func:`_adjacency_product`); its summation order is not
+    a dense product's, which greedy eigenscore's tie rule absorbs (see
+    :func:`_top_eigenscore` for the limits). Norms are
     ``math.sqrt(x.dot(x))``, the sum ``np.linalg.norm`` computes for a
-    real vector, without its dispatch; the Rayleigh quotient is the same
-    ``dot``.
+    real vector.
+
+    A step skips the residual test when it provably cannot pass. The step
+    that builds the next unnormalized iterate ``x = Av + v`` also takes
+    the ``x.dot(x)`` the next step divides by, and ``mu = v.dot(x)``. For
+    a unit ``v`` the residual is at least the distance from ``Av`` to the
+    line through ``v``, which is the distance from ``x`` to it,
+    ``sqrt(x.x - mu**2)``; and ``mu = lambda + v.v`` exceeds ``lambda``
+    and its ``1e-30`` floor. So the test fails while ``x.x - mu**2``
+    exceeds ``(POWER_TOL * mu)**2`` by more than the rounding ``band``.
+    The band is a worst case over every summation order, so it holds
+    for any BLAS kernel. With ``u = 2**-53``: every vector here is
+    nonnegative, so the four dots (``x.x``, ``v.x``, ``lambda`` and the
+    residual's) are each within ``gamma_n = n*u / (1 - n*u)`` of their
+    exact values, relative (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 3.1); normalizing leaves ``v.v`` within about
+    ``gamma_n + 4u`` of 1; ``x`` is within ``u`` of ``Av + v`` per entry;
+    and the residual's arithmetic and the guard's own six operations
+    round once each. For ``POWER_TOL <= 1`` these errors come to
+    ``(9n + 22) * u * x.x`` to first order, and ``band = 16 * (n + 2) *
+    u * x.x`` covers them with the higher-order terms at every ``n`` for
+    which it is below ``x.x`` (up to ``n`` of about 5.6e14; beyond that
+    no step skips). The band also sets where skipping ends: about where
+    the relative residual falls to ``sqrt(16 * (n + 2) * u)``, 9e-7 on a
+    22 x 22 lattice. A skipped step changes nothing, so the iterates,
+    the stopping step and the ``ConvergenceError`` are those of testing
+    every step.
     """
     n = g.node_count
     if n == 0:
         raise InputError("eigenvector of an empty graph is undefined")
     product = _adjacency_product(g)
+    band = 16 * (n + 2) * 2.0**-53
     v = np.full(n, 1.0 / math.sqrt(n))
-    av = product(v)
+    x = product(v) + v
+    xx = float(x.dot(x))
     for _ in range(MAX_POWER_ITER):
-        nxt = av + v
-        nxt /= math.sqrt(nxt.dot(nxt))
-        av = product(nxt)
-        lam = nxt.dot(av)
-        r = av - lam * nxt
-        residual = math.sqrt(r.dot(r))
-        v = nxt
-        if residual <= POWER_TOL * max(lam, 1e-30):
+        x /= math.sqrt(xx)
+        v = x
+        av = product(v)
+        x = av + v
+        xx = float(x.dot(x))
+        mu = float(v.dot(x))
+        tol_mu = POWER_TOL * mu
+        if xx - mu * mu > tol_mu * tol_mu + band * xx:
+            continue
+        lam = v.dot(av)
+        r = av - lam * v
+        if math.sqrt(r.dot(r)) <= POWER_TOL * max(lam, 1e-30):
             return v
     raise ConvergenceError(f"power iteration did not converge in {MAX_POWER_ITER} steps")
 

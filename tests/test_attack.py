@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pathcut.attack
 import pathcut.harness
@@ -16,7 +18,7 @@ from helpers import (
     reference_principal_eigenvector,
     shuffled_adjacency_product,
 )
-from pathcut import Graph, InputError, IterationLimitError, Path
+from pathcut import ConvergenceError, Graph, InputError, IterationLimitError, Path, edge_key
 from pathcut.attack import (
     METHODS,
     AttackConfig,
@@ -229,25 +231,84 @@ def test_eigenvector_matches_dense_solver(monkeypatch):
     assert v == pytest.approx(ref, abs=1e-6)
 
 
+def _clique_edges(nodes):
+    return [(u, w, 1) for u, w in combinations(nodes, 2)]
+
+
 EIGEN_GRAPHS = [
     generate(GeneratorSpec("lattice", rows=10, cols=10)),
     random_graph(np.random.default_rng(60), 60, 0.1),
-    Graph(7, [(u, w, 1) for u in range(7) for w in range(u + 1, 7)]),
+    Graph(7, _clique_edges(range(7))),
     Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 2, 1)]),
     Graph(4),
+    # Graphs where a skip band that is too loose would skip the stopping
+    # step: the benchmark's lattice, bipartite spectra (K3,4, a star, a
+    # path), one-step convergence (K16, two disjoint K5), and larger or
+    # irregular degree sequences (BA, Kronecker).
+    generate(GeneratorSpec("lattice", rows=22, cols=22)),
+    Graph(7, [(u, w, 1) for u in range(3) for w in range(3, 7)]),
+    Graph(13, [(0, w, 1) for w in range(1, 13)]),
+    Graph(30, [(u, u + 1, 1) for u in range(29)]),
+    generate(GeneratorSpec("complete", n=16)),
+    Graph(10, _clique_edges(range(5)) + _clique_edges(range(5, 10))),
+    generate(GeneratorSpec("ba", n=1000, m=5)),
+    generate(GeneratorSpec("kronecker", iterations=7, density=0.08)),
 ]
-EIGEN_IDS = ["lattice-10x10", "er-60", "k7", "isolated-node", "no-edges"]
+EIGEN_IDS = ["lattice-10x10", "er-60", "k7", "isolated-node", "no-edges",
+             "lattice-22x22", "k3-4", "star-12", "path-30", "k16", "two-k5",
+             "ba-1000", "kronecker-128"]
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("g", EIGEN_GRAPHS, ids=EIGEN_IDS)
 def test_eigenvector_bit_identical_to_three_product_loop(g, tol, monkeypatch):
     # Bit identity, not closeness: on the same product, computing A @ v
-    # once per step and reusing it must not change a single iterate.
+    # once per step and skipping the residual test where it cannot pass
+    # must not change a single iterate. Bytes, because array_equal takes
+    # -0.0 for 0.0.
     monkeypatch.setattr(pathcut.attack, "POWER_TOL", tol)
     got = principal_eigenvector(g)
     expect = reference_principal_eigenvector(g, tol=tol, product=_adjacency_product)
-    assert np.array_equal(got, expect)
+    assert got.tobytes() == expect.tobytes()
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return Graph(n, [(u, w, 1) for u, w in {edge_key(u, w) for u, w in pairs if u != w}])
+
+
+@given(graphs_with_isolated_nodes())
+def test_eigenvector_bit_identical_to_three_product_loop_on_random_graphs(g):
+    got = principal_eigenvector(g)
+    expect = reference_principal_eigenvector(g, product=_adjacency_product)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_eigenvector_stops_at_the_three_product_loops_step(monkeypatch):
+    # The stopping step is the reference's: a cap of exactly its step
+    # count returns its vector, one step fewer raises.
+    g = generate(GeneratorSpec("lattice", rows=10, cols=10))
+    calls = []
+
+    def counted(g):
+        mul = _adjacency_product(g)
+
+        def product(x):
+            calls.append(None)
+            return mul(x)
+
+        return product
+
+    expect = reference_principal_eigenvector(g, product=counted)
+    steps = len(calls) // 3  # three products per reference step
+    monkeypatch.setattr(pathcut.attack, "MAX_POWER_ITER", steps)
+    assert principal_eigenvector(g).tobytes() == expect.tobytes()
+    monkeypatch.setattr(pathcut.attack, "MAX_POWER_ITER", steps - 1)
+    with pytest.raises(ConvergenceError):
+        principal_eigenvector(g)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
