@@ -7,8 +7,8 @@ are immutable: attacks ban edges instead of building residual graphs.
 Weights and costs are Python ``int`` or ``float`` values
 (:func:`_as_number`), and construction records whether every weight is
 an ``int`` (``_int_weights``; sums are then exact). A graph builds its
-adjacency lists on the first search and caches one entry of the distance
-bound :func:`shortest_path` uses for its last target.
+adjacency lists on the first search and caches the whole-graph distance
+bound :func:`shortest_path` reads for its last target.
 
 Node ids are dense integers ``0 .. node_count-1``. External labels are
 mapped at ingestion (see :mod:`pathcut.harness`).
@@ -105,7 +105,7 @@ class Graph:
         weights: dict[EdgeKey, float] = {}
         costs: dict[EdgeKey, float] = {}
         for rec in edges:
-            if len(rec) not in (3, 4):
+            if not hasattr(rec, "__len__") or len(rec) not in (3, 4):
                 raise InputError(f"edge record must be (u, v, w[, c]): {rec!r}")
             u, v, w, c = rec if len(rec) == 4 else (*rec, rec[2])  # cost defaults to the weight
             u, v = _as_node(u), _as_node(v)
@@ -141,7 +141,7 @@ class Graph:
         self._int_weights = int_weights
         # Adjacency lists, built on first search by _adjacency(), or None.
         self._adj = None
-        # (t, allowed_nodes, bound list) of the last search target, or None.
+        # (t, bound list) of the last search target, or None.
         self._bound = None
 
     def _adjacency(self) -> list[list[tuple[int, float]]]:
@@ -322,18 +322,17 @@ def path_length(g: Graph, p: Path):
     return total
 
 
-def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> list:
-    """Per-node lower bound on the distance to ``t`` in the subgraph induced
-    by ``allowed_nodes``, ignoring bans; ``math.inf`` where ``t`` is
-    unreachable. Cached on ``g`` for the last ``(t, allowed_nodes)``.
+def _distance_bound(g: Graph, t: int) -> list:
+    """Per-node lower bound on the distance to ``t`` in ``g``, ignoring
+    bans and masks; ``math.inf`` where ``t`` is unreachable. Cached on
+    ``g`` for the last ``t``.
 
     With all-``int`` weights the bound is the exact distance. Otherwise it
     is 0 for every node that reaches ``t``: see :func:`shortest_path`.
     """
     cached = g._bound
-    if (cached is not None and cached[0] == t
-            and (cached[1] is allowed_nodes or cached[1] == allowed_nodes)):
-        return cached[2]
+    if cached is not None and cached[0] == t:
+        return cached[1]
     exact = g._int_weights
     adj = g._adjacency()
     bound = [math.inf] * g.node_count
@@ -344,18 +343,13 @@ def _distance_bound(g: Graph, t: int, allowed_nodes: Optional[frozenset]) -> lis
         if d > bound[u]:
             continue
         for v, w in adj[u]:
-            if allowed_nodes is not None and v not in allowed_nodes:
-                continue
             dv = d + w if exact else 0
             if dv < bound[v]:
                 bound[v] = dv
                 heapq.heappush(heap, (dv, v))
     # One assignment of a fresh tuple: a concurrent reader sees the old
-    # entry or the new one, never a mix. The key is frozen so that a
-    # caller's set mutated later cannot match by identity.
-    if allowed_nodes is not None:
-        allowed_nodes = frozenset(allowed_nodes)
-    g._bound = (t, allowed_nodes, bound)
+    # entry or the new one, never a mix.
+    g._bound = (t, bound)
     return bound
 
 
@@ -376,15 +370,15 @@ def shortest_path(
 
     The search is goal-directed (A*): an entry for ``v`` reached at length
     ``d`` is keyed ``d + bound[v]``, where ``bound`` is the distance from
-    each node to ``t`` in the ``allowed_nodes`` subgraph with nothing
-    banned. Bans only lengthen paths, so the bound stays below the true
-    remaining distance and one bound, cached on ``g``, serves every search
-    to ``t``. Nodes with an infinite bound cannot reach ``t`` and are never
-    pushed. The first pop of each node is the one plain Dijkstra makes:
-    ``bound[u] <= w(u, v) + bound[v]`` on every edge, so each node first
-    pops at its shortest length, and a tight predecessor has a key no
-    larger, with a node sequence that is a proper prefix on a tie, so it
-    pops first. Hence the returned path is the same.
+    each node to ``t`` in all of ``g``. Bans and the mask only lengthen
+    paths, so the bound stays below the true remaining distance and one
+    bound, cached on ``g``, serves every search to ``t``. Nodes with an
+    infinite bound cannot reach ``t`` and are never pushed. The first pop
+    of each node is the one plain Dijkstra makes: ``bound[u] <= w(u, v) +
+    bound[v]`` on every edge, so each node first pops at its shortest
+    length, and a tight predecessor has a key no larger, with a node
+    sequence that is a proper prefix on a tie, so it pops first. Hence the
+    returned path is the same.
 
     That argument needs exact sums, so the distances are used only when
     every weight is a Python ``int``. For any other weights the bound is 0
@@ -402,7 +396,7 @@ def shortest_path(
     cheaper entry pops first and finishes ``v``, so the skipped one could
     only have been popped and discarded. Pushes of equal length are kept,
     since the node sequence decides between them. Every test of a push
-    (``best``, the bound, the banned edges, ``max_length``) only filters
+    (``best``, the bound, the bans, the mask, ``max_length``) only filters
     and has no side effect, so their order changes no result; ``best``
     goes first, since on a dense graph nearly every neighbour fails it.
 
@@ -432,7 +426,7 @@ def shortest_path(
         return None
     if s == t:
         return Path._trusted((s,)) if max_length is None or max_length >= 0 else None
-    bound = _distance_bound(g, t, allowed_nodes)
+    bound = _distance_bound(g, t)
     inf = math.inf
     limit = inf if max_length is None else max_length
     if bound[s] == inf or bound[s] > limit:
@@ -465,6 +459,8 @@ def shortest_path(
             if h == inf:
                 continue
             if banned_edges and ((u, v) if u < v else (v, u)) in banned_edges:
+                continue
+            if allowed_nodes is not None and v not in allowed_nodes:
                 continue
             key = d + h
             if key > limit:

@@ -168,7 +168,7 @@ def select_terminals(g: Graph, mode: str, seed: int, hop_distance: int = 50) -> 
                 continue
             # The bound to t is the one select_p_star's first search reads
             # back from the graph's cache.
-            if _distance_bound(g, t, None)[s] != math.inf:
+            if _distance_bound(g, t)[s] != math.inf:
                 return s, t
         else:
             ring = sorted(v for v, d in bfs_hops(g, s, max_hops=hop_distance).items()

@@ -39,12 +39,12 @@ path then, so it cannot be yielded.
 
 Under the cutoff, the ranking runs a spur search only if some neighbour
 ``v`` of the spur has ``w(spur, v) + bound[v] <= max_length``, is not in
-the root, is not a trie child of the spur, and is not across a banned
-edge; ``bound`` is the distance bound the search reads, fetched once per
-ranking. That is exact: it is the search's own push filter on its first
-expansion, from the spur at length 0, so a skipped search would push
-nothing and return None. Rankings and ties stay the same; only the
-number of searches falls.
+the root, is not a trie child of the spur, is not across a banned edge,
+and is in the mask; ``bound`` is the whole-graph distance bound the
+search reads, fetched once per ranking. That is exact: it is the search's
+own push filter on its first expansion, from the spur at length 0, so a
+skipped search would push nothing and return None. Rankings and ties
+stay the same; only the number of searches falls.
 
 Three shortcuts need exact sums and apply only when every weight is an
 ``int``: the distance bound of :func:`~pathcut.graphs.shortest_path`, the
@@ -149,7 +149,7 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: float,
         if cutoff:
             # Held for the whole ranking: the graph caches one bound only,
             # and another ranking may replace it between two spurs.
-            bound = _distance_bound(g, t, allowed)
+            bound = _distance_bound(g, t)
             adj = g._adjacency()
     while candidates:
         _, parent, dev = candidates.pop(0)
@@ -175,7 +175,8 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: float,
                 # the module docstring).
                 for v, w in adj[spur]:
                     if (w + bound[v] <= limit and v not in node and v not in parent[:i]
-                            and ((spur, v) if spur < v else (v, spur)) not in banned):
+                            and ((spur, v) if spur < v else (v, spur)) not in banned
+                            and (allowed is None or v in allowed)):
                         break
                 else:
                     continue

@@ -28,6 +28,7 @@ from pathcut.attack import (
 )
 from pathcut.cli import main
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
+from pathcut.graphs import _distance_bound
 from pathcut.harness import (
     ExperimentConfig, InstanceSkip, load_edge_list, neighborhood_mask, run_experiments,
     save_edge_list, select_p_star, select_terminals,
@@ -583,9 +584,9 @@ def _weighted_er():
     return g, select_p_star(g, s, t, 6)
 
 
-#: Instance set-ups, each run afresh per use: a masked p* search in hop
-#: mode leaves the graph's distance bound on the mask, as in the
-#: benchmark's lattice-hop workload.
+#: Instance set-ups, each run afresh per use. In hop mode the p* search
+#: is masked, as in the benchmark's lattice-hop workload, and leaves the
+#: whole-graph distance bound to t that every attack reads.
 ORDER_INSTANCES = {
     "lattice-hop": _hop_lattice,
     "clique": lambda: clique_instance(7),
@@ -609,14 +610,21 @@ def test_plans_do_not_depend_on_the_order_of_methods(name):
             assert run_attack(g, p_star, AttackConfig(method=method)) == alone[method], order
 
 
-@pytest.mark.parametrize("method", ["pathattack-lp", "pathattack-greedy"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", sorted(ORDER_INSTANCES))
 def test_pathattack_leaves_no_cover_state_on_the_graph(name, method):
     # A graph has no instance dict, and after an attack every slot but the
-    # adjacency lists and the distance bound reads as on a fresh copy.
+    # adjacency lists reads as on a fresh copy that computed the bound to
+    # t. Setup leaves that bound (the clique comes with its p* and searches
+    # nothing), and the attack keeps the very same object.
     g, p_star = ORDER_INSTANCES[name]()
     fresh = Graph(g.node_count, g.edge_records())
+    _distance_bound(fresh, p_star.target)
+    setup_bound = g._bound
+    assert setup_bound == (None if name == "clique" else fresh._bound)
     run_attack(g, p_star, AttackConfig(method=method))
     assert not hasattr(g, "__dict__")
-    for slot in set(Graph.__slots__) - {"_adj", "_bound"}:
+    if setup_bound is not None:
+        assert g._bound is setup_bound
+    for slot in set(Graph.__slots__) - {"_adj"}:
         assert getattr(g, slot) == getattr(fresh, slot), slot

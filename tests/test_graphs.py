@@ -84,6 +84,8 @@ def test_edge_lookup_both_orders():
     ([(1, 1, -1)], "self-loop at node 1"),
     ([(0, 1, 1), (1, 0, -1)], "duplicate edge (0, 1)"),
     ([(2, 0, 1, float("nan"))], "weight or cost on edge (0, 2) is negative or not finite"),
+    ([5], "edge record must be (u, v, w[, c]): 5"),
+    ([None], "edge record must be (u, v, w[, c]): None"),
 ])
 def test_graph_checks_run_in_order_with_their_messages(records, message):
     # Each record fails several checks at once where it can; the first
@@ -398,8 +400,8 @@ def test_distance_bound_cache_holds_one_target():
     assert g._bound is None
     for t in range(1, 11):
         assert shortest_path(g, 0, t) == reference_shortest_path(g, 0, t)
-        target, allowed, bound = g._bound
-        assert (target, allowed, len(bound)) == (t, None, g.node_count)
+        target, bound = g._bound
+        assert (target, len(bound)) == (t, g.node_count)
     # Exact distances on integer weights: the bound at the source is the
     # length of the path found.
     assert bound[0] == path_length(g, shortest_path(g, 0, 10))
@@ -422,16 +424,24 @@ def test_distance_bound_cache_ignored_by_eq_and_kept_by_pickle():
 def test_distance_bound_unreachable_and_masked_terminals():
     g = Graph(5, [(0, 1, 2), (1, 2, 2), (3, 4, 1)])
     assert shortest_path(g, 0, 4) is None
-    assert g._bound[2][0] == float("inf")
+    assert g._bound[1][0] == float("inf")
     assert shortest_path(g, 0, 2, allowed_nodes=frozenset({1, 2})) is None
     assert shortest_path(g, 0, 2, allowed_nodes=frozenset({0, 2})) is None
     assert shortest_path(g, 0, 2).nodes == (0, 1, 2)
 
 
 def test_distance_bound_cache_not_fooled_by_mutated_mask():
+    # The unmasked route 0-1-3 (length 2) leaves the mask {0, 2, 3}, whose
+    # own route 0-2-3 has length 6. A masked search reads the whole-graph
+    # bound the unmasked search cached, and keeps it.
     g = Graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 5)])
+    assert shortest_path(g, 0, 3).nodes == (0, 1, 3)
+    cached = g._bound
     mask = {0, 2, 3}
     assert shortest_path(g, 0, 3, allowed_nodes=mask).nodes == (0, 2, 3)
+    assert shortest_path(g, 0, 3, allowed_nodes=mask, max_length=6).nodes == (0, 2, 3)
+    assert shortest_path(g, 0, 3, allowed_nodes=mask, max_length=5) is None
+    assert g._bound is cached
     mask.add(1)
     assert shortest_path(g, 0, 3, allowed_nodes=mask).nodes == (0, 1, 3)
 

@@ -164,7 +164,7 @@ def test_uniform_terminals_match_bfs_reference_on_disconnected_graphs():
         else:
             assert select_terminals(g, "uniform", seed) == want
             # The bound select_p_star's first search reads is cached.
-            assert g._bound[:2] == (want[1], None)
+            assert g._bound[0] == want[1]
             picked += 1
     assert picked > 50 and skipped > 10
 

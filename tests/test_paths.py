@@ -588,6 +588,17 @@ def test_lawler_ranking_runs_fewer_spur_searches(monkeypatch):
     assert [p.nodes for p in PathIterator(g, 0, 35, limit=40)] == got
     assert (calls["library"], calls["bounded"], calls["bounded none"]) == (236, 97, 27), calls
     assert calls["library"] - calls["bounded"] == 139
+    # A hop mask around s, pinned likewise. The bound covers the whole
+    # graph, so the skip tests the mask itself: without that test it would
+    # run 7 more searches, each returning None.
+    mask = neighborhood_mask(g, 0, 5)
+    calls.update({"library": 0, "bounded": 0, "bounded none": 0})
+    monkeypatch.setattr(pathcut.paths, "shortest_path", counting("library"))
+    got = _ranked(g, 0, 14, 40, allowed_nodes=mask)
+    assert got == [nodes for _, nodes in enumerate_simple_paths(g, 0, 14, allowed_nodes=mask)][:40]
+    monkeypatch.setattr(pathcut.paths, "shortest_path", counting("bounded"))
+    assert [p.nodes for p in PathIterator(g, 0, 14, allowed_nodes=mask, limit=40)] == got
+    assert (calls["library"], calls["bounded"], calls["bounded none"]) == (132, 93, 42), calls
 
 
 def test_interleaved_rankings_on_one_graph_match_their_solo_runs():
