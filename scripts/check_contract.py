@@ -199,6 +199,10 @@ STEPS = {
     # the seconds per build and exits 1 on an LP that differs from the
     # reference build of tests/helpers.py.
     "cover-columns": lambda: run(PYTHON_W + ["scripts/time_cover_columns.py"]),
+    # The simplex on the seed-0 workloads' cover LPs: prints the pivots,
+    # flips and seconds per workload and exits 1 on a result that differs
+    # from the reference loop of tests/helpers.py, or on moved counts.
+    "simplex": lambda: run(PYTHON_W + ["scripts/time_simplex.py"]),
     "bench-tests": lambda: run([sys.executable, "-m", "pytest", "-q", "-W", "error",
                                 "bench/test_bench.py"]),
     "trace-counts": check_trace_counts,

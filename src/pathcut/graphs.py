@@ -85,8 +85,9 @@ class Graph:
     node_count:
         Number of nodes; ids are ``0..node_count-1``.
     edges:
-        Iterable of ``(u, v, weight)`` or ``(u, v, weight, cost)`` records.
-        When cost is omitted it defaults to the weight. Self-loops,
+        Iterable of ``(u, v, weight)`` or ``(u, v, weight, cost)`` records,
+        each a sequence or a numpy array. When cost is omitted it defaults
+        to the weight. Records of another type (a set, a dict), self-loops,
         duplicate unordered pairs and weights or costs that
         :func:`_as_number` rejects raise :class:`InputError`.
 
@@ -105,7 +106,9 @@ class Graph:
         weights: dict[EdgeKey, float] = {}
         costs: dict[EdgeKey, float] = {}
         for rec in edges:
-            if not hasattr(rec, "__len__") or len(rec) not in (3, 4):
+            # Positional records only: a set or a mapping has a length
+            # but no fields in order.
+            if not isinstance(rec, (Sequence, np.ndarray)) or len(rec) not in (3, 4):
                 raise InputError(f"edge record must be (u, v, w[, c]): {rec!r}")
             u, v, w, c = rec if len(rec) == 4 else (*rec, rec[2])  # cost defaults to the weight
             u, v = _as_node(u), _as_node(v)

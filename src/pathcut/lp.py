@@ -12,7 +12,10 @@ detectable by inspection. It pivots sparse tableau rows of Python floats,
 or a numpy array once the rows fill in, and, unless large tied costs
 make rounding reach the pivot choice, returns bit for bit what a dense
 numpy tableau loop returns (see the exactness rule of
-``_bounded_simplex``). No phase-1 is needed: with
+``_bounded_simplex``). Bland's rule keeps the enterable columns in a
+bitmask that each step updates only where it moves a reduced cost or a
+bound, so no step rescans the columns; :class:`LPSolution` carries the
+pivot and bound-flip counts. No phase-1 is needed: with
 every row nonempty, starting all edge variables at their upper bound 1
 is feasible. An empty row makes the program infeasible;
 :func:`solve_relaxed` raises :class:`~pathcut.errors.InfeasibleError`
@@ -58,10 +61,14 @@ class RelaxedCutLP:
 @dataclass(frozen=True)
 class LPSolution:
     """Optimal basic solution of a RelaxedCutLP; ``values`` is a read-only
-    float64 array over all columns."""
+    float64 array over all columns. ``pivots`` and ``flips`` count the
+    simplex's basis changes and bound flips; a solver that does not count
+    them leaves them 0."""
 
     values: np.ndarray
     objective_value: float
+    pivots: int = 0
+    flips: int = 0
 
 
 class CutRows:
@@ -126,7 +133,12 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
     return lp
 
 
-def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.ndarray:
+def _bits(flags: np.ndarray) -> int:
+    """The int whose bit ``k`` is ``flags[k]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Minimize ``costs @ x`` s.t. per-row sums >= 1 and ``0 <= x <= 1``.
 
     Bounded-variable tableau simplex, Bland's rule for entering and
@@ -141,10 +153,22 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
     rows fill in, so that a pivot would update more than ``_DENSE_WORK``
     entries, the tableau moves to a numpy array for the rest of the solve
     and pivots update whole rows, still only those with an entry in the
-    entering column. A basic column's reduced cost is exactly 0 (zeroed as
-    it enters, and a pivot row holds no column basic in another row), so
-    Bland's scan needs no basis test; after a flip it resumes just past
-    the flipped column.
+    entering column. Returns the values of the ``len(costs)`` structural
+    columns, each basic value clipped to ``[0, 1]`` as ``np.clip`` does,
+    with the counts of pivots and of bound flips.
+
+    Bland's rule reads its eligible columns from a bitmask: bit ``k`` is
+    set iff ``rc[k] > FEAS_TOL`` at the upper bound or ``rc[k] < -FEAS_TOL``
+    at the lower bound, and the lowest set bit enters, the column a scan
+    from column 0 would find. A basic column's reduced cost is exactly 0
+    (zeroed as it enters, and a pivot row holds no column basic in another
+    row), so no basis test is needed. A bit can change only where a step
+    moves a reduced cost or a bound. A flip moves the bound of the entering
+    column ``j`` only, so it clears bit ``j`` and no other: the columns
+    below ``j`` stay ineligible. A pivot moves the reduced costs of its
+    pivot row's columns only, and these hold both columns whose bound
+    moves, ``j`` and the leaving variable, so a sparse pivot recomputes
+    just their bits and a dense pivot recomputes every bit.
 
     Exactness rule: the pivot sequence and every bit of the result are
     those of the dense numpy loop. Per element the tableau and the basic
@@ -168,44 +192,46 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
     m = len(rows)
     n = len(costs)
     total = n + m  # structural (bound 1) + surplus (unbounded)
+    tol = FEAS_TOL
 
     # Start: every structural variable nonbasic at its upper bound 1;
     # surplus basic with value (row size - 1) >= 0, so B = -I and T = -A.
     basis = list(range(n, total))
-    T = [{**dict.fromkeys(row, -1.0), n + i: 1.0} for i, row in enumerate(rows)]
-    cols = [set() for _ in range(n)] + [{i} for i in range(m)]
+    T = []
+    cols = [set() for _ in range(n)]
+    xB = []
     for i, row in enumerate(rows):
+        t = dict.fromkeys(row, -1.0)
+        t[n + i] = 1.0
+        T.append(t)
+        xB.append(len(row) - 1.0)
         for k in row:
             cols[k].add(i)
+    cols += [{i} for i in range(m)]
     rc = costs.tolist() + [0.0] * m  # c - c[basis] @ T with c[basis] = 0
     dense = False
-    xB = [len(r) - 1.0 for r in rows]
     at_upper = [True] * n + [False] * m
+    mask = _bits(costs > tol)  # Bland's eligible columns
 
-    tol = FEAS_TOL
-    max_pivots = 200 * (m + n + 1)
-    start = 0  # Bland's scan starts here
-    for _ in range(max_pivots):
-        j = -1
-        for k in range(start, total):
-            r = rc[k]
-            if (r > tol) if at_upper[k] else (r < -tol):
-                j = k
-                break
-        if j < 0:
+    pivots = flips = 0
+    for _ in range(200 * (m + n + 1)):
+        if not mask:
             break
+        j = (mask & -mask).bit_length() - 1
         increase = not at_upper[j]
-        # Entering-column entries in row order, which the tie rule needs.
+        # Ratio test over the entering column's entries in row order, which
+        # the tie rule needs: largest step keeping every basic variable in
+        # bounds, Bland's rule (smallest leaving variable) among tied rows.
         if dense:
-            nz = np.flatnonzero(T[:, j])
-            delta = dict(zip(nz.tolist(), (-T[nz, j] if increase else T[nz, j]).tolist()))
+            on = np.flatnonzero(T[:, j])
+            col = list(zip(on.tolist(), (-T[on, j] if increase else T[on, j]).tolist()))
+        elif increase:
+            col = [(i, -T[i][j]) for i in sorted(cols[j])]
         else:
-            delta = {i: -T[i][j] if increase else T[i][j] for i in sorted(cols[j])}
-        # Ratio test: largest step keeping every basic variable in bounds,
-        # Bland's rule (smallest leaving variable) among tied rows.
+            col = [(i, T[i][j]) for i in sorted(cols[j])]
         best = math.inf
         leave = -1
-        for i, di in delta.items():
+        for i, di in col:
             if di < -tol:
                 cand = xB[i] / -di
             elif di > tol and basis[i] < n:
@@ -217,43 +243,50 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
             if cand < best - tol:
                 best = cand
                 leave = i
+                dleave = di
             elif cand < best + tol and leave >= 0 and basis[i] < basis[leave]:
                 leave = i
+                dleave = di
         if j < n and 1.0 <= best + tol:
             # The entering variable reaches its other bound first: flip it.
             # A flip moves a full unit, strictly improving the objective,
             # so flips cannot cycle.
-            for i, d in delta.items():
+            for i, d in col:
                 xB[i] += d
             at_upper[j] = not at_upper[j]
-            start = j + 1
+            mask &= mask - 1  # j is no longer eligible
+            flips += 1
             continue
         if leave < 0:
             raise PathCutError("cover LP is unbounded; this cannot happen")
+        pivots += 1
         theta = 0.0 if 0.0 > best else best  # max(best, 0.0)
-        for i, d in delta.items():
+        for i, d in col:
             xB[i] += theta * d
         leaving = basis[leave]
         # Leaving variable rests at whichever of its bounds was hit.
-        at_upper[leaving] = delta[leave] > tol and leaving < n
+        at_upper[leaving] = dleave > tol and leaving < n
         at_upper[j] = False
         basis[leave] = j
         xB[leave] = theta if increase else (1.0 - theta)
-        if not dense and len(delta) * len(T[leave]) > _DENSE_WORK:
+        if not dense and len(col) * len(T[leave]) > _DENSE_WORK:
             sparse_rows, T = T, np.zeros((m, total))
             for i, t in enumerate(sparse_rows):
                 T[i, list(t)] = list(t.values())
-            rc_all, dense = np.array(rc), True
+            rc, dense = np.array(rc), True
         if dense:
             prow = T[leave] = T[leave] / T[leave, j]
-            others = [i for i in delta if i != leave]
+            others = [i for i, _ in col if i != leave]
             T[others] -= T[others, j][:, None] * prow
-            rc_all -= rc_all[j] * prow
-            rc = rc_all.tolist()
+            rc -= rc[j] * prow
+            # bytes() of the bool list reads as a bool array far faster
+            # than np.array() builds one.
+            up = np.frombuffer(bytes(at_upper), dtype=bool)
+            mask = _bits(np.where(up, rc > tol, rc < -tol))
         else:
             pivot = T[leave][j]
             prow = T[leave] = {k: v / pivot for k, v in T[leave].items()}
-            for i in delta:
+            for i, _ in col:
                 if i != leave:
                     t = T[i]
                     f = t[j]
@@ -264,15 +297,21 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> np.n
             cols[j] = {leave}
             f = rc[j]
             for k, r in prow.items():
-                rc[k] -= f * r
-        start = 0
+                r = rc[k] = rc[k] - f * r
+                if (r > tol) if at_upper[k] else (r < -tol):
+                    mask |= 1 << k
+                else:
+                    mask &= ~(1 << k)
     else:
         raise PathCutError("simplex failed to terminate within the pivot cap")
 
-    # Only structural variables (bound 1) ever rest at their upper bound.
-    x = np.array(at_upper, dtype=float)
-    x[basis] = xB
-    return np.clip(x[:n], 0.0, 1.0)
+    # Only structural variables (bound 1) ever rest at their upper bound;
+    # basic values are clipped to [0, 1] as np.clip does, -0.0 kept.
+    x = [1.0 if u else 0.0 for u in at_upper[:n]]
+    for b, v in zip(basis, xB):
+        if b < n:
+            x[b] = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+    return np.array(x), pivots, flips
 
 
 def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
@@ -301,6 +340,7 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
             raise InfeasibleError(f"row {i} is empty")
     values = np.zeros(n)
     costs = np.zeros(n)
+    pivots = flips = 0
     if lp.rows:
         active = sorted({j for row in lp.rows for j in row})
         if active[0] < 0 or active[-1] >= n:
@@ -308,7 +348,7 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
         remap = {j: i for i, j in enumerate(active)}
         reduced_rows = [tuple(map(remap.__getitem__, row)) for row in lp.rows]
         costs[active] = [lp.costs[j] for j in active]
-        x = _bounded_simplex(reduced_rows, costs[active])
+        x, pivots, flips = _bounded_simplex(reduced_rows, costs[active])
         values[active] = x
         xs = x.tolist()
         for row in reduced_rows:
@@ -320,7 +360,8 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
                         raise InputError(f"row {i} repeats a variable index: {r}")
                 raise PathCutError("solver returned an infeasible point")
     values.flags.writeable = False
-    return LPSolution(values=values, objective_value=float(np.dot(values, costs)))
+    return LPSolution(values=values, objective_value=float(np.dot(values, costs)),
+                      pivots=pivots, flips=flips)
 
 
 def is_integral(sol: LPSolution) -> bool:

@@ -367,12 +367,15 @@ def reference_principal_eigenvector(g, tol=1e-8, max_iter=10000, product=None):
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
 
 
-def reference_bounded_simplex(rows, costs):
+def reference_bounded_simplex(rows, costs, trace=None):
     """Minimize ``costs @ x`` s.t. per-row sums >= 1 and ``0 <= x <= 1``.
 
     Full-tableau bounded-variable simplex, Bland's rule for entering and
     leaving, upper-bound flips handled separately (a flip always moves a
     full unit, so it strictly improves the objective and cannot cycle).
+    Bland's scan recomputes every reduced cost and reads them from column 0
+    at every step. If ``trace`` is a list, each step appends
+    ``(entering column, flipped)`` to it.
 
     This is the all-numpy loop: ``pathcut.lp._bounded_simplex`` keeps its
     bookkeeping in Python floats and must return the same bytes.
@@ -436,9 +439,13 @@ def reference_bounded_simplex(rows, costs):
                 raise PathCutError("cover LP is unbounded; this cannot happen")
             xB = xB + ub[j] * delta
             at_upper[j] = not at_upper[j]
+            if trace is not None:
+                trace.append((j, True))
             continue
         if leave < 0:
             raise PathCutError("cover LP is unbounded; this cannot happen")
+        if trace is not None:
+            trace.append((j, False))
         theta = max(best, 0.0)
         xB = xB + theta * delta
         entering_value = theta if increase else (ub[j] - theta)
@@ -556,7 +563,7 @@ def reference_solve_relaxed(lp):
         remap = {j: i for i, j in enumerate(active)}
         reduced_rows = [tuple(map(remap.__getitem__, row)) for row in lp.rows]
         costs[active] = [lp.costs[j] for j in active]
-        values[active] = _bounded_simplex(reduced_rows, costs[active])
+        values[active] = _bounded_simplex(reduced_rows, costs[active])[0]
     vals = values.tolist()
     for row in lp.rows:
         if sum(map(vals.__getitem__, row)) < 1.0 - FEAS_TOL:

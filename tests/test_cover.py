@@ -189,6 +189,9 @@ def test_solver_seam_accepts_external_engine():
     assert theirs.solution.objective_value == pytest.approx(1.5, abs=1e-7)
     assert covers(theirs.edges, paths, frozenset(p_star.edges))
     assert ours.solution.objective_value == pytest.approx(theirs.solution.objective_value, abs=1e-7)
+    # A solver that does not count pivots or flips leaves them 0.
+    assert (theirs.solution.pivots, theirs.solution.flips) == (0, 0)
+    assert ours.solution.pivots + ours.solution.flips > 0
 
 
 def _walk(rng, g, min_edges, max_edges):

@@ -86,12 +86,21 @@ def test_edge_lookup_both_orders():
     ([(2, 0, 1, float("nan"))], "weight or cost on edge (0, 2) is negative or not finite"),
     ([5], "edge record must be (u, v, w[, c]): 5"),
     ([None], "edge record must be (u, v, w[, c]): None"),
+    ([{0, 1, 2}], "edge record must be (u, v, w[, c]): {0, 1, 2}"),
+    ([{5: 1, 6: 2, 7: 3}], "edge record must be (u, v, w[, c]): {5: 1, 6: 2, 7: 3}"),
+    ([{0: 1, 1: 2, 2: 3}], "edge record must be (u, v, w[, c]): {0: 1, 1: 2, 2: 3}"),
 ])
 def test_graph_checks_run_in_order_with_their_messages(records, message):
     # Each record fails several checks at once where it can; the first
     # check in order names the error.
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         Graph(3, records)
+
+
+def test_graph_reads_list_and_array_records_as_tuples():
+    want = Graph(3, [(0, 1, 2), (1, 2, 3, 4)]).edge_records()
+    assert Graph(3, [[0, 1, 2], [1, 2, 3, 4]]).edge_records() == want
+    assert Graph(3, [np.array([0, 1, 2]), np.array([1, 2, 3, 4])]).edge_records() == want
 
 
 def test_graph_adjacency_matches_sorted_weight_map():

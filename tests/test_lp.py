@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import re
@@ -102,6 +103,18 @@ def test_solution_is_the_simplex_array_and_keeps_the_full_dot():
         assert off.any() and not values[off].any(), k
         full = float(np.dot(np.asarray(values), np.asarray(lp.costs, dtype=float)))
         assert sol.objective_value.hex() == full.hex(), (k, rows, costs)
+
+
+def test_solution_counts_the_simplex_pivots_and_flips():
+    # Every column is active, so solve_relaxed runs the simplex on this LP
+    # as given (see test_simplex_with_zero_and_tied_costs); an LP with no
+    # rows makes no step. The counts are read-only.
+    sol = solve_relaxed(lp_of([(1, 2), (1, 2, 4), (0, 1), (0, 4), (3, 5)], [2, 2, 1, 0, 4, 0]))
+    assert (sol.pivots, sol.flips) == (4, 3)
+    empty = solve_relaxed(lp_of([], [1, 2]))
+    assert (empty.pivots, empty.flips) == (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.pivots = 0
 
 
 def test_empty_row_raises_infeasible():
@@ -426,7 +439,7 @@ def test_solve_rejects_row_index_out_of_range(row):
 
 
 def test_feasibility_recheck_fires(monkeypatch):
-    monkeypatch.setattr(pathcut.lp, "_bounded_simplex", lambda rows, costs: np.zeros(len(costs)))
+    monkeypatch.setattr(pathcut.lp, "_bounded_simplex", lambda rows, costs: (np.zeros(len(costs)), 0, 0))
     with pytest.raises(PathCutError, match="infeasible point"):
         solve_relaxed(lp_of([(0, 1)], [1, 1]))
 
@@ -472,7 +485,7 @@ def test_simplex_bit_identical_to_numpy_loop_on_random_lps():
     fractional = 0
     for k in range(2000):
         rows, costs = random_cover_lp(rng, COST_KINDS[k % len(COST_KINDS)])
-        got = _bounded_simplex(rows, costs)
+        got = _bounded_simplex(rows, costs)[0]
         want = reference_bounded_simplex(rows, costs)
         assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
         fractional += bool(np.any((want > 1e-6) & (want < 1 - 1e-6)))
@@ -488,7 +501,7 @@ def test_simplex_bit_identical_to_numpy_loop_on_fill_in_heavy_lps():
     for k in range(200):
         rows, costs = random_cover_lp(rng, kinds[k % len(kinds)],
                                       max_rows=150, max_vars=200, max_row_size=8)
-        got = _bounded_simplex(rows, costs)
+        got = _bounded_simplex(rows, costs)[0]
         want = reference_bounded_simplex(rows, costs)
         assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
 
@@ -502,7 +515,7 @@ def test_simplex_bytes_do_not_depend_on_where_the_tableau_turns_dense(monkeypatc
     for k in range(300):
         size = {} if k < 200 else dict(max_rows=60, max_vars=100, max_row_size=6)
         rows, costs = random_cover_lp(rng, COST_KINDS[k % len(COST_KINDS)], **size)
-        got = _bounded_simplex(rows, costs)
+        got = _bounded_simplex(rows, costs)[0]
         want = reference_bounded_simplex(rows, costs)
         assert got.tobytes() == want.tobytes(), (k, rows, costs.tolist())
 
@@ -515,7 +528,7 @@ def test_simplex_optimal_where_tied_large_costs_void_the_byte_rule():
     for k in range(300):
         rows, ones = random_cover_lp(rng, "ones")
         costs = rng.integers(1, 5, size=len(ones)) * 2.0 ** 20
-        got = _bounded_simplex(rows, costs)
+        got = _bounded_simplex(rows, costs)[0]
         want = reference_bounded_simplex(rows, costs)
         assert all(sum(got[list(row)]) >= 1 - 1e-9 for row in rows), k
         assert costs @ got == pytest.approx(costs @ want, rel=1e-12), k
@@ -538,7 +551,7 @@ def test_simplex_bit_identical_to_numpy_loop_inside_pathattack(monkeypatch):
 
     def both(rows, costs):
         got = _bounded_simplex(rows, costs)
-        solved.append(got.tobytes() == reference_bounded_simplex(rows, costs).tobytes())
+        solved.append(got[0].tobytes() == reference_bounded_simplex(rows, costs).tobytes())
         return got
 
     monkeypatch.setattr(pathcut.lp, "_bounded_simplex", both)
@@ -553,11 +566,12 @@ def test_simplex_bit_identical_to_numpy_loop_on_dense_ties(monkeypatch):
     # A K16 clique with equal weights and p* at rank 16, its first three-hop
     # path: every competitor ties with p*, so each attack solves about 40
     # growing LPs over the same clique edges.
-    solved = []
+    solved, counts = [], []
 
     def both(rows, costs):
         got = _bounded_simplex(rows, costs)
-        solved.append(got.tobytes() == reference_bounded_simplex(rows, costs).tobytes())
+        solved.append(got[0].tobytes() == reference_bounded_simplex(rows, costs).tobytes())
+        counts.append(got[1:])
         return got
 
     monkeypatch.setattr(pathcut.lp, "_bounded_simplex", both)
@@ -567,3 +581,50 @@ def test_simplex_bit_identical_to_numpy_loop_on_dense_ties(monkeypatch):
         assert len(p_star.edges) == 3
         run_attack(k16, p_star, AttackConfig(method="pathattack-lp", rng_seed=seed))
     assert len(solved) >= 4 * 30 and all(solved)
+    # Pivots and bound flips over the 156 solves.
+    assert tuple(map(sum, zip(*counts))) == (2586, 2154)
+
+
+def _steps(rows, costs):
+    """``_bounded_simplex``'s pivot and flip counts on an LP, checked to be
+    the reference loop's, and the reference's ``(entering column,
+    flipped)`` steps; the two results must be equal byte for byte."""
+    costs = np.asarray(costs, dtype=float)
+    got, pivots, flips = _bounded_simplex(rows, costs)
+    steps = []
+    assert got.tobytes() == reference_bounded_simplex(rows, costs, steps).tobytes()
+    assert (pivots, flips) == (sum(not f for _, f in steps), sum(f for _, f in steps))
+    return pivots, flips, steps
+
+
+def test_simplex_enters_a_smaller_column_that_a_pivot_made_eligible():
+    # Found by search over random_cover_lp: columns 0 to 3 flip to 0, then
+    # 4 pivots in and turns column 0's reduced cost negative at its lower
+    # bound, so 0 enters next. Bland's rule must find it left of the last
+    # entering column, which a mask the pivot left unchanged would not.
+    pivots, flips, steps = _steps([(0, 4), (3, 4)], [2, 3, 4, 3, 3])
+    assert steps == [(0, True), (1, True), (2, True), (3, True), (4, False), (0, False)]
+    assert (pivots, flips) == (2, 4)
+
+
+def test_simplex_with_zero_and_tied_costs():
+    # Found by search over random_cover_lp: two tied costs of 2, and the
+    # zero-cost columns 3 and 5 share a row. A zero-cost column at its
+    # upper bound has a reduced cost of at most 0, so it never enters and
+    # its row never binds: surplus column 8 (row 2's) enters last.
+    pivots, flips, steps = _steps([(1, 2), (1, 2, 4), (0, 1), (0, 4), (3, 5)], [2, 2, 1, 0, 4, 0])
+    assert steps == [(0, True), (1, False), (2, True), (4, False), (0, False), (2, True), (8, False)]
+    assert (pivots, flips) == (4, 3)
+
+
+def test_simplex_turning_dense_midway(monkeypatch):
+    # Found by search over random_cover_lp: the tableau turns dense at the
+    # sixth of ten pivots, so the last five recompute every eligible bit.
+    # Kept sparse throughout, the solve makes the same steps.
+    rows = [(2, 9, 10, 11), (0, 1, 2, 6, 7, 9, 11), (0, 1, 2, 3, 5, 7, 12), (0, 4, 7),
+            (1, 6, 9, 10, 11), (0, 1, 2, 3, 4, 10, 12), (0, 2, 3, 6, 7), (0, 3, 4, 5, 6, 7),
+            (2, 3, 4, 6, 7, 8, 9, 12)]
+    pivots, flips, steps = _steps(rows, [1] * 13)
+    assert (pivots, flips) == (10, 11)
+    monkeypatch.setattr(pathcut.lp, "_DENSE_WORK", 10**9)
+    assert _steps(rows, [1] * 13) == (pivots, flips, steps)
