@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""The mutant ledger: defects the tests were shown to catch, re-checked.
+
+    PYTHONPATH=src python scripts/mutants.py
+
+Each row of ``MUTANTS`` names a file under ``src/``, an exact text in it,
+the text that replaces it, and the tests expected to catch the change. For
+each row the script copies ``src/`` to a temporary directory, applies the
+edit there, and runs the named tests against the copy with ``pytest -x``.
+A mutant is killed when pytest reports one of its named tests as failed;
+the exit code alone is not enough, since a crash of the session is no
+proof that a test caught the defect. The script exits 1 if a mutant
+survives, or if a row's old text is not in its file exactly once, so the
+table is edited together with the code.
+
+The tests run without ``-W error``: under it, a failing Hypothesis test
+can end the session with INTERNALERROR (its plugin warns while it reports
+the failure), and the failure would not be reported by name.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: (file under src/, old text, new text, tests expected to fail).
+MUTANTS = (
+    # The attack loop caps its oracle one below len(p*): ties go uncut.
+    ("pathcut/attack.py",
+     "max_length=p_len)",
+     "max_length=p_len - 1)",
+     ["tests/test_attack.py::test_feasibility_and_protection_on_random_instances"]),
+    # The spur skip applies only under the full list's cutoff, not under
+    # the cap alone: the same answers from more searches.
+    ("pathcut/paths.py",
+     "            if limit is not None:\n",
+     "            if limit is not None and len(candidates) == left:\n",
+     ["tests/test_paths.py::test_capped_oracle_runs_fewer_spur_searches"]),
+    # The spur skip without its mask term: searches that return None.
+    ("pathcut/paths.py",
+     " not in banned\n                            and (allowed is None or v in allowed)):",
+     " not in banned):",
+     ["tests/test_paths.py::test_lawler_ranking_runs_fewer_spur_searches"]),
+    # The oracle applies max_length to float weights, whose spur sums
+    # round in another order than path_length.
+    ("pathcut/paths.py",
+     "cap = max_length if max_length is not None and g._int_weights else math.inf",
+     "cap = max_length if max_length is not None else math.inf",
+     ["tests/test_paths.py::test_float_weights_ignore_the_oracle_cap"]),
+    # Bland's rule: a bound flip leaves its column enterable.
+    ("pathcut/lp.py",
+     "mask &= mask - 1",
+     "pass",
+     ["tests/test_lp.py"]),
+    # The power iteration's skip band set to 0: a step that could pass the
+    # residual test is skipped, and the iteration stops later.
+    ("pathcut/attack.py",
+     "band = 16 * (n + 2) * 2.0**-53",
+     "band = 0",
+     ["tests/test_attack.py::test_eigenvector_bit_identical_to_three_product_loop",
+      "tests/test_attack.py::test_eigenvector_stops_at_the_three_product_loops_step"]),
+)
+
+
+def failed_tests(output):
+    """The node ids pytest's ``-rf`` summary reports as failed."""
+    return [line.split()[1] for line in output.splitlines() if line.startswith("FAILED ")]
+
+
+def caught(failed, tests):
+    """Whether a failed node id is one of ``tests``, or inside one of them
+    (a parametrized case, or a test of a named file)."""
+    return any(f == t or f.startswith(t + "[") or f.startswith(t + "::")
+               for f in failed for t in tests)
+
+
+def run_mutant(path, old, new, tests):
+    """``(verdict, seconds)`` for one row: killed, survived or stale."""
+    source = (ROOT / "src" / path).read_text(encoding="utf-8")
+    if source.count(old) != 1:
+        return f"stale: the old text occurs {source.count(old)} times in src/{path}", 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        (src / path).write_text(source.replace(old, new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run([sys.executable, "-c", "import pathcut; print(pathcut.__file__)"],
+                               cwd=ROOT, env=env, check=True, stdout=subprocess.PIPE,
+                               text=True).stdout.strip()
+        if not Path(where).is_relative_to(src):
+            return f"not run: pathcut imports from {where}, not the mutated copy", 0.0
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        seconds = time.perf_counter() - start
+    if caught(failed_tests(result.stdout), tests):
+        return "killed", seconds
+    return f"survived (pytest exit {result.returncode})", seconds
+
+
+def main():
+    bad = 0
+    for path, old, new, tests in MUTANTS:
+        verdict, seconds = run_mutant(path, old, new, tests)
+        print(f"{verdict:<10} {seconds:5.1f} s  src/{path}: {old.strip()!r} -> {new.strip()!r}")
+        bad += verdict != "killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.stdout.reconfigure(line_buffering=True)
+    sys.exit(main())

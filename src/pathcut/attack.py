@@ -65,9 +65,11 @@ class AttackConfig:
 
 def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
     """The loop of the module docstring; ``cut(p, removed)`` returns the
-    next cut after the newest competitor ``p``. The oracle gets the cut as banned edges, so the
-    residual graph is never built. Returns ``(removed, iterations,
-    certificate)``; the certificate is the final oracle call.
+    next cut after the newest competitor ``p``. The oracle gets the cut as
+    banned edges, so the residual graph is never built, and ``len(p_star)``
+    as its ``max_length``: the loop needs only competitors within it, so
+    with int weights the final call returns None and ranks no further.
+    Returns ``(removed, iterations)``.
 
     Once an answer ranks after ``p_star`` by ``(path_length, nodes)``,
     ``p_star`` was first in that residual graph and usually stays first, so
@@ -88,7 +90,8 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
     removed: frozenset = frozenset()
     hint = False
     while True:
-        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed, p_star_first=hint)
+        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed, p_star_first=hint,
+                                    max_length=p_len)
         if p is None or strictly_longer(length := path_length(g, p), p_len):
             break
         hint = hint or (length, p.nodes) > (p_len, p_star.nodes)
@@ -99,8 +102,7 @@ def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
                 partial={"constraints": iterations, "removed_edges": removed},
             )
         removed = cut(p, removed)
-    certificate = (None, None, p_len) if p is None else (p.nodes, length, p_len)
-    return removed, iterations, certificate
+    return removed, iterations
 
 
 def _cheapest_edge(g: Graph):
@@ -240,7 +242,8 @@ def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
 
     The run owns one :class:`~pathcut.lp.CutRows` of ``p_star``, so it
     leaves no cover state on ``g``: PATHATTACK adds the newest constraint
-    to it before each cover, and a baseline reads its protected set.
+    to it before each cover, and a baseline reads its protected set. It
+    stops once no competitor is within ``len(p_star)`` and looks no further.
     """
     pathattack = cfg.method in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY)
     retries = 0
@@ -267,7 +270,7 @@ def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
             # edges, so there is always something to cut.
             return removed | {choose([e for e in p.edges if e not in rows.protected])}
 
-    removed, iterations, certificate = _force_path(g, p_star, cfg.iteration_cap, cut)
+    removed, iterations = _force_path(g, p_star, cfg.iteration_cap, cut)
     return make_cut_plan(
         g,
         p_star,
@@ -279,5 +282,4 @@ def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
         rng_seed=cfg.rng_seed if pathattack else None,
         lp_objective=last_lp.solution.objective_value if last_lp else None,
         lp_integral=is_integral(last_lp.solution) if last_lp else None,
-        certificate=certificate,
     )

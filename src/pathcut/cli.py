@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from . import reduction
@@ -31,6 +32,7 @@ from .harness import (
     select_p_star,
     summarize,
 )
+from .paths import next_shortest_excluding
 
 
 def _int_list(text: str) -> list[int]:
@@ -138,7 +140,7 @@ def _cmd_generate(args) -> dict:
     return {"nodes": g.node_count, "edges": g.edge_count, "out": args.out}
 
 
-def _plan_dict(plan, budget=None) -> dict:
+def _plan_dict(plan, g, p_star, budget=None) -> dict:
     d = {
         "method": plan.method_tag,
         "total_cost": plan.total_cost,
@@ -153,17 +155,21 @@ def _plan_dict(plan, budget=None) -> dict:
     if budget is not None:
         d["budget"] = budget
         d["within_budget"] = plan.total_cost <= budget
-    if plan.certificate is not None:
-        competitor, length, target_len = plan.certificate
-        d["target_length"] = target_len
-        d["next_competitor_length"] = length
-        d["exclusive"] = length is None or strictly_longer(length, target_len)
+    rival = next_shortest_excluding(g, p_star.source, p_star.target, p_star, plan.removed_edges)
+    d["target_length"] = target = path_length(g, p_star)
+    d["next_competitor_length"] = length = None if rival is None else path_length(g, rival)
+    d["exclusive"] = length is None or strictly_longer(length, target)
+    d["p_star"] = list(p_star.nodes)
     return d
 
 
 def _cmd_attack(args) -> dict:
+    if args.budget is not None and not math.isfinite(args.budget):
+        raise InputError(f"--budget must be finite, got {args.budget}")
     g = load_edge_list(args.graph).graph
     if args.p_star:
+        if (args.source, args.target, args.neighborhood_cap) != (None, None, None):
+            raise InputError("--source, --target and --neighborhood-cap go only with --rank")
         p_star = _p_star(args.p_star)
     else:
         if args.source is None or args.target is None:
@@ -173,10 +179,8 @@ def _cmd_attack(args) -> dict:
     cfg = AttackConfig(method=args.method, rng_seed=args.seed,
                        iteration_cap=args.iteration_cap)
     plan = run_attack(g, p_star, cfg)
-    out = _plan_dict(plan, budget=args.budget)
-    out["p_star"] = list(p_star.nodes)
-    out["p_star_length"] = path_length(g, p_star)
-    return out
+    return {**_plan_dict(plan, g, p_star, budget=args.budget),
+            "p_star_length": path_length(g, p_star)}
 
 
 def _cmd_experiment(args) -> dict:
@@ -219,9 +223,7 @@ def _cmd_brute_force(args) -> dict:
     g = load_edge_list(args.graph).graph
     p_star = _p_star(args.p_star)
     plan = reduction.brute_force_force_path_cut(g, p_star, max_cuttable=args.max_cuttable)
-    out = _plan_dict(plan)
-    out["p_star"] = list(p_star.nodes)
-    return out
+    return _plan_dict(plan, g, p_star)
 
 
 _COMMANDS = {
@@ -243,8 +245,8 @@ def main(argv=None) -> int:
         json.dump({"error": exc.category, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return exc.exit_code
-    json.dump(result, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # Strict JSON: a NaN or an infinity fails here, before any output.
+    sys.stdout.write(json.dumps(result, indent=2, allow_nan=False) + "\n")
     return 0
 
 

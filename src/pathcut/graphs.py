@@ -498,8 +498,6 @@ def bfs_hops(g: Graph, s: int, max_hops: Optional[int] = None) -> dict[int, int]
 class CutPlan:
     """Outcome of an attack: the removed edges plus provenance.
 
-    ``certificate`` records the final oracle check as
-    ``(competitor_nodes_or_None, competitor_length_or_None, protected_length)``.
     ``lp_objective``/``lp_integral`` describe the final LP solve, when the
     method used one. ``rng_seed`` is the seed the randomized part consumed.
     """
@@ -513,7 +511,6 @@ class CutPlan:
     rng_seed: Optional[int] = None
     lp_objective: Optional[float] = None
     lp_integral: Optional[bool] = None
-    certificate: Optional[tuple] = None
 
 
 def make_cut_plan(g: Graph, p_star: Path, removed: Iterable, method_tag: str, **extra) -> CutPlan:

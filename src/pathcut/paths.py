@@ -26,10 +26,12 @@ That is exact for any weights: a dropped candidate has ``need`` others
 ahead of it, and each pop removes one of them as ``need`` falls by one.
 While the list is full, its last length is a cutoff: each spur search
 gets it, less its root prefix, as its ``max_length`` and returns None
-rather than a path that is too long. The search never pushes an entry
-whose key exceeds the limit (:func:`shortest_path`). That is exact: a key
-is at most the length of every path through its entry, so such a path is
-too long, and since popped keys never decrease, the entry could only have
+rather than a path that is too long. A ``cap`` on the lengths wanted
+seeds the cutoff before the list fills; a search it cuts off could only
+yield a path over the cap. The search never pushes an entry whose key
+exceeds the limit (:func:`shortest_path`). That is exact: a key is at
+most the length of every path through its entry, so such a path is too
+long, and since popped keys never decrease, the entry could only have
 popped after every entry within the limit. Paths as long as the cutoff
 are kept, so ties still resolve by node sequence. The cutoff never rises:
 a pop leaves the list full, and a push can only lower it. Lawler's rule
@@ -46,13 +48,12 @@ own push filter on its first expansion, from the spur at length 0, so a
 skipped search would push nothing and return None. Rankings and ties
 stay the same; only the number of searches falls.
 
-Three shortcuts need exact sums and apply only when every weight is an
+Four shortcuts need exact sums and apply only when every weight is an
 ``int``: the distance bound of :func:`~pathcut.graphs.shortest_path`, the
-ranking's cutoff with its spur skip, and the oracle's ``p_star_first``
-hint. With float weights sums round and ties stop being ties (see the
-float paragraph of :func:`~pathcut.graphs.shortest_path`). The oracle's
-cap on its first search holds for any weights
-(:func:`next_shortest_excluding`).
+ranking's cutoff with its spur skip, and the oracle's ``p_star_first`` hint
+and ``max_length`` cap. With float weights sums round and ties stop being
+ties (see the float paragraph of :func:`~pathcut.graphs.shortest_path`).
+The oracle's ``len(p*)`` cap on its first search holds for any weights.
 """
 
 from __future__ import annotations
@@ -107,14 +108,15 @@ def _arguments(g: Graph, s, t, allowed_nodes, banned_edges, limit=None):
 
 
 def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: float,
-             first: Optional[Path]) -> Iterator[Path]:
+             first: Optional[Path], cap: float = math.inf) -> Iterator[Path]:
     """The ranking behind :func:`PathIterator`, with ``left`` paths still to
     yield (``math.inf`` without a limit: the list never fills, so nothing is
-    dropped or cut off). After its ``yield``, a path ``parent``
-    spawns the shortest deviation at each spur index from its deviation
-    index ``dev`` onward (Lawler's rule). The search at root
-    ``parent[:i + 1]`` bans the edge at ``i`` of every yielded path with
-    that root, read from the trie node the loop walks down to.
+    dropped or cut off), and none after ``first`` longer than ``cap`` (int
+    weights only). After its ``yield``, a path ``parent`` spawns the
+    shortest deviation at each spur index from its deviation index ``dev``
+    onward (Lawler's rule). The search at root ``parent[:i + 1]`` bans the
+    edge at ``i`` of every yielded path with that root, read from the trie
+    node the loop walks down to.
 
     Skipping the indices ``i < dev`` is exact. A yielded path that deviated
     after ``i`` shares its edge at ``i`` with its parent, which has the same
@@ -125,15 +127,16 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: float,
     in ``seen``.
 
     With a limit, each search is cut off above the last candidate's length
-    once the list is full, and a spur that no edge can leave within the
-    cutoff is skipped; the module docstring argues why these and Lawler's
-    rule together stay exact.
+    once the list is full, or above ``cap`` before; a spur that no edge can
+    leave within the cutoff is skipped. The module docstring argues why
+    these and Lawler's rule together stay exact.
     """
     # (length, nodes, deviation index), sorted; at most ``left`` of them.
     candidates: list[tuple] = []
     seen: set[tuple] = set()
     trie: dict = {}  # yielded paths as nested {node: subtrie}
     cutoff = g._int_weights
+    inf = math.inf
 
     def push(length, nodes: tuple, dev: int) -> None:
         # Node sequences are unique in the list, so ``dev`` never decides
@@ -169,7 +172,10 @@ def _ranking(g: Graph, t: int, allowed, banned: frozenset, left: float,
         for i in range(dev, len(parent) - 1):
             spur = parent[i]
             node = node[spur]
-            limit = candidates[-1][0] - prefix_len[i] if cutoff and len(candidates) == left else None
+            # A full list's last length is within the cap: every candidate
+            # but ``first``, popped at once, was found under it.
+            ceiling = candidates[-1][0] if len(candidates) == left else cap
+            limit = ceiling - prefix_len[i] if cutoff and ceiling < inf else None
             if limit is not None:
                 # Skip a search whose first expansion would push nothing (see
                 # the module docstring).
@@ -201,7 +207,8 @@ def k_shortest_paths(g: Graph, s: int, t: int, k: int, allowed_nodes=None) -> li
 
 
 def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges=(), *,
-                            p_star_first: bool = False) -> Optional[Path]:
+                            p_star_first: bool = False,
+                            max_length: Optional[float] = None) -> Optional[Path]:
     """Minimum-length simple s-t path whose node sequence differs from
     ``p_star``, or None if no such path exists.
 
@@ -223,8 +230,14 @@ def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges
     returns the same path, ties included, and never None. With float
     weights this holds too: the cap is summed as the search sums, from 0
     in s-to-t order, float addition rounds monotonically, and the float
-    bound is 0 or infinite. The ranking, for the final call's
-    certificate, runs as it would without the cap.
+    bound is 0 or infinite.
+
+    ``max_length`` caps the answer as it caps
+    :func:`~pathcut.graphs.shortest_path` (a NaN is an input error): None
+    rather than a longer path. The first search of a live ``p_star`` gets
+    the smaller cap, and the ranking gets ``max_length``. Float weights
+    ignore it, as they ignore the hint: spur sums round in another order
+    than ``path_length``.
 
     ``p_star_first=True`` hints that the first search would return
     ``p_star``; ``p_star`` must then be live (else
@@ -235,6 +248,9 @@ def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges
     ``(length, nodes)`` minimum of those paths.
     """
     s, t, _, banned = _arguments(g, s, t, None, banned_edges)
+    if max_length is not None and max_length != max_length:
+        raise InputError("max_length must not be NaN")
+    cap = max_length if max_length is not None and g._int_weights else math.inf
     live = (p_star.nodes[0] == s and p_star.nodes[-1] == t and banned.isdisjoint(p_star.edges)
             and all(map(g._weights.__contains__, p_star.edges)))
     if p_star_first and not live:
@@ -243,9 +259,10 @@ def next_shortest_excluding(g: Graph, s: int, t: int, p_star: Path, banned_edges
         first = p_star
     else:
         first = shortest_path(g, s, t, banned_edges=banned,
-                              max_length=path_length(g, p_star) if live else None)
+                              max_length=min(path_length(g, p_star), cap) if live
+                              else None if cap == math.inf else cap)
         if first is None or first.nodes != p_star.nodes:
             return first
-    ranking = _ranking(g, t, None, banned, 2, first)
+    ranking = _ranking(g, t, None, banned, 2, first, cap)
     next(ranking)  # ``p_star``
     return next(ranking, None)

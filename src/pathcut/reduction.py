@@ -191,10 +191,11 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, max_cuttable: int = MAX_B
 
     Enumerates every simple path between the endpoints, keeps those that
     are not strictly longer than the target, and solves the resulting
-    hitting-set problem exactly. The feasibility certificate (shortest
-    surviving competitor) is derived from the enumeration itself.
+    hitting-set problem exactly.
     """
     check_count("max_cuttable", max_cuttable, 0)
+    if p_star.num_edges == 0:
+        raise InputError("target path must have at least one edge")
     for u, v in p_star.edges:
         if not g.has_edge(u, v):
             raise InputError(f"target path edge ({u}, {v}) is not in the graph")
@@ -205,36 +206,16 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, max_cuttable: int = MAX_B
             f"{len(cuttable)} cuttable edges exceed the brute-force cap {max_cuttable}"
         )
     p_len = path_length(g, p_star)
-    all_paths = enumerate_simple_paths(g, p_star.source, p_star.target)
     rows = []
-    for length, nodes in all_paths:
+    for length, nodes in enumerate_simple_paths(g, p_star.source, p_star.target):
         if nodes == p_star.nodes or strictly_longer(length, p_len):
             continue
         row = frozenset(e for e in Path(nodes).edges if e not in protected)
         if not row:
             raise InfeasibleError(f"competitor {nodes} cannot be cut")
         rows.append(row)
-    if not rows:
-        return make_cut_plan(g, p_star, (), "brute-force",
-                             certificate=_surviving(all_paths, p_star, frozenset(), p_len))
-    cost, keys = _min_cost_hitting_set(rows, g.costs)
-    removed = frozenset(keys)
-    return make_cut_plan(
-        g,
-        p_star,
-        removed,
-        "brute-force",
-        constraints_generated=len(rows),
-        certificate=_surviving(all_paths, p_star, removed, p_len),
-    )
-
-
-def _surviving(all_paths, p_star: Path, removed: frozenset, p_len):
-    """Shortest competitor untouched by ``removed`` (certificate entry)."""
-    for length, nodes in all_paths:
-        if nodes != p_star.nodes and removed.isdisjoint(Path(nodes).edges):
-            return (nodes, length, p_len)
-    return (None, None, p_len)
+    _, keys = _min_cost_hitting_set(rows, g.costs)  # no rows: the empty set
+    return make_cut_plan(g, p_star, keys, "brute-force", constraints_generated=len(rows))
 
 
 def brute_force_3tc(inst: TerminalCutInstance) -> bool:

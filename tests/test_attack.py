@@ -18,7 +18,9 @@ from helpers import (
     reference_principal_eigenvector,
     shuffled_adjacency_product,
 )
-from pathcut import ConvergenceError, Graph, InputError, IterationLimitError, Path, edge_key
+from pathcut import (
+    ConvergenceError, Graph, InputError, IterationLimitError, Path, edge_key, path_length,
+)
 from pathcut.attack import (
     METHODS,
     AttackConfig,
@@ -491,44 +493,46 @@ def test_vacuous_success_when_target_separates():
     p_star = Path((0, 1, 3))
     plan = run_attack(g, p_star, GREEDY_COST)
     assert exclusive_after(g, p_star, plan.removed_edges)
-    assert plan.certificate[0] is None
-
-
-def test_certificate_records_final_oracle_call():
-    g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
-    p_star = Path((0, 1, 2))
-    plan = run_attack(g, p_star, AttackConfig(method="pathattack-greedy"))
-    assert plan.certificate == ((0, 2), 4, 2)
-    # Vacuous success leaves no competitor in the certificate.
-    g5, p5 = clique_instance(5)
-    plan5 = run_attack(g5, p5, AttackConfig(method="pathattack-greedy"))
-    assert plan5.certificate == (None, None, 5)
+    assert next_shortest_excluding(g, 0, 3, p_star, banned_edges=plan.removed_edges) is None
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_certificate_when_already_exclusive(method):
-    # Already exclusive: the first oracle call is the certificate.
+def test_certificate_when_already_exclusive(method, tmp_path, capsys):
+    # Already exclusive: no cut, and the CLI prints the runner-up the
+    # oracle finds in the input graph.
     g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
     p_star = Path((0, 1, 2))
     plan = run_attack(g, p_star, AttackConfig(method=method))
     assert plan.removed_edges == frozenset()
     assert plan.iterations == 0
-    assert plan.certificate == ((0, 2), 4, 2)
+    f = str(tmp_path / "triangle.edges")
+    save_edge_list(f, g)
+    assert main(["attack", "--graph", f, "--method", method, "--p-star", "0,1,2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["removed_edges"], out["iterations"]) == ([], 0)
+    assert (out["target_length"], out["next_competitor_length"], out["exclusive"]) == (2, 4, True)
 
 
 def test_attack_hints_change_no_oracle_answer(monkeypatch):
-    # Every answer of a call with _force_path's p_star_first hint must
-    # equal a call without it. Equal-weight cliques and tied random graphs
-    # make p* come first often, and PATHATTACK's covers there can drop an
-    # edge that an earlier cut held, so p* need not still come first.
-    # Float graphs get the hint too; the oracle ignores it there.
+    # Each oracle call of _force_path, with its p_star_first hint and its
+    # max_length of len(p*), must answer as an unhinted, uncapped call:
+    # with int weights the same path when that one is within max_length,
+    # and None otherwise; with float weights, which ignore both, the same
+    # path always. Equal-weight cliques and tied random graphs make p*
+    # come first often, and PATHATTACK's covers there can drop an edge
+    # that an earlier cut held, so p* need not still come first.
     told = {"int": 0, "float": 0}
-    calls = 0
+    calls = capped = 0
 
     def oracle(g, s, t, p_star, banned_edges=(), **kwargs):
-        nonlocal calls
+        nonlocal calls, capped
         got = next_shortest_excluding(g, s, t, p_star, banned_edges, **kwargs)
-        assert got == next_shortest_excluding(g, s, t, p_star, banned_edges)
+        free = next_shortest_excluding(g, s, t, p_star, banned_edges)
+        if g._int_weights and free is not None and path_length(g, free) > kwargs["max_length"]:
+            assert got is None
+            capped += 1
+        else:
+            assert got == free
         if kwargs.get("p_star_first"):
             told["int" if g._int_weights else "float"] += 1
         calls += 1
@@ -555,7 +559,7 @@ def test_attack_hints_change_no_oracle_answer(monkeypatch):
     for g, p_star in cases:
         for method in METHODS:
             run_attack(g, p_star, AttackConfig(method=method))
-    assert told["int"] > 100 and calls > 1000, (told, calls)
+    assert told["int"] > 100 and calls > 1000 and capped > 300, (told, calls, capped)
 
 
 @pytest.mark.parametrize("method", METHODS)

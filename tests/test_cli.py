@@ -4,7 +4,8 @@ import math
 import pytest
 
 import pathcut.sweeps
-from pathcut import MismatchError, errors
+from pathcut import Graph, MismatchError, errors
+from pathcut.attack import METHODS
 from pathcut.cli import main
 from pathcut.harness import save_edge_list
 from pathcut.sweeps import clique_instance
@@ -54,6 +55,55 @@ def test_attack_with_budget_reports_within_budget(tmp_path, capsys):
     plan = json.loads(out)
     assert plan["total_cost"] == 5
     assert plan["within_budget"] is False
+
+
+def _certificate(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    plan = json.loads(out)
+    return plan["target_length"], plan["next_competitor_length"], plan["exclusive"]
+
+
+def test_certificate_fields_for_attack_and_brute_force(tmp_path, capsys):
+    # The CLI prints the shortest competitor left in the residual graph:
+    # the triangle is exclusive as given (runner-up 0-2, length 4); the
+    # square's tie 0-2 is cut and 0-3-2 (length 3) is left; after the
+    # cuts on K5 and on the separated chain no competitor is left at all.
+    cases = {
+        "triangle": (Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 4)]), "0,1,2", (2, 4, True)),
+        "square": (Graph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 2), (0, 3, 1), (2, 3, 2)]), "0,1,2",
+                   (2, 3, True)),
+        "K5": (clique_instance(5)[0], "0,1", (5, None, True)),
+        "chain": (Graph(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)]), "0,1,3", (2, None, True)),
+    }
+    for name, (g, p_star, expect) in cases.items():
+        f = str(tmp_path / f"{name}.edges")
+        save_edge_list(f, g)
+        for method in METHODS:
+            got = _certificate(capsys, "attack", "--graph", f, "--method", method,
+                               "--p-star", p_star)
+            assert got == expect, (name, method)
+        assert _certificate(capsys, "brute-force", "--graph", f, "--p-star", p_star) == expect, name
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_attack_rejects_a_budget_that_is_not_finite(tmp_path, capsys, budget):
+    f = tmp_path / "tri.edges"
+    f.write_text("0 1 1 1\n1 2 1 1\n0 2 1 5\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "attack", "--graph", str(f), "--p-star", "0,1,2",
+                             "--budget", budget)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input",
+                               "message": f"--budget must be finite, got {budget}"}
+
+
+def test_output_is_strict_json(capsys, monkeypatch):
+    # No verb can print NaN or Infinity: main fails before it writes.
+    monkeypatch.setattr(pathcut.sweeps, "reduction_equivalence_sweep",
+                        lambda **kwargs: (math.nan, 0))
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        main(["reduce-check"])
+    assert capsys.readouterr().out == ""
 
 
 def test_input_error_exit_code_and_category(tmp_path, capsys):
@@ -238,6 +288,8 @@ def _bad_inputs(tmp_path):
                         f"eps must be positive and finite, got {e}") for e in ("nan", "inf")},
         "negative brute-force cap": (["brute-force", "--graph", str(good), "--p-star", "0,1,2",
                                       "--max-cuttable", "-1"], "max_cuttable must be >= 0, got -1"),
+        "brute-force p* without edges": (["brute-force", "--graph", str(good), "--p-star", "1"],
+                                         "target path must have at least one edge"),
     }
 
 
@@ -250,6 +302,7 @@ def _bad_inputs(tmp_path):
     "uniform upper beyond int64", "negative generator seed", "negative weight seed",
     "negative neighborhood cap", "0 random nodes", "1 random nodes", "2 random nodes",
     "-5 max nodes", "2 max nodes", "eps nan", "eps inf", "negative brute-force cap",
+    "brute-force p* without edges",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]
@@ -296,6 +349,18 @@ def test_attack_rank_needs_source_and_target(tmp_path, capsys, flags):
     code, out, err = run_cli(capsys, "attack", "--graph", str(f), "--rank", "1", *flags)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "input", "message": "--rank needs --source and --target"}
+
+
+@pytest.mark.parametrize("flag", ["--source", "--target", "--neighborhood-cap"])
+def test_attack_p_star_takes_no_rank_flags(tmp_path, capsys, flag):
+    # --p-star names the path itself; a flag that only --rank reads would
+    # be silently ignored, so it is an input error.
+    f = tmp_path / "path.edges"
+    f.write_text("0 1 1\n1 2 1\n0 2 3\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "attack", "--graph", str(f), "--p-star", "0,2", flag, "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input", "message": (
+        "--source, --target and --neighborhood-cap go only with --rank")}
 
 
 def test_reduce_check_disagreement_exits_9_with_a_mismatch_error(capsys, monkeypatch):

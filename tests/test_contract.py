@@ -7,10 +7,18 @@ from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_contract.py"
-_spec = importlib.util.spec_from_file_location("check_contract", _SCRIPT)
-contract = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(contract)
+_SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+contract = _load("check_contract")
+mutants = _load("mutants")
 
 BLOCKS = {"a/records.jsonl": b'{"x": 1}\n', "b/records.jsonl": b'{"x": 2}\n'}
 
@@ -140,3 +148,34 @@ def test_main_runs_named_steps_alone_in_the_order_given(monkeypatch, capsys):
     assert contract.main(["c", "a"]) == 0
     assert ran == ["c", "a"]
     assert capsys.readouterr().out == "== c\n== a\ncontract: all steps passed\n"
+
+
+def test_every_mutant_edits_one_place_in_the_source():
+    # A row whose old text left the source, or now occurs twice, would
+    # test nothing or the wrong place; the mutants step also reports it.
+    src = _SCRIPTS.parent / "src"
+    for path, old, new, tests in mutants.MUTANTS:
+        assert (src / path).read_text(encoding="utf-8").count(old) == 1, (path, old)
+        assert old != new and tests, (path, old)
+        for test in tests:
+            assert (_SCRIPTS.parent / test.split("::")[0]).is_file(), test
+
+
+def test_a_mutant_is_caught_only_by_a_named_test_failing():
+    out = ("..F\nINTERNALERROR> boom\n"
+           "FAILED tests/test_lp.py::test_pivots[dense] - AssertionError\n"
+           "FAILED tests/test_paths.py::test_skip - assert 1 == 2\n1 failed\n")
+    failed = mutants.failed_tests(out)
+    assert failed == ["tests/test_lp.py::test_pivots[dense]", "tests/test_paths.py::test_skip"]
+    assert mutants.caught(failed, ["tests/test_lp.py::test_pivots"])
+    assert mutants.caught(failed, ["tests/test_lp.py"])
+    assert mutants.caught(failed, ["tests/test_paths.py::test_skip"])
+    assert not mutants.caught(failed, ["tests/test_paths.py::test_ski"])
+    assert not mutants.caught(failed, ["tests/test_cli.py"])
+    assert not mutants.caught(mutants.failed_tests("INTERNALERROR> boom\n"), ["tests/test_lp.py"])
+
+
+def test_a_stale_mutant_row_fails_without_running_tests():
+    row = ("pathcut/lp.py", "no such text", "x", ["tests/test_lp.py"])
+    assert mutants.run_mutant(*row) == (
+        "stale: the old text occurs 0 times in src/pathcut/lp.py", 0.0)

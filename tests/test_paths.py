@@ -1,3 +1,4 @@
+import pathlib
 from itertools import combinations, islice
 
 import numpy as np
@@ -19,7 +20,8 @@ from helpers import (
 )
 from pathcut import Graph, InputError, Path, bfs_hops, path_length, shortest_path
 from pathcut.generators import GeneratorSpec, WeightScheme, assign_weights, generate
-from pathcut.harness import neighborhood_mask, select_p_star
+from pathcut.attack import AttackConfig, run_attack
+from pathcut.harness import load_edge_list, neighborhood_mask, select_p_star, select_terminals
 from pathcut.paths import PathIterator, k_shortest_paths, next_shortest_excluding
 from pathcut.reduction import enumerate_simple_paths
 from pathcut.sweeps import clique_instance
@@ -474,6 +476,82 @@ def test_oracle_rejects_a_hint_that_is_no_path_of_the_graph_minus_its_bans():
             assert next_shortest_excluding(g, 0, 3, Path(star), banned).nodes == expect
             with pytest.raises(InputError, match="p_star_first"):
                 next_shortest_excluding(g, 0, 3, Path(star), banned, p_star_first=True)
+
+
+def test_capped_oracle_returns_the_uncapped_answer_within_the_cap():
+    # With int weights, a call with max_length returns the uncapped
+    # answer when that one is at most max_length long, and None
+    # otherwise: for caps just below, at and above len(p*) and below
+    # every path, with and without bans, for p* anywhere in the ranking
+    # (hinted too, as it is live) and for a p* through a banned edge.
+    rng = np.random.default_rng(1972)
+    weight_draws = _weight_draws(rng)
+    del weight_draws["float"]
+    answered = dict.fromkeys(["path", "none", "hinted"], 0)
+    for kind in list(weight_draws) * 30:
+        g, s, t, restrict = _random_case(rng, weight_draws[kind])
+        banned = restrict.get("banned_edges", ())
+        ranked = _ranked(g, s, t, 6, banned_edges=banned)
+        through_ban = [nodes for nodes in _ranked(g, s, t, 8)
+                       if not set(Path(nodes).edges).isdisjoint(banned)][:1]
+        for star in ranked[:4] + through_ban:
+            p_star = Path(star)
+            free = next_shortest_excluding(g, s, t, p_star, banned)
+            p_len = path_length(g, p_star)
+            hints = [{}, {"p_star_first": True}] if star in ranked else [{}]
+            for cap in (p_len - 1, p_len, p_len + 1, -1):
+                expect = free if free is not None and path_length(g, free) <= cap else None
+                for hint in hints:
+                    got = next_shortest_excluding(g, s, t, p_star, banned, max_length=cap, **hint)
+                    assert got == expect, (kind, s, t, star, banned, cap, hint)
+                    answered["hinted" if hint else "path" if got else "none"] += 1
+    assert min(answered.values()) > 300, answered
+    g = Graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 4)])
+    for hint in (False, True):
+        with pytest.raises(InputError, match="^max_length must not be NaN$"):
+            next_shortest_excluding(g, 0, 2, Path((0, 1, 2)), max_length=float("nan"),
+                                    p_star_first=hint)
+
+
+def test_float_weights_ignore_the_oracle_cap():
+    # Spur sums round in another order than path_length, so float graphs
+    # ignore max_length: a cap below every path changes no answer.
+    edges = pathlib.Path(__file__).parents[1] / "scripts" / "float_weights.edges"
+    floats = load_edge_list(edges).graph
+    answers = 0
+    for seed in range(6):
+        s, t = select_terminals(floats, "uniform", seed)
+        for k in (1, 2, 5):
+            p_star = select_p_star(floats, s, t, k)
+            free = next_shortest_excluding(floats, s, t, p_star)
+            for cap in (-1, 0.0, path_length(floats, p_star)):
+                assert next_shortest_excluding(floats, s, t, p_star, max_length=cap) == free
+            answers += free is not None
+    assert answers == 18
+
+
+def test_capped_oracle_runs_fewer_spur_searches(monkeypatch):
+    # After a greedy-cost attack on a 6 x 6 lattice, p* is exclusive: the
+    # final call ranks from p* and finds nothing within len(p*). Capped at
+    # len(p*), it skips every spur that no edge leaves within the cap. The
+    # counts are pinned, so a cap dropped from the search or from the spur
+    # skip shows here, not only in the traced benchmark counts.
+    g = assign_weights(generate(GeneratorSpec(family="lattice", rows=6, cols=6)),
+                       WeightScheme(kind="uniform", upper=9, seed=3))
+    calls = []
+    made = {"uncapped": [0, 0], "capped": [0, 0]}  # answers, searches
+    for k in (4, 8, 12, 16, 20):
+        p_star = select_p_star(g, 0, 35, k)
+        removed = run_attack(g, p_star, AttackConfig(method="greedy-cost")).removed_edges
+        with monkeypatch.context() as m:
+            m.setattr(pathcut.paths, "shortest_path", recorded(shortest_path, calls))
+            for name, cap in (("uncapped", None), ("capped", path_length(g, p_star))):
+                calls.clear()
+                got = next_shortest_excluding(g, 0, 35, p_star, removed, p_star_first=True,
+                                              max_length=cap)
+                made[name][0] += got is not None
+                made[name][1] += len(calls)
+    assert made == {"uncapped": [5, 26], "capped": [0, 11]}, made
 
 
 def test_iterator_and_oracle_check_arguments_in_one_order():
