@@ -57,6 +57,46 @@ MUTANTS = (
      "mask &= mask - 1",
      "pass",
      ["tests/test_lp.py"]),
+    # A sparse pivot that leaves the mask unchanged: the entering column
+    # stays eligible, and columns the pivot made eligible are not.
+    ("pathcut/lp.py",
+     "                if (r > tol) if at_upper[k] else (r < -tol):\n"
+     "                    mask |= 1 << k\n"
+     "                else:\n"
+     "                    mask &= ~(1 << k)\n",
+     "                pass\n",
+     ["tests/test_lp.py::test_simplex_enters_a_smaller_column_that_a_pivot_made_eligible"]),
+    # A sparse pivot that updates the bits of the entering and the leaving
+    # column only, though it moves the reduced costs of its whole row.
+    ("pathcut/lp.py",
+     "                if (r > tol) if at_upper[k] else (r < -tol):\n",
+     "                if k != j and k != leaving:\n"
+     "                    pass\n"
+     "                elif (r > tol) if at_upper[k] else (r < -tol):\n",
+     ["tests/test_lp.py::test_simplex_enters_a_smaller_column_that_a_pivot_made_eligible"]),
+    # A simplex that never re-prices after a sparse pivot.
+    ("pathcut/lp.py",
+     "r = rc[k] = rc[k] - f * r",
+     "r = rc[k]",
+     ["tests/test_lp.py::test_simplex_bit_identical_to_numpy_loop_on_random_lps"]),
+    # A merge that keeps the merged blocks' old solves: the run's solves
+    # grow by one stale entry per merge.
+    ("pathcut/lp.py",
+     "self.solved.pop(key, None)",
+     "pass",
+     ["tests/test_lp.py::test_every_solve_of_a_run_equals_a_cold_solve"]),
+    # Solution counts that omit the reused blocks' pivots and flips (the
+    # cap then misses them too).
+    ("pathcut/lp.py",
+     "        values[active] = x\n        pivots += p\n        flips += f\n    cap = ",
+     "        values[active] = x\n    cap = ",
+     ["tests/test_lp.py::test_every_solve_of_a_run_equals_a_cold_solve",
+      "tests/test_lp.py::test_simplex_bit_identical_to_numpy_loop_on_dense_ties"]),
+    # A step cap that ignores the reused blocks' steps.
+    ("pathcut/lp.py",
+     "cap = _step_cap(len(lp.rows), width) - pivots - flips",
+     "cap = _step_cap(len(lp.rows), width)",
+     ["tests/test_lp.py::test_run_solve_hits_the_step_cap_where_a_cold_solve_does"]),
     # The power iteration's skip band set to 0: a step that could pass the
     # residual test is skipped, and the iteration stops later.
     ("pathcut/attack.py",

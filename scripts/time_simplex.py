@@ -2,13 +2,19 @@
 """The cut-LP simplex on the cover LPs of the seed-0 benchmark workloads.
 
 Builds the seed-0 instances of each workload in ``bench/workloads.py`` and
-runs PATHATTACK-LP on them with ``pathcut.lp._bounded_simplex`` wrapped, so
-every LP the attack solves is captured. Each captured LP is then replayed
+runs PATHATTACK-LP on them with the LP solver seam of ``lp_path_cover``
+wrapped, so every LP the attack solves is captured with its solution, and
+with ``pathcut.lp._bounded_simplex`` wrapped, to count the steps the run's
+simplex made: a run re-solves only the blocks a new row changed (see
+``pathcut.lp.solve_relaxed``). Each captured LP is then solved cold, as a
+hand-built ``RelaxedCutLP`` (one block), and its simplex input is replayed
 through ``_bounded_simplex`` and through the all-numpy reference loop in
-``tests/helpers.py``. Prints, per workload, the solves, the simplex's pivots
-and bound flips, and the median seconds of one replay of all its LPs. Exits 1
-if any result differs from the reference by a byte, or if the solve, pivot
-or flip totals differ from the pinned ones in ``COUNTS``.
+``tests/helpers.py``. Prints, per workload, the solves, the cold solves'
+pivots and bound flips, the run's pivots and flips, and the median seconds
+of one cold replay of all its LPs. Exits 1 if a run's solution differs from
+its cold solve (values, objective bits or counts), if a replay differs from
+the reference by a byte, or if the totals differ from the pinned ones in
+``COUNTS`` and ``RUN_STEPS``.
 
     PYTHONPATH=src python scripts/time_simplex.py
 """
@@ -25,50 +31,104 @@ sys.path.insert(0, str(ROOT / "bench"))
 from helpers import reference_bounded_simplex  # noqa: E402
 from workloads import WORKLOADS, build_instance, instance_seeds  # noqa: E402
 
+import pathcut.attack  # noqa: E402
 import pathcut.lp  # noqa: E402
 from pathcut.attack import AttackConfig, run_attack  # noqa: E402
+from pathcut.lp import RelaxedCutLP, solve_relaxed  # noqa: E402
 
-#: Seed-0 solves, pivots and bound flips per workload. Only a change of
-#: the pivot rule, the tolerances or the LPs the attack builds moves them.
+#: Seed-0 solves, and the pivots and bound flips of the cold solves of
+#: their LPs, per workload. Only a change of the pivot rule, the tolerances
+#: or the LPs the attack builds moves them.
 COUNTS = {
     "sparse-weighted": (132, 613, 1181),
     "dense-ties": (2340, 37686, 33564),
     "lattice-hop": (245, 1174, 2593),
 }
+#: Seed-0 pivots and bound flips the run's simplex made, on the blocks it
+#: did not reuse. These move also when the blocks a run reuses change.
+RUN_STEPS = {
+    "sparse-weighted": (279, 541),
+    "dense-ties": (3372, 3600),
+    "lattice-hop": (967, 2132),
+}
 ROUNDS = 5
 
 
-def captured_lps(w):
-    """``(rows, costs)`` of every LP that PATHATTACK-LP solves on the seed-0
-    instances of ``w``, in solve order."""
-    lps = []
-    simplex = pathcut.lp._bounded_simplex
+def swapped(owner, name, fn):
+    """Set ``owner.name`` to ``fn``; return the function that undoes it."""
+    saved = getattr(owner, name)
+    setattr(owner, name, fn)
+    return lambda: setattr(owner, name, saved)
 
-    def capture(rows, costs):
-        lps.append((list(rows), costs.copy()))
-        return simplex(rows, costs)
 
-    pathcut.lp._bounded_simplex = capture
+def captured_solves(w):
+    """``(lp, solution)`` of every solve of PATHATTACK-LP on the seed-0
+    instances of ``w``, in solve order, and the pivots and flips its
+    simplex calls made."""
+    solves, steps = [], [0, 0]
+    simplex, cover = pathcut.lp._bounded_simplex, pathcut.attack.lp_path_cover
+
+    def counting(rows, costs, cap):
+        x, pivots, flips = simplex(rows, costs, cap)
+        steps[0] += pivots
+        steps[1] += flips
+        return x, pivots, flips
+
+    def recording(lp):
+        solves.append((lp, solve_relaxed(lp)))
+        return solves[-1][1]
+
+    undo = [swapped(pathcut.lp, "_bounded_simplex", counting),
+            swapped(pathcut.attack, "lp_path_cover", lambda cut, rng: cover(cut, rng, solver=recording))]
     try:
         for sd in instance_seeds(w, 0):
             g, p_star = build_instance(w, sd)
             run_attack(g, p_star, AttackConfig(method="pathattack-lp", rng_seed=sd.attack))
     finally:
-        pathcut.lp._bounded_simplex = simplex
-    return lps
+        for fn in undo:
+            fn()
+    return solves, tuple(steps)
+
+
+def cold_solve(lp):
+    """``lp`` solved cold as a hand-built LP, and the ``(rows, costs)`` of
+    its one simplex call."""
+    calls = []
+    simplex = pathcut.lp._bounded_simplex
+
+    def capture(rows, costs, cap):
+        calls.append((list(rows), costs.copy()))
+        return simplex(rows, costs, cap)
+
+    undo = swapped(pathcut.lp, "_bounded_simplex", capture)
+    try:
+        sol = solve_relaxed(RelaxedCutLP(lp.edge_order, lp.costs, lp.rows))
+    finally:
+        undo()
+    (call,) = calls
+    return sol, call
+
+
+def fields(sol):
+    return sol.values.tobytes(), sol.objective_value.hex(), sol.pivots, sol.flips
 
 
 def main() -> int:
-    print(f"{'workload':<16}{'solves':>8}{'pivots':>9}{'flips':>8}{'median s':>10}{'equal':>7}")
+    print(f"{'workload':<16}{'solves':>8}{'pivots':>9}{'flips':>8}{'run piv':>9}{'run flp':>9}"
+          f"{'median s':>10}{'equal':>7}")
     problems = []
     for name, want in COUNTS.items():
-        lps = captured_lps(WORKLOADS[name])
-        pivots = flips = unequal = 0
-        for rows, costs in lps:
+        solves, run_steps = captured_solves(WORKLOADS[name])
+        lps = []
+        pivots = flips = unequal = not_cold = 0
+        for lp, sol in solves:
+            cold, (rows, costs) = cold_solve(lp)
+            not_cold += fields(sol) != fields(cold)
             x, p, f = pathcut.lp._bounded_simplex(rows, costs)
             pivots += p
             flips += f
             unequal += x.tobytes() != reference_bounded_simplex(rows, costs).tobytes()
+            lps.append((rows, costs))
         seconds = []
         for _ in range(ROUNDS):
             t0 = time.perf_counter()
@@ -76,16 +136,20 @@ def main() -> int:
                 pathcut.lp._bounded_simplex(rows, costs)
             seconds.append(time.perf_counter() - t0)
         got = (len(lps), pivots, flips)
-        print(f"{name:<16}{got[0]:>8}{got[1]:>9}{got[2]:>8}"
-              f"{statistics.median(seconds):>10.4f}{str(not unequal):>7}")
+        print(f"{name:<16}{got[0]:>8}{got[1]:>9}{got[2]:>8}{run_steps[0]:>9}{run_steps[1]:>9}"
+              f"{statistics.median(seconds):>10.4f}{str(not unequal and not not_cold):>7}")
         if unequal:
             problems.append(f"{name}: {unequal} results unequal to the reference")
+        if not_cold:
+            problems.append(f"{name}: {not_cold} run solutions unequal to their cold solves")
         if got != want:
             problems.append(f"{name}: (solves, pivots, flips) = {got}, pinned {want}")
+        if run_steps != RUN_STEPS[name]:
+            problems.append(f"{name}: the run's (pivots, flips) = {run_steps}, pinned {RUN_STEPS[name]}")
     if problems:
         print("\n".join(problems))
         return 1
-    print("every result equals the reference; the counts hold")
+    print("every run solution equals its cold solve, every result the reference; the counts hold")
     return 0
 
 

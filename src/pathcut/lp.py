@@ -15,9 +15,11 @@ numpy tableau loop returns (see the exactness rule of
 ``_bounded_simplex``). Bland's rule keeps the enterable columns in a
 bitmask that each step updates only where it moves a reduced cost or a
 bound, so no step rescans the columns; :class:`LPSolution` carries the
-pivot and bound-flip counts. No phase-1 is needed: with
-every row nonempty, starting all edge variables at their upper bound 1
-is feasible. An empty row makes the program infeasible;
+pivot and bound-flip counts. The LP is solved one block of rows joined by
+shared columns at a time, and a PATHATTACK run keeps each block's solve
+until a new row joins the block (see :func:`solve_relaxed`). No phase-1
+is needed: with every row nonempty, starting all edge variables at their
+upper bound 1 is feasible. An empty row makes the program infeasible;
 :func:`solve_relaxed` raises :class:`~pathcut.errors.InfeasibleError`
 for it.
 """
@@ -25,10 +27,11 @@ for it.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import chain, filterfalse
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,14 +59,20 @@ class RelaxedCutLP:
     edge_order: tuple[EdgeKey, ...]
     costs: tuple[float, ...]
     rows: tuple[tuple[int, ...], ...]
+    #: ``(the run's _Blocks, this LP's (rows, columns) per block)`` when
+    #: :func:`build_cover_lp` made the LP, else None: a hand-built LP is one
+    #: block (see :func:`solve_relaxed`).
+    _blocks: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class LPSolution:
     """Optimal basic solution of a RelaxedCutLP; ``values`` is a read-only
     float64 array over all columns. ``pivots`` and ``flips`` count the
-    simplex's basis changes and bound flips; a solver that does not count
-    them leaves them 0."""
+    simplex's basis changes and bound flips over the whole LP, those of
+    blocks solved before included, so they equal a cold solve's (see
+    :func:`solve_relaxed`); a solver that does not count them leaves them
+    0."""
 
     values: np.ndarray
     objective_value: float
@@ -78,9 +87,10 @@ class CutRows:
     ``rows[i]`` is the sorted tuple of the cuttable edge keys of the
     ``i``-th path added, and ``rows_on[e]`` lists, in row order, the rows
     that hold edge ``e``. Both only grow. ``_lp`` is the LP of the rows
-    ranked so far, which :func:`build_cover_lp` keeps, or None. An attack
-    owns its rows, so no method reads work another method did on the same
-    graph.
+    ranked so far, which :func:`build_cover_lp` keeps, or None; it carries
+    the run's blocks and their solves (see :func:`solve_relaxed`). An
+    attack owns its rows, so no method reads work another method did on
+    the same graph.
     """
 
     def __init__(self, g: Graph, p_star: Path, paths: Sequence[Path] = ()):
@@ -118,7 +128,9 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
     are its keys' ``bisect`` ranks in ``edge_order``. Both are exact, as
     the maps iterate in sorted key order: the cut lists are the filtered
     maps, a key's rank is its column, and a row of sorted keys gives
-    sorted columns. The LP returned holds every row.
+    sorted columns. The LP returned holds every row. Each new row joins
+    the blocks it shares a column with (see :func:`solve_relaxed`); the
+    other blocks, and their solves, stay as they were.
     """
     lp = cut._lp
     if lp is None:
@@ -126,11 +138,49 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
         for e in cut.g._weights.keys() & cut.protected:
             i = bisect_left(edge_order, e)
             del edge_order[i], cvec[i]
-        lp = RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(cvec), rows=())
-    order = lp.edge_order
+        lp = RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(cvec), rows=(),
+                          _blocks=(_Blocks(len(cvec)), ()))
+    order, blocks = lp.edge_order, lp._blocks[0]
     new = tuple([tuple([bisect_left(order, e) for e in row]) for row in cut.rows[len(lp.rows):]])
-    cut._lp = lp = RelaxedCutLP(edge_order=order, costs=lp.costs, rows=lp.rows + new)
+    for i, row in enumerate(new, len(lp.rows)):
+        blocks.join(i, row, lp.costs)
+    cut._lp = lp = RelaxedCutLP(edge_order=order, costs=lp.costs, rows=lp.rows + new,
+                                _blocks=(blocks, tuple(blocks.live.items())))
     return lp
+
+
+class _Blocks:
+    """The blocks of one run's cut LP, and the solves of the current ones.
+
+    ``live`` maps each block's rows, a sorted tuple of row indices, to the
+    set of its columns, and ``of_col`` each column in a row to its block's
+    rows. ``solved`` maps a live block's rows to ``(columns, values,
+    pivots, flips)`` of its simplex solve; a block that a new row merges
+    leaves ``live`` and ``solved`` at once. ``costs`` is the float64 cost
+    array over every column, filled as columns join a row and 0 elsewhere.
+    """
+
+    def __init__(self, n: int):
+        self.costs = np.zeros(n)
+        self.of_col: dict[int, tuple[int, ...]] = {}
+        self.live: dict[tuple[int, ...], set[int]] = {}
+        self.solved: dict[tuple[int, ...], tuple] = {}
+
+    def join(self, i: int, row: tuple[int, ...], costs: Sequence[float]) -> None:
+        """Make row ``i``, of columns ``row``, one block with every block
+        it shares a column with; ``costs`` are the LP's."""
+        merged = {self.of_col[j] for j in row if j in self.of_col}
+        for j in row:
+            if j not in self.of_col:
+                self.costs[j] = costs[j]
+        cols = set(row)
+        for key in merged:
+            cols |= self.live.pop(key)
+            self.solved.pop(key, None)
+        key = (*sorted(chain.from_iterable(merged)), i)  # i is the newest row
+        self.live[key] = cols
+        for j in cols:
+            self.of_col[j] = key
 
 
 def _bits(flags: np.ndarray) -> int:
@@ -138,7 +188,14 @@ def _bits(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _step_cap(m: int, n: int) -> int:
+    """Steps, pivots plus flips, allowed on an LP of ``m`` rows over ``n``
+    active columns before the simplex gives up."""
+    return 200 * (m + n + 1)
+
+
+def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray,
+                     cap: Optional[int] = None) -> tuple[np.ndarray, int, int]:
     """Minimize ``costs @ x`` s.t. per-row sums >= 1 and ``0 <= x <= 1``.
 
     Bounded-variable tableau simplex, Bland's rule for entering and
@@ -155,7 +212,11 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> tupl
     and pivots update whole rows, still only those with an entry in the
     entering column. Returns the values of the ``len(costs)`` structural
     columns, each basic value clipped to ``[0, 1]`` as ``np.clip`` does,
-    with the counts of pivots and of bound flips.
+    with the counts of pivots and of bound flips. It raises
+    :class:`PathCutError` if the solve does not end within ``cap`` steps,
+    by default ``_step_cap(len(rows), len(costs))``. :func:`solve_relaxed`
+    runs it on one block of an LP at a time, as the block argument there
+    allows.
 
     Bland's rule reads its eligible columns from a bitmask: bit ``k`` is
     set iff ``rc[k] > FEAS_TOL`` at the upper bound or ``rc[k] < -FEAS_TOL``
@@ -214,7 +275,7 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> tupl
     mask = _bits(costs > tol)  # Bland's eligible columns
 
     pivots = flips = 0
-    for _ in range(200 * (m + n + 1)):
+    for _ in range(_step_cap(m, n) if cap is None else cap):
         if not mask:
             break
         j = (mask & -mask).bit_length() - 1
@@ -314,53 +375,117 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray) -> tupl
     return np.array(x), pivots, flips
 
 
+def _one_block(lp: RelaxedCutLP) -> tuple:
+    """Check a hand-built LP; return its blocks as ``RelaxedCutLP._blocks``
+    holds them: all of its rows, as one block that no run keeps."""
+    n = len(lp.edge_order)
+    if len(lp.costs) != n:
+        raise InputError(f"{len(lp.costs)} costs for {n} variables")
+    cols = set()
+    for i, row in enumerate(lp.rows):
+        if not row:
+            raise InfeasibleError(f"row {i} is empty")
+        for j in row:
+            if type(j) is bool or not isinstance(j, (int, np.integer)):
+                raise InputError(f"row {i} holds {j!r}, not a variable index")
+        cols.update(row)
+    if cols and (min(cols) < 0 or max(cols) >= n):
+        raise InputError(f"row index out of range for {n} variables")
+    active = sorted(cols)
+    costs = [lp.costs[j] for j in active]
+    for j, c in zip(active, costs):
+        # Comparisons: NaN fails them, and so does an int too large for a float.
+        if (type(c) is bool or not isinstance(c, (int, float, np.integer, np.floating))
+                or not 0 <= c <= sys.float_info.max):
+            raise InputError(f"variable {j} has cost {c!r}; costs must be finite nonnegative numbers")
+    blocks = _Blocks(n)
+    blocks.costs[active] = costs
+    return blocks, (((*range(len(lp.rows)),), cols),) if cols else ()
+
+
 def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     """Optimal basic solution of the relaxed LP.
 
     Every row must be a nonempty sorted tuple of distinct variable indices
     in ``range(len(lp.edge_order))``, as :func:`build_cover_lp` produces.
     A hand-built LP is checked: an empty row raises
-    :class:`InfeasibleError` naming the first one; an index out of range
-    raises :class:`InputError`. Variables absent from every row are fixed
-    at 0 (their cost is nonnegative, so this is optimal and keeps the
+    :class:`InfeasibleError` naming the first one; an index that is not an
+    int, or is out of range, a cost list of another length than
+    ``edge_order``, and a row's variable whose cost is not a finite
+    nonnegative int or float raise :class:`InputError`. Variables absent from every row are
+    fixed at 0 (their cost is nonnegative, so this is optimal and keeps the
     solution a vertex); the simplex runs on the active variables only, and
     only their costs are read. Row feasibility is re-checked on the
     simplex's reduced array and rows, which hold the same floats in the
     same order as the full ones; when the check fails because a row
     repeats an index, :class:`InputError` names that row.
-    ``values`` is the simplex's array scattered over all columns, made
-    read-only. The objective dots it with the costs, zeroed off the active
-    columns, where ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite) are
-    both ``+0.0``: under any BLAS kernel it has the full dot's bits. A dot
-    over the active columns alone would regroup the sum and move them.
+
+    **Blocks.** Two rows are in one block when a chain of rows, each
+    sharing a column with the next, joins them. The LP is solved one block
+    at a time, and this is exact: Bland's rule enters the lowest eligible
+    column of the whole LP, which is also the lowest eligible column of its
+    own block; a step's ratio test, pivot and flips read and write only that
+    block's rows, columns and surplus variables, whose relative order the
+    block keeps. So each block takes exactly the steps it would take alone,
+    and the whole LP's steps are theirs, interleaved (by the exactness rule
+    of :func:`_bounded_simplex`, whether the tableau turns dense moves no
+    bit). A hand-built LP is one block. An LP from :func:`build_cover_lp`
+    carries its run's blocks, and the run keeps the solve of each block
+    until a new row joins it, so the simplex runs only on blocks that no
+    earlier solve of the run has solved as they stand. An older LP of the
+    run, solved after newer rows were added, solves its own blocks.
+    ``pivots`` and ``flips`` sum every block's, so they are the cold
+    solve's. The step cap, ``_step_cap`` of the whole LP's rows and
+    active columns, counts every block's steps too: a solve raises exactly
+    when a cold solve of the LP would.
+
+    ``values`` is the block solves' arrays scattered over all columns,
+    made read-only. The objective dots it with the costs, zeroed off the
+    columns of the rows (of the run's rows, for a built LP), where
+    ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite) are both ``+0.0``:
+    under any BLAS kernel it has the full dot's bits. A dot over the active
+    columns alone would regroup the sum and move them.
     """
-    n = len(lp.edge_order)
-    for i, row in enumerate(lp.rows):
-        if not row:
-            raise InfeasibleError(f"row {i} is empty")
-    values = np.zeros(n)
-    costs = np.zeros(n)
-    pivots = flips = 0
-    if lp.rows:
-        active = sorted({j for row in lp.rows for j in row})
-        if active[0] < 0 or active[-1] >= n:
-            raise InputError(f"row index out of range for {n} variables")
-        remap = {j: i for i, j in enumerate(active)}
-        reduced_rows = [tuple(map(remap.__getitem__, row)) for row in lp.rows]
-        costs[active] = [lp.costs[j] for j in active]
-        x, pivots, flips = _bounded_simplex(reduced_rows, costs[active])
+    blocks, parts = lp._blocks or _one_block(lp)
+    values = np.zeros(len(lp.edge_order))
+    todo = []
+    width = pivots = flips = 0
+    for key, cols in parts:
+        width += len(cols)
+        solved = blocks.solved.get(key)
+        if solved is None:
+            todo.append((key, cols))
+            continue
+        active, x, p, f = solved
         values[active] = x
+        pivots += p
+        flips += f
+    cap = _step_cap(len(lp.rows), width) - pivots - flips
+    if parts and cap <= 0:
+        raise PathCutError("simplex failed to terminate within the pivot cap")
+    for key, cols in todo:
+        active = sorted(cols)
+        remap = {j: k for k, j in enumerate(active)}
+        rows = [tuple(map(remap.__getitem__, lp.rows[i])) for i in key]
+        active = np.array(active)  # scatters faster than a list, when reused
+        x, p, f = _bounded_simplex(rows, blocks.costs[active], cap)
         xs = x.tolist()
-        for row in reduced_rows:
+        for row in rows:
             if sum(map(xs.__getitem__, row)) < 1.0 - FEAS_TOL:
                 # The simplex counts a row's entries as distinct variables,
                 # so a row that repeats an index can end here; name it.
-                for i, r in enumerate(lp.rows):
-                    if len(set(r)) < len(r):
-                        raise InputError(f"row {i} repeats a variable index: {r}")
+                for i in key:
+                    if len(set(lp.rows[i])) < len(lp.rows[i]):
+                        raise InputError(f"row {i} repeats a variable index: {lp.rows[i]}")
                 raise PathCutError("solver returned an infeasible point")
+        if key in blocks.live:
+            blocks.solved[key] = (active, x, p, f)
+        values[active] = x
+        cap -= p + f
+        pivots += p
+        flips += f
     values.flags.writeable = False
-    return LPSolution(values=values, objective_value=float(np.dot(values, costs)),
+    return LPSolution(values=values, objective_value=float(np.dot(values, blocks.costs)),
                       pivots=pivots, flips=flips)
 
 

@@ -3,6 +3,7 @@ import math
 import operator
 import re
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,8 +439,37 @@ def test_solve_rejects_row_index_out_of_range(row):
         solve_relaxed(lp_of([(0,), row], [1]))
 
 
+_THREE = ((0, 1), (1, 2), (2, 3))
+
+
+@pytest.mark.parametrize("costs, rows, message", [
+    ((math.nan, 1, 1), ((0, 1),), "variable 0 has cost nan; costs must be finite nonnegative numbers"),
+    ((1, math.inf, 1), ((0, 1),), "variable 1 has cost inf; costs must be finite nonnegative numbers"),
+    ((1, 1, -1), ((1, 2),), "variable 2 has cost -1; costs must be finite nonnegative numbers"),
+    ((1, 1), ((0, 1),), "2 costs for 3 variables"),
+    ((1, 1, 1), ((0.0, 1),), "row 0 holds 0.0, not a variable index"),
+    (("1", True, 10**400), ((0,), (1,), (2,)),
+     "variable 0 has cost '1'; costs must be finite nonnegative numbers"),
+    ((1, True, 10**400), ((0,), (1,), (2,)),
+     "variable 1 has cost True; costs must be finite nonnegative numbers"),
+    ((1, 1, 10**400), ((0,), (1,), (2,)),
+     f"variable 2 has cost {10**400}; costs must be finite nonnegative numbers"),
+], ids=["nan-cost", "infinite-cost", "negative-cost", "short-costs", "float-index",
+        "str-cost", "bool-cost", "huge-int-cost"])
+def test_solve_rejects_malformed_hand_built_lp(costs, rows, message):
+    # Each returned a wrong solution or raised a bare error: a NaN cost gave
+    # a NaN objective, an infinite one a NaN objective (a RuntimeWarning in
+    # np.dot under -W error), a negative one voids the argument that unused
+    # variables at 0 are optimal, short costs or a float index raised
+    # IndexError or TypeError, a str or bool cost was read as a number, and
+    # an int too large for a float raised OverflowError.
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        solve_relaxed(RelaxedCutLP(_THREE, costs, rows))
+
+
 def test_feasibility_recheck_fires(monkeypatch):
-    monkeypatch.setattr(pathcut.lp, "_bounded_simplex", lambda rows, costs: (np.zeros(len(costs)), 0, 0))
+    monkeypatch.setattr(pathcut.lp, "_bounded_simplex",
+                        lambda rows, costs, cap: (np.zeros(len(costs)), 0, 0))
     with pytest.raises(PathCutError, match="infeasible point"):
         solve_relaxed(lp_of([(0, 1)], [1, 1]))
 
@@ -549,8 +579,8 @@ def _lp_attack_instances():
 def test_simplex_bit_identical_to_numpy_loop_inside_pathattack(monkeypatch):
     solved = []
 
-    def both(rows, costs):
-        got = _bounded_simplex(rows, costs)
+    def both(rows, costs, cap):
+        got = _bounded_simplex(rows, costs, cap)
         solved.append(got[0].tobytes() == reference_bounded_simplex(rows, costs).tobytes())
         return got
 
@@ -562,27 +592,183 @@ def test_simplex_bit_identical_to_numpy_loop_inside_pathattack(monkeypatch):
     assert all(solved)
 
 
+def _recorded_solves(monkeypatch):
+    """The list that gets ``(lp, solution)`` of every solve of the
+    PATHATTACK-LP attacks run after this call, through the solver seam."""
+    solves = []
+
+    def recording(lp):
+        solves.append((lp, solve_relaxed(lp)))
+        return solves[-1][1]
+
+    cover = pathcut.attack.lp_path_cover
+    monkeypatch.setattr(pathcut.attack, "lp_path_cover", lambda cut, rng: cover(cut, rng, solver=recording))
+    return solves
+
+
 def test_simplex_bit_identical_to_numpy_loop_on_dense_ties(monkeypatch):
     # A K16 clique with equal weights and p* at rank 16, its first three-hop
     # path: every competitor ties with p*, so each attack solves about 40
     # growing LPs over the same clique edges.
     solved, counts = [], []
 
-    def both(rows, costs):
-        got = _bounded_simplex(rows, costs)
+    def both(rows, costs, cap):
+        got = _bounded_simplex(rows, costs, cap)
         solved.append(got[0].tobytes() == reference_bounded_simplex(rows, costs).tobytes())
         counts.append(got[1:])
         return got
 
     monkeypatch.setattr(pathcut.lp, "_bounded_simplex", both)
+    solves = _recorded_solves(monkeypatch)
     k16 = assign_weights(generate(GeneratorSpec("complete", n=16)), WeightScheme("equal"))
     for seed, (s, t) in enumerate([(0, 15), (3, 8), (12, 5), (9, 10)]):
         p_star = select_p_star(k16, s, t, 16)
         assert len(p_star.edges) == 3
         run_attack(k16, p_star, AttackConfig(method="pathattack-lp", rng_seed=seed))
-    assert len(solved) >= 4 * 30 and all(solved)
-    # Pivots and bound flips over the 156 solves.
-    assert tuple(map(sum, zip(*counts))) == (2586, 2154)
+    assert len(solves) >= 4 * 30 and all(solved)
+    # Pivots and bound flips over the 156 solves, as cold solves count them,
+    # and as the simplex made them: one call per solve, on the block that
+    # the solve's new row joined.
+    assert len(solved) == len(solves)
+    assert tuple(map(sum, zip(*((sol.pivots, sol.flips) for _, sol in solves)))) == (2586, 2154)
+    assert tuple(map(sum, zip(*counts))) == (228, 240)
+
+
+def _cold(lp):
+    """``lp`` solved cold: a hand-built copy, one block, no run's solves."""
+    return solve_relaxed(RelaxedCutLP(lp.edge_order, lp.costs, lp.rows))
+
+
+def _same_solution(got, want):
+    return (got.values.tobytes(), got.objective_value.hex(), got.pivots, got.flips) == \
+        (want.values.tobytes(), want.objective_value.hex(), want.pivots, want.flips)
+
+
+def _column_cut_rows(costs):
+    """A ``CutRows`` whose LP has one column per cost, in order, and the
+    path that adds a row of given columns. Column ``j`` is the edge
+    ``(2j, 2j + 1)``; a path steps between the columns of its row on
+    edges that the protected set holds and the graph lacks, which
+    ``CutRows`` skips (a stand-in for ``p*``, since no one path holds them
+    all)."""
+    n = len(costs)
+    g = Graph(2 * n, [(2 * j, 2 * j + 1, 1, c) for j, c in enumerate(costs.tolist())])
+    links = SimpleNamespace(edges=[(2 * a + 1, 2 * b) for a, b in combinations(range(n), 2)])
+    return CutRows(g, links), lambda row: Path(tuple(v for j in row for v in (2 * j, 2 * j + 1)))
+
+
+def _grown_cover_lps(rng, count):
+    """``count`` random cover LPs of every cost kind, the ``"large"`` one and
+    tied ``2**20`` costs, each fed a row at a time through one ``CutRows``:
+    yields, for each, an iterator of the LPs built, one per row, each
+    built when the iterator reaches it."""
+    kinds = COST_KINDS + ("large", "tied")
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        rows, costs = random_cover_lp(rng, "ones" if kind == "tied" else kind)
+        if kind == "tied":
+            costs = rng.integers(1, 5, size=len(costs)) * 2.0 ** 20
+        yield _grow(rows, costs)
+
+
+def _grow(rows, costs):
+    cut, path = _column_cut_rows(costs)
+    for k, row in enumerate(rows):
+        cut.add(path(row))
+        lp = build_cover_lp(cut)
+        assert lp.rows == tuple(rows[:k + 1]) and lp.costs == tuple(costs.tolist())
+        yield lp
+
+
+def _count_simplex_calls(monkeypatch):
+    calls = []
+    simplex = pathcut.lp._bounded_simplex
+
+    def counting(rows, costs, cap):
+        calls.append(len(rows))
+        return simplex(rows, costs, cap)
+
+    monkeypatch.setattr(pathcut.lp, "_bounded_simplex", counting)
+    return calls
+
+
+def test_every_solve_of_a_run_equals_a_cold_solve(monkeypatch):
+    # Each solve of a run re-solves only the blocks its new row changed; its
+    # values, objective bits and counts must be a cold solve's. The run
+    # keeps one solve per live block, and an older LP solved after newer
+    # rows were added still gets its cold result.
+    calls = _count_simplex_calls(monkeypatch)
+    blocks = solved = several = 0
+    for lps in _grown_cover_lps(np.random.default_rng(2030), 200):
+        built, colds = [], []
+        for lp in lps:
+            built.append(lp)
+            colds.append(_cold(lp))
+            before = len(calls)
+            assert _same_solution(solve_relaxed(lp), colds[-1])
+            run = lp._blocks[0]
+            assert run.solved.keys() == run.live.keys()
+            blocks += len(lp._blocks[1])
+            solved += len(calls) - before
+            several += len(lp._blocks[1]) > 1
+        for lp, cold in zip(built, colds):
+            assert _same_solution(solve_relaxed(lp), cold)
+    assert several > 500 and blocks - solved > 1000  # block solves reused
+
+    solves = _recorded_solves(monkeypatch)
+    rng = np.random.default_rng(2031)
+    for k in range(12):
+        if k % 3 == 0:
+            g = random_graph(rng, 30, 0.2, costs_equal_weights=False)
+            s, t = reachable_pair(rng, g)
+        elif k % 3 == 1:
+            g = assign_weights(generate(GeneratorSpec("lattice", rows=5, cols=6)),
+                               WeightScheme("uniform", upper=4, seed=k))
+            s, t = 0, 29
+        else:
+            g = assign_weights(generate(GeneratorSpec("complete", n=8 + k)), WeightScheme("equal"))
+            s, t = 0, 1 + k
+        p_star = select_p_star(g, s, t, 12)
+        before = len(calls), len(solves)
+        run_attack(g, p_star, AttackConfig(method="pathattack-lp", rng_seed=k))
+        # A solve after one new row runs the simplex on one block: that row's.
+        assert len(calls) - before[0] == len(solves) - before[1]
+    for lp, sol in solves:
+        assert _same_solution(sol, _cold(lp))
+    assert sum(len(lp._blocks[1]) > 1 for lp, _ in solves) > 20
+
+
+def test_run_solve_hits_the_step_cap_where_a_cold_solve_does(monkeypatch):
+    # The cap counts the steps of every block, reused ones included, against
+    # _step_cap of the whole LP's rows and active columns; a run's solve
+    # raises exactly when the cold solve does. Each LP is solved under
+    # caps of one below, at and above the cold steps, then under the
+    # default; a second solve, every block reused, raises at the cold steps.
+    step_cap = pathcut.lp._step_cap
+    asked = []
+    reused_steps = 0
+    for lps in _grown_cover_lps(np.random.default_rng(2032), 80):
+        for lp in lps:
+            cold_lp = RelaxedCutLP(lp.edge_order, lp.costs, lp.rows)
+            cold = solve_relaxed(cold_lp)
+            steps = cold.pivots + cold.flips
+            reused = sum(sum(lp._blocks[0].solved[key][2:]) for key, _ in lp._blocks[1]
+                         if key in lp._blocks[0].solved)
+            reused_steps += reused > 0
+            for cap in (steps - 1, steps, steps + 1, steps):
+                monkeypatch.setattr(pathcut.lp, "_step_cap", lambda m, n: asked.append((m, n)) or cap)
+                for solve in (cold_lp, lp):
+                    if cap <= steps:
+                        with pytest.raises(PathCutError, match="pivot cap"):
+                            solve_relaxed(solve)
+                    else:
+                        assert _same_solution(solve_relaxed(solve), cold)
+            active = len({j for row in lp.rows for j in row})
+            assert set(asked) == {(len(lp.rows), active)}
+            asked.clear()
+            monkeypatch.setattr(pathcut.lp, "_step_cap", step_cap)
+            assert _same_solution(solve_relaxed(lp), cold)
+    assert reused_steps > 300
 
 
 def _steps(rows, costs):
