@@ -208,7 +208,9 @@ STEPS = {
     # solves' pivots and flips, the run's own, and seconds per workload, and
     # exits 1 on a run solution that differs from its cold solve, a result
     # that differs from the reference loop of tests/helpers.py, or on moved
-    # counts.
+    # counts. Then the greedy cover on the same instances: prints the rows
+    # the run's block greedy re-covered, and exits 1 on a cover that differs
+    # from the cold greedy of tests/helpers.py, or on moved counts.
     "simplex": lambda: run(PYTHON_W + ["scripts/time_simplex.py"]),
     "bench-tests": lambda: run(PYTEST_W + ["bench/test_bench.py"]),
     # Each row of scripts/mutants.py, applied to a copy of src/, must fail

@@ -79,12 +79,25 @@ MUTANTS = (
      "r = rc[k] = rc[k] - f * r",
      "r = rc[k]",
      ["tests/test_lp.py::test_simplex_bit_identical_to_numpy_loop_on_random_lps"]),
-    # A merge that keeps the merged blocks' old solves: the run's solves
-    # grow by one stale entry per merge.
+    # A merge that keeps the merged block's old solve: the new row's block
+    # reuses the solve of the rows it held before.
     ("pathcut/lp.py",
-     "self.solved.pop(key, None)",
-     "pass",
+     "block.picks = block.solve = None",
+     "block.picks = None",
      ["tests/test_lp.py::test_every_solve_of_a_run_equals_a_cold_solve"]),
+    # A merge that keeps the merged block's old picks: the greedy cover
+    # misses the new row.
+    ("pathcut/lp.py",
+     "block.picks = block.solve = None",
+     "block.solve = None",
+     ["tests/test_lp.py::test_every_greedy_cover_of_a_run_equals_a_cold_cover"]),
+    # A greedy cover that leaves out the blocks whose picks it kept.
+    ("pathcut/cover.py",
+     "            block.picks = _block_cover(cut, block)\n"
+     "        chosen += block.picks\n",
+     "            block.picks = _block_cover(cut, block)\n"
+     "            chosen += block.picks\n",
+     ["tests/test_lp.py::test_every_greedy_cover_of_a_run_equals_a_cold_cover"]),
     # Solution counts that omit the reused blocks' pivots and flips (the
     # cap then misses them too).
     ("pathcut/lp.py",
@@ -97,6 +110,26 @@ MUTANTS = (
      "cap = _step_cap(len(lp.rows), width) - pivots - flips",
      "cap = _step_cap(len(lp.rows), width)",
      ["tests/test_lp.py::test_run_solve_hits_the_step_cap_where_a_cold_solve_does"]),
+    # Greedy eigenscore's old tie rule, min(-ratio, key): ratios a few units
+    # in the last place apart decide, so plans follow the summation order.
+    ("pathcut/attack.py",
+     "return min(e for e, r in zip(candidates, ratios) if r >= floor)",
+     "return min(candidates, key=lambda e: (-ratio(e), e))",
+     ["tests/test_attack.py::test_eigenscore_ties_within_the_relative_tolerance_go_to_the_smallest_key"]),
+    # A p*-first hint that trusts p*: the oracle ranks from a p* that is no
+    # path of the graph minus the bans.
+    ("pathcut/paths.py",
+     "if p_star_first and not live:",
+     "if False:",
+     ["tests/test_paths.py::test_oracle_rejects_a_hint_that_is_no_path_of_the_graph_minus_its_bans"]),
+    # The first search capped at len(p*) whenever p*'s edges exist, bans
+    # ignored: for a p* through a banned edge it can return None where a
+    # longer competitor exists.
+    ("pathcut/paths.py",
+     "max_length=min(path_length(g, p_star), cap) if live\n",
+     "max_length=min(path_length(g, p_star), cap)\n"
+     "                              if all(map(g._weights.__contains__, p_star.edges))\n",
+     ["tests/test_paths.py::test_oracle_agrees_with_unbounded_iterator"]),
     # The power iteration's skip band set to 0: a step that could pass the
     # residual test is skipped, and the iteration stops later.
     ("pathcut/attack.py",

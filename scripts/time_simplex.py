@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The cut-LP simplex on the cover LPs of the seed-0 benchmark workloads.
+"""The two PATHATTACK covers on the cover rows of the seed-0 benchmark workloads.
 
 Builds the seed-0 instances of each workload in ``bench/workloads.py`` and
 runs PATHATTACK-LP on them with the LP solver seam of ``lp_path_cover``
@@ -16,6 +16,15 @@ its cold solve (values, objective bits or counts), if a replay differs from
 the reference by a byte, or if the totals differ from the pinned ones in
 ``COUNTS`` and ``RUN_STEPS``.
 
+Then it runs PATHATTACK-greedy on the same instances with
+``greedy_path_cover`` wrapped: each cover of a run, which re-covers only
+the blocks of rows that have no picks (see
+``pathcut.cover.greedy_path_cover``), must equal the cold greedy cover of
+the same rows, ``reference_greedy_path_cover`` in ``tests/helpers.py``.
+Prints, per workload, the covers, the rows of the blocks the run's greedy
+re-covered and the rows of every cover, and exits 1 on a cover unequal to
+the cold one or on totals that differ from ``GREEDY_ROWS``.
+
     PYTHONPATH=src python scripts/time_simplex.py
 """
 
@@ -23,12 +32,13 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from helpers import reference_bounded_simplex  # noqa: E402
+from helpers import reference_bounded_simplex, reference_greedy_path_cover  # noqa: E402
 from workloads import WORKLOADS, build_instance, instance_seeds  # noqa: E402
 
 import pathcut.attack  # noqa: E402
@@ -50,6 +60,15 @@ RUN_STEPS = {
     "sparse-weighted": (279, 541),
     "dense-ties": (3372, 3600),
     "lattice-hop": (967, 2132),
+}
+#: Seed-0 PATHATTACK-greedy covers, the rows of the blocks they re-covered
+#: and the rows they covered, per workload. Covers and rows move only with
+#: the constraints the attack finds; the rows re-covered also move when the
+#: blocks a cover keeps change.
+GREEDY_ROWS = {
+    "sparse-weighted": (133, 198, 463),
+    "dense-ties": (2340, 4500, 46800),
+    "lattice-hop": (194, 445, 588),
 }
 ROUNDS = 5
 
@@ -88,6 +107,31 @@ def captured_solves(w):
         for fn in undo:
             fn()
     return solves, tuple(steps)
+
+
+def greedy_replay(w):
+    """``(covers, rows re-covered, rows covered, covers unequal to the cold
+    cover)`` of PATHATTACK-greedy on the seed-0 instances of ``w``."""
+    counts = [0, 0, 0, 0]
+    cover = pathcut.attack.greedy_path_cover
+
+    def checked(cut):
+        counts[0] += 1
+        counts[1] += sum(len(b.rows) for b in cut.blocks if b.picks is None)
+        counts[2] += len(cut.rows)
+        got = cover(cut)
+        rows = [SimpleNamespace(edges=row) for row in cut.rows]
+        counts[3] += got != reference_greedy_path_cover(cut.g, SimpleNamespace(edges=()), rows)
+        return got
+
+    undo = swapped(pathcut.attack, "greedy_path_cover", checked)
+    try:
+        for sd in instance_seeds(w, 0):
+            g, p_star = build_instance(w, sd)
+            run_attack(g, p_star, AttackConfig(method="pathattack-greedy", rng_seed=sd.attack))
+    finally:
+        undo()
+    return tuple(counts)
 
 
 def cold_solve(lp):
@@ -146,10 +190,20 @@ def main() -> int:
             problems.append(f"{name}: (solves, pivots, flips) = {got}, pinned {want}")
         if run_steps != RUN_STEPS[name]:
             problems.append(f"{name}: the run's (pivots, flips) = {run_steps}, pinned {RUN_STEPS[name]}")
+    print(f"{'workload':<16}{'covers':>8}{'re-covered':>12}{'rows':>8}{'equal':>7}")
+    for name, want in GREEDY_ROWS.items():
+        *got, unequal = greedy_replay(WORKLOADS[name])
+        print(f"{name:<16}{got[0]:>8}{got[1]:>12}{got[2]:>8}{str(not unequal):>7}")
+        if unequal:
+            problems.append(f"{name}: {unequal} greedy covers unequal to the cold cover")
+        if tuple(got) != want:
+            problems.append(f"{name}: greedy (covers, rows re-covered, rows) = {tuple(got)}, "
+                            f"pinned {want}")
     if problems:
         print("\n".join(problems))
         return 1
-    print("every run solution equals its cold solve, every result the reference; the counts hold")
+    print("every run solution equals its cold solve, every result the reference, every greedy "
+          "cover the cold cover; the counts hold")
     return 0
 
 

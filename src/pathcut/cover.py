@@ -7,7 +7,10 @@ instance from a :class:`~pathcut.lp.CutRows`, which a PATHATTACK run grows
 by one row per constraint: ``greedy_path_cover`` reads its edge-keyed
 rows, ``lp_path_cover`` the cut LP that
 :func:`~pathcut.lp.build_cover_lp` makes of them, rows for paths,
-columns for edges.
+columns for edges. Each added row joins the blocks of rows it shares an
+edge with, in the run's one row partition, which ``CutRows.add`` keeps;
+both covers keep their work per block and redo only the block a new row
+joined.
 
 ``greedy_path_cover`` repeatedly takes the most cost-effective edge
 (live-row count per unit cost). ``lp_path_cover`` solves the relaxed LP
@@ -31,45 +34,64 @@ from .lp import CutRows, LPSolution, build_cover_lp, solve_relaxed
 DEFAULT_RETRY_CAP = 64
 
 
-def _cost_effectiveness(count: int, cost) -> float:
-    # Zero-cost edges are infinitely cost-effective: removing a free edge
-    # that cuts at least one path can never hurt.
-    return math.inf if cost == 0 else count / cost
-
-
 def greedy_path_cover(cut: CutRows) -> frozenset:
     """Edge set intersecting every row of ``cut``, built greedily.
 
     Works on edge keys: costs come from the graph, and ``cut.rows_on``
-    gives each edge's rows. The heap skips stale entries instead of
-    decreasing keys; its entries are ``(-ratio, edge key)``, so ties on
-    cost-effectiveness go to the smallest edge key.
-    """
-    costs, rows, rows_on = cut.g._costs, cut.rows, cut.rows_on
-    live = {e: len(ids) for e, ids in rows_on.items()}
-    covered = [False] * len(rows)
+    gives each edge's rows. The cold greedy repeatedly picks the live edge
+    (one on an uncovered row) of the largest ratio of uncovered rows to
+    cost, ties to the smallest edge key: the minimum of ``(-ratio, edge
+    key)``. Zero-cost edges have ratio ``inf``: removing a free edge that
+    cuts at least one path can never hurt.
 
-    heap = [(-_cost_effectiveness(count, costs[e]), e) for e, count in live.items()]
-    heapq.heapify(heap)
+    Each block of ``cut``'s rows (:meth:`~pathcut.lp.CutRows.add`) keeps
+    its picks until a new row joins it, so a call picks only on blocks
+    that have none, in a PATHATTACK run the new row's, and returns every
+    block's picks. That is the cold greedy's set. Its pick, the minimum of
+    ``(-ratio, edge key)`` over the live edges, lies in one block and is
+    also that block's own minimum; a pick covers rows of its own block
+    only, so it moves the counts of that block's edges only. So the cold
+    greedy's picks in one block are the greedy's picks on that block
+    alone, in the same order, and both stop when the block is covered.
+    """
     chosen = []
-    remaining = len(rows)
+    for block in cut.blocks:
+        if block.picks is None:
+            block.picks = _block_cover(cut, block)
+        chosen += block.picks
+    return frozenset(chosen)
+
+
+def _block_cover(cut: CutRows, block) -> tuple:
+    """The greedy picks on ``block``'s rows of ``cut`` alone. The heap
+    skips stale entries instead of decreasing keys: counts only fall, so a
+    stale key is below the current one, and an entry that pops with its
+    current key is the minimum."""
+    costs, rows, rows_on = cut.g._costs, cut.rows, cut.rows_on
+    live = {e: len(rows_on[e]) for e in block.edges}
+    heap = [(-(math.inf if (c := costs[e]) == 0 else count / c), e) for e, count in live.items()]
+    heapq.heapify(heap)
+    covered = [False] * len(rows)
+    picks = []
+    remaining = len(block.rows)
     while remaining > 0:
         neg_ratio, e = heapq.heappop(heap)
         count = live[e]
         if count == 0:
             continue
-        current = -_cost_effectiveness(count, costs[e])
+        c = costs[e]
+        current = -(math.inf if c == 0 else count / c)
         if current != neg_ratio:
             heapq.heappush(heap, (current, e))
             continue
-        chosen.append(e)
+        picks.append(e)
         for i in rows_on[e]:
             if not covered[i]:
                 covered[i] = True
                 remaining -= 1
                 for e1 in rows[i]:
                     live[e1] -= 1
-    return frozenset(chosen)
+    return tuple(picks)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -50,10 +51,12 @@ def _int_or_float(x, k):
 
 def _as_number(x, k: EdgeKey):
     """Weight or cost ``x`` of edge ``k``: an :func:`_int_or_float`,
-    nonnegative and finite."""
+    nonnegative and finite, at most the largest float (an int beyond it
+    overflows every float sum that lengths and costs take part in)."""
     x = _int_or_float(x, k)
-    # Comparisons, not math.isfinite: NaN fails them and huge ints pass.
-    if not 0 <= x < math.inf:
+    # Comparisons, not math.isfinite: NaN fails them, and they compare a
+    # huge int exactly instead of overflowing.
+    if not 0 <= x <= sys.float_info.max:
         raise InputError(f"weight or cost on edge {k} is negative or not finite")
     return x
 

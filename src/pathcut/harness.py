@@ -19,6 +19,7 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -97,7 +98,7 @@ def load_edge_list(path) -> LoadedGraph:
             raise InputError(f"{path}:{line_no}: expected 'u v [weight [cost]]'")
         w = _parse_number(parts[2], path, line_no) if len(parts) >= 3 else 1
         c = _parse_number(parts[3], path, line_no) if len(parts) == 4 else w
-        if not (0 <= w < math.inf and 0 <= c < math.inf):
+        if not (0 <= w <= sys.float_info.max and 0 <= c <= sys.float_info.max):
             raise InputError(f"{path}:{line_no}: weight or cost is negative or not finite")
         raw_edges.append((parts[0], parts[1], w, c, line_no))
         for lbl in parts[:2]:

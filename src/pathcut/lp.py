@@ -17,7 +17,9 @@ bitmask that each step updates only where it moves a reduced cost or a
 bound, so no step rescans the columns; :class:`LPSolution` carries the
 pivot and bound-flip counts. The LP is solved one block of rows joined by
 shared columns at a time, and a PATHATTACK run keeps each block's solve
-until a new row joins the block (see :func:`solve_relaxed`). No phase-1
+until a new row joins the block (see :func:`solve_relaxed`). The blocks
+are the run's row partition, which :meth:`CutRows.add` keeps by edge key
+and both covers read. No phase-1
 is needed: with every row nonempty, starting all edge variables at their
 upper bound 1 is feasible. An empty row makes the program infeasible;
 :func:`solve_relaxed` raises :class:`~pathcut.errors.InfeasibleError`
@@ -59,9 +61,10 @@ class RelaxedCutLP:
     edge_order: tuple[EdgeKey, ...]
     costs: tuple[float, ...]
     rows: tuple[tuple[int, ...], ...]
-    #: ``(the run's _Blocks, this LP's (rows, columns) per block)`` when
-    #: :func:`build_cover_lp` made the LP, else None: a hand-built LP is one
-    #: block (see :func:`solve_relaxed`).
+    #: ``(cost array, ((block, its row count), ...), active columns)`` when
+    #: :func:`build_cover_lp` made the LP, one pair per block of the run's
+    #: rows as the LP holds them, else None: a hand-built LP is one block
+    #: (see :func:`solve_relaxed`).
     _blocks: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
@@ -86,11 +89,13 @@ class CutRows:
 
     ``rows[i]`` is the sorted tuple of the cuttable edge keys of the
     ``i``-th path added, and ``rows_on[e]`` lists, in row order, the rows
-    that hold edge ``e``. Both only grow. ``_lp`` is the LP of the rows
-    ranked so far, which :func:`build_cover_lp` keeps, or None; it carries
-    the run's blocks and their solves (see :func:`solve_relaxed`). An
-    attack owns its rows, so no method reads work another method did on
-    the same graph.
+    that hold edge ``e``. Both only grow. ``blocks`` is the run's row
+    partition, the one both covers read: its keys are the live
+    :class:`_Block` objects, in the order they formed, and
+    ``_row_block[i]`` is row ``i``'s block, so an edge's block is that of
+    its first row. ``_lp`` is the LP of the rows ranked so far, which
+    :func:`build_cover_lp` keeps, or None. An attack owns its rows, so no
+    method reads work another method did on the same graph.
     """
 
     def __init__(self, g: Graph, p_star: Path, paths: Sequence[Path] = ()):
@@ -98,6 +103,8 @@ class CutRows:
         self.protected = frozenset(p_star.edges)
         self.rows: list[tuple[EdgeKey, ...]] = []
         self.rows_on: dict[EdgeKey, list[int]] = {}
+        self.blocks: dict[_Block, None] = {}
+        self._row_block: list[_Block] = []
         self._lp = None
         for p in paths:
             self.add(p)
@@ -105,16 +112,73 @@ class CutRows:
     def add(self, path: Path) -> None:
         """Append ``path``'s row. A path with an edge not in the graph, or
         with no cuttable edge, raises :class:`InputError` and adds nothing.
-        Protected edges are skipped before any lookup."""
+        Protected edges are skipped before any lookup.
+
+        The row then joins, as one block, every block it shares an edge
+        with. Of two blocks that merge, the one with more rows takes in the
+        other's rows and edges, so the join costs the row and the smaller
+        blocks only. The block the row joins drops its picks and its solve:
+        both covers recompute it."""
         cuttable = [e for e in path.edges if e not in self.protected]
         if (unknown := next(filterfalse(self.g._weights.__contains__, cuttable), None)) is not None:
             raise InputError(f"constraint path uses unknown edge {unknown}")
         if not cuttable:
             raise InputError(f"uncuttable constraint: {path!r} has only protected edges")
         row = tuple(sorted(cuttable))  # a simple path repeats no edge
+        i, rows_on, row_block = len(self.rows), self.rows_on, self._row_block
+        block = None
+        new = []
         for e in row:
-            self.rows_on.setdefault(e, []).append(len(self.rows))
+            ids = rows_on.get(e)
+            if ids is None:
+                new.append(e)
+                continue
+            b = row_block[ids[0]]
+            ids.append(i)
+            if b is not block:
+                if block is None:
+                    block = b
+                    continue
+                if len(b.rows) > len(block.rows):
+                    block, b = b, block
+                del self.blocks[b]
+                block.rows += b.rows
+                block.edges += b.edges
+                for r in b.rows:
+                    row_block[r] = block
+        if block is None:
+            block = _Block()
+            self.blocks[block] = None
+        else:
+            block.picks = block.solve = None
+        block.rows.append(i)
+        row_block.append(block)
+        block.edges += new
+        for e in new:
+            rows_on[e] = [i]
         self.rows.append(row)
+
+
+class _Block:
+    """A block of one run's rows: two rows are in one block when a chain of
+    rows, each sharing an edge with the next, joins them.
+
+    ``rows`` lists the block's row indices and ``edges`` its edge keys,
+    each in no particular order. Both only grow while the block is live,
+    so the block's first ``k`` rows are the rows it held when it held
+    ``k``; a block that another takes in stays as it was. ``picks`` is the
+    greedy cover of the block's rows and ``solve`` the ``(columns, values,
+    pivots, flips)`` of its simplex solve, each None until its cover
+    computes it and again once a new row joins the block.
+    """
+
+    __slots__ = ("rows", "edges", "picks", "solve")
+
+    def __init__(self, rows: Sequence[int] = ()):
+        self.rows = list(rows)
+        self.edges: list[EdgeKey] = []
+        self.picks: Optional[tuple[EdgeKey, ...]] = None
+        self.solve: Optional[tuple] = None
 
 
 def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
@@ -128,9 +192,12 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
     are its keys' ``bisect`` ranks in ``edge_order``. Both are exact, as
     the maps iterate in sorted key order: the cut lists are the filtered
     maps, a key's rank is its column, and a row of sorted keys gives
-    sorted columns. The LP returned holds every row. Each new row joins
-    the blocks it shares a column with (see :func:`solve_relaxed`); the
-    other blocks, and their solves, stay as they were.
+    sorted columns. The LP returned holds every row, and the blocks of the
+    run's rows (:meth:`CutRows.add`) as they stand: columns are ranks of
+    edge keys in the same order, so blocks joined by shared edges are
+    blocks joined by shared columns (see :func:`solve_relaxed`). The run's
+    float64 cost array holds the cost of each column in a row, and 0
+    elsewhere.
     """
     lp = cut._lp
     if lp is None:
@@ -139,48 +206,16 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
             i = bisect_left(edge_order, e)
             del edge_order[i], cvec[i]
         lp = RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(cvec), rows=(),
-                          _blocks=(_Blocks(len(cvec)), ()))
-    order, blocks = lp.edge_order, lp._blocks[0]
+                          _blocks=(np.zeros(len(cvec)), (), 0))
+    order, costs, cost_array = lp.edge_order, lp.costs, lp._blocks[0]
     new = tuple([tuple([bisect_left(order, e) for e in row]) for row in cut.rows[len(lp.rows):]])
-    for i, row in enumerate(new, len(lp.rows)):
-        blocks.join(i, row, lp.costs)
-    cut._lp = lp = RelaxedCutLP(edge_order=order, costs=lp.costs, rows=lp.rows + new,
-                                _blocks=(blocks, tuple(blocks.live.items())))
-    return lp
-
-
-class _Blocks:
-    """The blocks of one run's cut LP, and the solves of the current ones.
-
-    ``live`` maps each block's rows, a sorted tuple of row indices, to the
-    set of its columns, and ``of_col`` each column in a row to its block's
-    rows. ``solved`` maps a live block's rows to ``(columns, values,
-    pivots, flips)`` of its simplex solve; a block that a new row merges
-    leaves ``live`` and ``solved`` at once. ``costs`` is the float64 cost
-    array over every column, filled as columns join a row and 0 elsewhere.
-    """
-
-    def __init__(self, n: int):
-        self.costs = np.zeros(n)
-        self.of_col: dict[int, tuple[int, ...]] = {}
-        self.live: dict[tuple[int, ...], set[int]] = {}
-        self.solved: dict[tuple[int, ...], tuple] = {}
-
-    def join(self, i: int, row: tuple[int, ...], costs: Sequence[float]) -> None:
-        """Make row ``i``, of columns ``row``, one block with every block
-        it shares a column with; ``costs`` are the LP's."""
-        merged = {self.of_col[j] for j in row if j in self.of_col}
+    for row in new:
         for j in row:
-            if j not in self.of_col:
-                self.costs[j] = costs[j]
-        cols = set(row)
-        for key in merged:
-            cols |= self.live.pop(key)
-            self.solved.pop(key, None)
-        key = (*sorted(chain.from_iterable(merged)), i)  # i is the newest row
-        self.live[key] = cols
-        for j in cols:
-            self.of_col[j] = key
+            cost_array[j] = costs[j]
+    blocks = tuple([(b, len(b.rows)) for b in cut.blocks])
+    cut._lp = lp = RelaxedCutLP(edge_order=order, costs=lp.costs, rows=lp.rows + new,
+                                _blocks=(cost_array, blocks, len(cut.rows_on)))
+    return lp
 
 
 def _bits(flags: np.ndarray) -> int:
@@ -398,9 +433,9 @@ def _one_block(lp: RelaxedCutLP) -> tuple:
         if (type(c) is bool or not isinstance(c, (int, float, np.integer, np.floating))
                 or not 0 <= c <= sys.float_info.max):
             raise InputError(f"variable {j} has cost {c!r}; costs must be finite nonnegative numbers")
-    blocks = _Blocks(n)
-    blocks.costs[active] = costs
-    return blocks, (((*range(len(lp.rows)),), cols),) if cols else ()
+    cost_array = np.zeros(n)
+    cost_array[active] = costs
+    return cost_array, ((_Block(range(len(lp.rows))), len(lp.rows)),) if cols else (), len(cols)
 
 
 def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
@@ -430,45 +465,47 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     and the whole LP's steps are theirs, interleaved (by the exactness rule
     of :func:`_bounded_simplex`, whether the tableau turns dense moves no
     bit). A hand-built LP is one block. An LP from :func:`build_cover_lp`
-    carries its run's blocks, and the run keeps the solve of each block
-    until a new row joins it, so the simplex runs only on blocks that no
-    earlier solve of the run has solved as they stand. An older LP of the
-    run, solved after newer rows were added, solves its own blocks.
-    ``pivots`` and ``flips`` sum every block's, so they are the cold
-    solve's. The step cap, ``_step_cap`` of the whole LP's rows and
-    active columns, counts every block's steps too: a solve raises exactly
-    when a cold solve of the LP would.
+    carries the blocks of its run's rows (:meth:`CutRows.add`), each with
+    the number of rows it held then. A block keeps its solve until a new
+    row joins it, so the simplex runs only on blocks that no earlier solve
+    of the run has solved as they stand. An older LP of the run, solved
+    after newer rows joined one of its blocks, solves that block's first
+    rows, as many as it held, and keeps nothing. ``pivots`` and ``flips``
+    sum every block's, so they are the cold solve's. The step cap,
+    ``_step_cap`` of the whole LP's rows and active columns, counts every
+    block's steps too: a solve raises exactly when a cold solve of the LP
+    would.
 
     ``values`` is the block solves' arrays scattered over all columns,
-    made read-only. The objective dots it with the costs, zeroed off the
-    columns of the rows (of the run's rows, for a built LP), where
-    ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite) are both ``+0.0``:
-    under any BLAS kernel it has the full dot's bits. A dot over the active
-    columns alone would regroup the sum and move them.
+    made read-only. The objective dots it with the cost array, zeroed off
+    the columns of the rows (of the run's rows, for a built LP). Off this
+    LP's columns the values are ``+0.0``, and ``0.0 * 0.0`` and ``0.0 * c``
+    (``c >= 0`` finite) are both ``+0.0``: under any BLAS kernel the
+    objective has the full dot's bits. A dot over the active columns alone
+    would regroup the sum and move them.
     """
-    blocks, parts = lp._blocks or _one_block(lp)
+    costs, parts, width = lp._blocks or _one_block(lp)
     values = np.zeros(len(lp.edge_order))
     todo = []
-    width = pivots = flips = 0
-    for key, cols in parts:
-        width += len(cols)
-        solved = blocks.solved.get(key)
-        if solved is None:
-            todo.append((key, cols))
+    pivots = flips = 0
+    for block, held in parts:
+        if block.solve is None or len(block.rows) != held:
+            todo.append((block, held))
             continue
-        active, x, p, f = solved
+        active, x, p, f = block.solve
         values[active] = x
         pivots += p
         flips += f
     cap = _step_cap(len(lp.rows), width) - pivots - flips
     if parts and cap <= 0:
         raise PathCutError("simplex failed to terminate within the pivot cap")
-    for key, cols in todo:
-        active = sorted(cols)
+    for block, held in todo:
+        key = sorted(block.rows[:held])
+        active = sorted(set(chain.from_iterable([lp.rows[i] for i in key])))
         remap = {j: k for k, j in enumerate(active)}
         rows = [tuple(map(remap.__getitem__, lp.rows[i])) for i in key]
         active = np.array(active)  # scatters faster than a list, when reused
-        x, p, f = _bounded_simplex(rows, blocks.costs[active], cap)
+        x, p, f = _bounded_simplex(rows, costs[active], cap)
         xs = x.tolist()
         for row in rows:
             if sum(map(xs.__getitem__, row)) < 1.0 - FEAS_TOL:
@@ -478,14 +515,14 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
                     if len(set(lp.rows[i])) < len(lp.rows[i]):
                         raise InputError(f"row {i} repeats a variable index: {lp.rows[i]}")
                 raise PathCutError("solver returned an infeasible point")
-        if key in blocks.live:
-            blocks.solved[key] = (active, x, p, f)
+        if len(block.rows) == held:
+            block.solve = (active, x, p, f)
         values[active] = x
         cap -= p + f
         pivots += p
         flips += f
     values.flags.writeable = False
-    return LPSolution(values=values, objective_value=float(np.dot(values, blocks.costs)),
+    return LPSolution(values=values, objective_value=float(np.dot(values, costs)),
                       pivots=pivots, flips=flips)
 
 

@@ -14,7 +14,7 @@ no LP), so they can serve as oracles for it.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -69,9 +69,10 @@ class ForcePathInstance:
 
 def create_force_path_input(inst: TerminalCutInstance, eps: float = 1.0) -> ForcePathInstance:
     """Build the force-path instance for ``inst`` (see module docs).
-    ``eps`` is a positive, finite ``int`` or ``float``."""
+    ``eps`` is a positive, finite ``int`` or ``float``, at most the
+    largest float, as weights are."""
     eps = _int_or_float(eps, "eps")
-    if not 0 < eps < math.inf:
+    if not 0 < eps <= sys.float_info.max:
         raise InputError(f"eps must be positive and finite, got {eps}")
     g = inst.graph
     s1, s2, s3 = inst.terminals

@@ -365,6 +365,27 @@ def test_eigenscore_plans_independent_of_product_order(block, monkeypatch):
         assert plans() == sparse, product.__name__
 
 
+def test_eigenscore_ties_within_the_relative_tolerance_go_to_the_smallest_key(monkeypatch):
+    # Ratios within a relative TIE_RTOL of the largest tie, and the smallest
+    # edge key among them is cut, though another ratio is larger in the last
+    # bits; a ratio further below is ranked as it is. Zero-cost edges tie
+    # only with each other, and when every ratio is 0 all tie.
+    g = Graph(5, [(0, 1, 1, 2), (1, 2, 1, 2), (2, 3, 1, 2), (3, 4, 1, 0), (0, 4, 1, 0)])
+    vector = np.array([1.0, 1.0, 1.0 + 2.0**-52, 1.0, 0.0])
+    monkeypatch.setattr(pathcut.attack, "principal_eigenvector", lambda graph: vector)
+    def choose(candidates):  # the rule reads the vector once, when made
+        return pathcut.attack._top_eigenscore(g)(candidates)
+
+    assert choose([(1, 2), (0, 1)]) == (0, 1)  # (1, 2)'s ratio is 2**-52 larger
+    vector[0] = 1.0 - 1e-10
+    assert choose([(1, 2), (0, 1)]) == (0, 1)
+    vector[0] = 1.0 - 1e-8
+    assert choose([(1, 2), (0, 1)]) == (1, 2)
+    assert choose([(3, 4), (2, 3), (0, 4)]) == (0, 4)  # zero costs: ratio inf
+    vector[:] = 0.0
+    assert choose([(2, 3), (1, 2)]) == (1, 2)
+
+
 def test_eigenscore_choice_on_star_with_chord():
     # Star around node 0 plus chords; eigenscores from the dense
     # eigendecomposition decide the first cut.

@@ -219,6 +219,9 @@ def _bad_inputs(tmp_path):
     truncated.write_text('{"repetitions": 1,', encoding="ascii")
     array = tmp_path / "array.json"
     array.write_text("[1, 2]", encoding="ascii")
+    # A triangle whose 401-digit costs no float sum could hold.
+    huge = tmp_path / "huge.edges"
+    huge.write_text(f"0 1 1 {10**400}\n1 2 1 {10**400}\n0 2 5 {10**400}\n", encoding="ascii")
     configs = {}
     kronecker = {"family": "kronecker", "iterations": 3, "density": 0.3}
     for name, cfg in (("gen-int", {"generator": 5}),
@@ -240,6 +243,11 @@ def _bad_inputs(tmp_path):
     out = str(tmp_path / "r")
     return {
         "bad node id": (["attack", "--graph", str(good), "--p-star", "0,x"], "'x'"),
+        "costs beyond the float range": (["attack", "--graph", str(huge), "--p-star", "0,2"],
+                                         "weight or cost is negative or not finite"),
+        "edge list beyond the float range": (["experiment", "--edge-list", str(huge), "--ranks", "1",
+                                              "--reps", "1", "--out", out],
+                                             "weight or cost is negative or not finite"),
         "bad brute-force node id": (["brute-force", "--graph", str(good), "--p-star", "0,y"], "'y'"),
         "missing graph": (["attack", "--graph", str(tmp_path / "none.edges"), "--p-star", "0,1"],
                           "none.edges: cannot read"),
@@ -302,7 +310,8 @@ def _bad_inputs(tmp_path):
     "uniform upper beyond int64", "negative generator seed", "negative weight seed",
     "negative neighborhood cap", "0 random nodes", "1 random nodes", "2 random nodes",
     "-5 max nodes", "2 max nodes", "eps nan", "eps inf", "negative brute-force cap",
-    "brute-force p* without edges",
+    "brute-force p* without edges", "costs beyond the float range",
+    "edge list beyond the float range",
 ])
 def test_malformed_outside_input_exits_2_with_input_error(tmp_path, capsys, case):
     argv, named = _bad_inputs(tmp_path)[case]

@@ -63,8 +63,14 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1, 1, float("inf"))])
     with pytest.raises(InputError):
         Graph(3, [(0, 1, 1, float("nan"))])
-    # Huge integers are finite: the check must not overflow on them.
-    assert Graph(2, [(0, 1, 10**400)]).weight(0, 1) == 10**400
+    # Ints are compared exactly, without overflow: the largest float's int
+    # passes, and anything beyond it, which no float sum of lengths or
+    # costs could hold, is rejected as a weight or as a cost.
+    top = int(sys.float_info.max)
+    assert Graph(2, [(0, 1, top, top)]).weight(0, 1) == top
+    for record in [(0, 1, 10**400), (0, 1, top + 1), (0, 1, 1, 10**400), (0, 1, 1, top + 1)]:
+        with pytest.raises(InputError, match=r"^weight or cost on edge \(0, 1\) is negative or not finite$"):
+            Graph(2, [record])
 
 
 def test_edge_lookup_both_orders():

@@ -692,6 +692,23 @@ def _count_simplex_calls(monkeypatch):
     return calls
 
 
+def _attack_instances(rng, count):
+    """``(k, graph, p*)`` for ``k`` below ``count``: seeded ER, 5 x 6
+    lattice and clique instances in turn, ``p*`` of rank 12."""
+    for k in range(count):
+        if k % 3 == 0:
+            g = random_graph(rng, 30, 0.2, costs_equal_weights=False)
+            s, t = reachable_pair(rng, g)
+        elif k % 3 == 1:
+            g = assign_weights(generate(GeneratorSpec("lattice", rows=5, cols=6)),
+                               WeightScheme("uniform", upper=4, seed=k))
+            s, t = 0, 29
+        else:
+            g = assign_weights(generate(GeneratorSpec("complete", n=8 + k)), WeightScheme("equal"))
+            s, t = 0, 1 + k
+        yield k, g, select_p_star(g, s, t, 12)
+
+
 def test_every_solve_of_a_run_equals_a_cold_solve(monkeypatch):
     # Each solve of a run re-solves only the blocks its new row changed; its
     # values, objective bits and counts must be a cold solve's. The run
@@ -706,8 +723,8 @@ def test_every_solve_of_a_run_equals_a_cold_solve(monkeypatch):
             colds.append(_cold(lp))
             before = len(calls)
             assert _same_solution(solve_relaxed(lp), colds[-1])
-            run = lp._blocks[0]
-            assert run.solved.keys() == run.live.keys()
+            assert all(block.solve is not None and len(block.rows) == held
+                       for block, held in lp._blocks[1])
             blocks += len(lp._blocks[1])
             solved += len(calls) - before
             several += len(lp._blocks[1]) > 1
@@ -716,19 +733,7 @@ def test_every_solve_of_a_run_equals_a_cold_solve(monkeypatch):
     assert several > 500 and blocks - solved > 1000  # block solves reused
 
     solves = _recorded_solves(monkeypatch)
-    rng = np.random.default_rng(2031)
-    for k in range(12):
-        if k % 3 == 0:
-            g = random_graph(rng, 30, 0.2, costs_equal_weights=False)
-            s, t = reachable_pair(rng, g)
-        elif k % 3 == 1:
-            g = assign_weights(generate(GeneratorSpec("lattice", rows=5, cols=6)),
-                               WeightScheme("uniform", upper=4, seed=k))
-            s, t = 0, 29
-        else:
-            g = assign_weights(generate(GeneratorSpec("complete", n=8 + k)), WeightScheme("equal"))
-            s, t = 0, 1 + k
-        p_star = select_p_star(g, s, t, 12)
+    for k, g, p_star in _attack_instances(np.random.default_rng(2031), 12):
         before = len(calls), len(solves)
         run_attack(g, p_star, AttackConfig(method="pathattack-lp", rng_seed=k))
         # A solve after one new row runs the simplex on one block: that row's.
@@ -736,6 +741,60 @@ def test_every_solve_of_a_run_equals_a_cold_solve(monkeypatch):
     for lp, sol in solves:
         assert _same_solution(sol, _cold(lp))
     assert sum(len(lp._blocks[1]) > 1 for lp, _ in solves) > 20
+
+
+def test_every_greedy_cover_of_a_run_equals_a_cold_cover(monkeypatch):
+    # A run's greedy cover picks only on the blocks of rows that have no
+    # picks, the new row's, and keeps every other block's; each cover must
+    # be the cold greedy cover of the rows so far. Rows are grown one at a
+    # time over int, float, zero and tied costs, some of them repeated,
+    # then taken from PATHATTACK-greedy attacks on ER, lattice and clique
+    # graphs.
+    rng = np.random.default_rng(2040)
+    seen = dict.fromkeys(["several blocks", "merge", "reused", "repeated"], 0)
+    for k in range(400):
+        n = int(rng.integers(2, 16))
+        costs = (rng.integers(0, 4, size=n),
+                 np.array(FLOAT_COSTS)[rng.integers(len(FLOAT_COSTS), size=n)],
+                 rng.integers(0, 2, size=n) * 3,
+                 np.full(n, 2))[k % 4]
+        cut, path = _column_cut_rows(costs)
+        rows = []
+        for _ in range(int(rng.integers(1, 12))):
+            if rows and rng.random() < 0.15:
+                row = rows[int(rng.integers(len(rows)))]
+                seen["repeated"] += 1
+            else:
+                size = int(rng.integers(1, min(n, 3) + 1))
+                row = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            rows.append(row)
+            joined = {cut._row_block[cut.rows_on[e][0]]
+                      for e in ((2 * j, 2 * j + 1) for j in row) if e in cut.rows_on}
+            seen["merge"] += len(joined) > 1
+            cut.add(path(row))
+            seen["reused"] += any(b.picks is not None for b in cut.blocks)
+            seen["several blocks"] += len(cut.blocks) > 1
+            want = reference_greedy_path_cover(cut.g, SimpleNamespace(edges=cut.protected),
+                                               [path(r) for r in rows])
+            assert greedy_path_cover(cut) == want, (k, rows)
+    assert min(seen.values()) > 100, seen
+
+    cover = pathcut.attack.greedy_path_cover
+    covers = dict.fromkeys(["calls", "several blocks", "reused"], 0)
+
+    def checked(cut):
+        covers["calls"] += 1
+        covers["several blocks"] += len(cut.blocks) > 1
+        covers["reused"] += any(b.picks is not None for b in cut.blocks)
+        got = cover(cut)
+        rows = [SimpleNamespace(edges=row) for row in cut.rows]
+        assert got == reference_greedy_path_cover(cut.g, SimpleNamespace(edges=cut.protected), rows)
+        return got
+
+    monkeypatch.setattr(pathcut.attack, "greedy_path_cover", checked)
+    for k, g, p_star in _attack_instances(np.random.default_rng(2041), 12):
+        run_attack(g, p_star, AttackConfig(method="pathattack-greedy"))
+    assert covers["several blocks"] > 20 and covers["reused"] > 20, covers
 
 
 def test_run_solve_hits_the_step_cap_where_a_cold_solve_does(monkeypatch):
@@ -752,8 +811,8 @@ def test_run_solve_hits_the_step_cap_where_a_cold_solve_does(monkeypatch):
             cold_lp = RelaxedCutLP(lp.edge_order, lp.costs, lp.rows)
             cold = solve_relaxed(cold_lp)
             steps = cold.pivots + cold.flips
-            reused = sum(sum(lp._blocks[0].solved[key][2:]) for key, _ in lp._blocks[1]
-                         if key in lp._blocks[0].solved)
+            reused = sum(sum(block.solve[2:]) for block, held in lp._blocks[1]
+                         if block.solve is not None and len(block.rows) == held)
             reused_steps += reused > 0
             for cap in (steps - 1, steps, steps + 1, steps):
                 monkeypatch.setattr(pathcut.lp, "_step_cap", lambda m, n: asked.append((m, n)) or cap)

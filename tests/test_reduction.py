@@ -75,7 +75,7 @@ def test_transform_requires_positive_eps():
     inst = TerminalCutInstance(graph=g, budget=0, terminals=(0, 1, 2))
     with pytest.raises(InputError):
         create_force_path_input(inst, eps=0)
-    for eps in (math.nan, math.inf):
+    for eps in (math.nan, math.inf, 10**400):
         with pytest.raises(InputError, match=f"eps must be positive and finite, got {eps}"):
             create_force_path_input(inst, eps=eps)
 
