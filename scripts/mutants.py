@@ -110,6 +110,18 @@ MUTANTS = (
      "cap = _step_cap(len(lp.rows), width) - pivots - flips",
      "cap = _step_cap(len(lp.rows), width)",
      ["tests/test_lp.py::test_run_solve_hits_the_step_cap_where_a_cold_solve_does"]),
+    # An older LP of a run solved on the run's live blocks: it reads rows
+    # it does not hold, or the solves of rows it does not hold.
+    ("pathcut/lp.py",
+     "len(lp.rows) == len(run.rows)",
+     "True",
+     ["tests/test_lp.py::test_an_older_lp_of_a_run_is_solved_cold_and_keeps_nothing"]),
+    # Lengths compared in float only: ints above 2**53 tie apart, and
+    # p* = 0-1-2 counts as strictly shorter than its tie 0-3-2.
+    ("pathcut/graphs.py",
+     "    if type(a) is int and type(b) is int:\n        return a > b\n",
+     "",
+     ["tests/test_attack.py::test_an_int_tie_above_2_to_the_53_is_cut"]),
     # Greedy eigenscore's old tie rule, min(-ratio, key): ratios a few units
     # in the last place apart decide, so plans follow the summation order.
     ("pathcut/attack.py",

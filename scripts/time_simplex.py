@@ -7,14 +7,16 @@ wrapped, so every LP the attack solves is captured with its solution, and
 with ``pathcut.lp._bounded_simplex`` wrapped, to count the steps the run's
 simplex made: a run re-solves only the blocks a new row changed (see
 ``pathcut.lp.solve_relaxed``). Each captured LP is then solved cold, as a
-hand-built ``RelaxedCutLP`` (one block), and its simplex input is replayed
+hand-built ``RelaxedCutLP`` (one block), and solved again as it was
+captured, now that its run has moved on (an older LP of a run is solved
+cold, the run's last LP on its blocks), and its simplex input is replayed
 through ``_bounded_simplex`` and through the all-numpy reference loop in
 ``tests/helpers.py``. Prints, per workload, the solves, the cold solves'
 pivots and bound flips, the run's pivots and flips, and the median seconds
-of one cold replay of all its LPs. Exits 1 if a run's solution differs from
-its cold solve (values, objective bits or counts), if a replay differs from
-the reference by a byte, or if the totals differ from the pinned ones in
-``COUNTS`` and ``RUN_STEPS``.
+of one cold replay of all its LPs. Exits 1 if a run's solution or a later
+solve of its LP differs from the cold solve (values, objective bits or
+counts), if a replay differs from the reference by a byte, or if the
+totals differ from the pinned ones in ``COUNTS`` and ``RUN_STEPS``.
 
 Then it runs PATHATTACK-greedy on the same instances with
 ``greedy_path_cover`` wrapped: each cover of a run, which re-covers only
@@ -164,10 +166,11 @@ def main() -> int:
     for name, want in COUNTS.items():
         solves, run_steps = captured_solves(WORKLOADS[name])
         lps = []
-        pivots = flips = unequal = not_cold = 0
+        pivots = flips = unequal = not_cold = later = 0
         for lp, sol in solves:
             cold, (rows, costs) = cold_solve(lp)
             not_cold += fields(sol) != fields(cold)
+            later += fields(solve_relaxed(lp)) != fields(cold)
             x, p, f = pathcut.lp._bounded_simplex(rows, costs)
             pivots += p
             flips += f
@@ -181,11 +184,14 @@ def main() -> int:
             seconds.append(time.perf_counter() - t0)
         got = (len(lps), pivots, flips)
         print(f"{name:<16}{got[0]:>8}{got[1]:>9}{got[2]:>8}{run_steps[0]:>9}{run_steps[1]:>9}"
-              f"{statistics.median(seconds):>10.4f}{str(not unequal and not not_cold):>7}")
+              f"{statistics.median(seconds):>10.4f}{str(not (unequal or not_cold or later)):>7}")
         if unequal:
             problems.append(f"{name}: {unequal} results unequal to the reference")
         if not_cold:
             problems.append(f"{name}: {not_cold} run solutions unequal to their cold solves")
+        if later:
+            problems.append(f"{name}: {later} later solves of the run's LPs unequal to their "
+                            "cold solves")
         if got != want:
             problems.append(f"{name}: (solves, pivots, flips) = {got}, pinned {want}")
         if run_steps != RUN_STEPS[name]:
@@ -202,8 +208,8 @@ def main() -> int:
     if problems:
         print("\n".join(problems))
         return 1
-    print("every run solution equals its cold solve, every result the reference, every greedy "
-          "cover the cold cover; the counts hold")
+    print("every run solution and later solve equals its cold solve, every result the "
+          "reference, every greedy cover the cold cover; the counts hold")
     return 0
 
 

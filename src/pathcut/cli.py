@@ -178,9 +178,7 @@ def _cmd_attack(args) -> dict:
         p_star = select_p_star(g, args.source, args.target, args.rank, allowed_nodes=mask)
     cfg = AttackConfig(method=args.method, rng_seed=args.seed,
                        iteration_cap=args.iteration_cap)
-    plan = run_attack(g, p_star, cfg)
-    return {**_plan_dict(plan, g, p_star, budget=args.budget),
-            "p_star_length": path_length(g, p_star)}
+    return _plan_dict(run_attack(g, p_star, cfg), g, p_star, budget=args.budget)
 
 
 def _cmd_experiment(args) -> dict:

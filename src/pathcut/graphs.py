@@ -32,7 +32,7 @@ from .errors import InputError
 EdgeKey = tuple[int, int]
 
 #: Absolute tolerance for length comparisons with real-valued weights.
-#: Integer-weight graphs compare exactly (differences are >= 1 >> tol).
+#: Integer lengths compare exactly (see :func:`strictly_longer`).
 LENGTH_TOL = 1e-9
 
 
@@ -69,7 +69,12 @@ def edge_key(u: int, v: int) -> EdgeKey:
 
 
 def strictly_longer(a, b) -> bool:
-    """True iff length ``a`` exceeds length ``b`` beyond ``LENGTH_TOL``."""
+    """True iff length ``a`` exceeds length ``b`` beyond ``LENGTH_TOL``.
+    Two ints compare exactly: ``b + LENGTH_TOL`` is a float, which ties
+    ints apart above 2**53 and overflows beyond the float range. Below
+    2**53 both tests agree."""
+    if type(a) is int and type(b) is int:
+        return a > b
     return a > b + LENGTH_TOL
 
 

@@ -442,7 +442,10 @@ def summarize(records: Sequence[ExperimentRecord]) -> str:
         rows = [r for r in ok if r.method == method]
         if not rows:
             continue
-        mean_cost = sum(r.total_cost for r in rows) / len(rows)
+        try:
+            mean_cost = sum(r.total_cost for r in rows) / len(rows)
+        except OverflowError:  # int costs whose mean is beyond the float range
+            mean_cost = math.inf
         ratios = [r.cost_reduction_ratio for r in rows if r.cost_reduction_ratio is not None]
         mean_ratio = sum(ratios) / len(ratios) if ratios else float("nan")
         times = [r.wall_time_s for r in rows if r.wall_time_s is not None]

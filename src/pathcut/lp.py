@@ -61,11 +61,9 @@ class RelaxedCutLP:
     edge_order: tuple[EdgeKey, ...]
     costs: tuple[float, ...]
     rows: tuple[tuple[int, ...], ...]
-    #: ``(cost array, ((block, its row count), ...), active columns)`` when
-    #: :func:`build_cover_lp` made the LP, one pair per block of the run's
-    #: rows as the LP holds them, else None: a hand-built LP is one block
-    #: (see :func:`solve_relaxed`).
-    _blocks: Optional[tuple] = field(default=None, compare=False, repr=False)
+    #: The :class:`CutRows` that built the LP, or None for a hand-built
+    #: one (see :func:`solve_relaxed`).
+    _run: Optional[CutRows] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,13 @@ class CutRows:
     partition, the one both covers read: its keys are the live
     :class:`_Block` objects, in the order they formed, and
     ``_row_block[i]`` is row ``i``'s block, so an edge's block is that of
-    its first row. ``_lp`` is the LP of the rows ranked so far, which
-    :func:`build_cover_lp` keeps, or None. An attack owns its rows, so no
-    method reads work another method did on the same graph.
+    its first row. ``_lp`` is the ``(edge_order, costs, rows)`` of the LP
+    of the rows ranked so far and ``_costs`` its float64 cost array, which
+    :func:`build_cover_lp` keeps, or None. The LPs it returns refer to
+    the run (see :func:`solve_relaxed`) and the run holds none of them, so
+    the two make no reference cycle that outlives the attack. An attack
+    owns its rows, so no method reads work another method did on the same
+    graph.
     """
 
     def __init__(self, g: Graph, p_star: Path, paths: Sequence[Path] = ()):
@@ -105,7 +107,7 @@ class CutRows:
         self.rows_on: dict[EdgeKey, list[int]] = {}
         self.blocks: dict[_Block, None] = {}
         self._row_block: list[_Block] = []
-        self._lp = None
+        self._lp = self._costs = None
         for p in paths:
             self.add(p)
 
@@ -164,12 +166,10 @@ class _Block:
     rows, each sharing an edge with the next, joins them.
 
     ``rows`` lists the block's row indices and ``edges`` its edge keys,
-    each in no particular order. Both only grow while the block is live,
-    so the block's first ``k`` rows are the rows it held when it held
-    ``k``; a block that another takes in stays as it was. ``picks`` is the
-    greedy cover of the block's rows and ``solve`` the ``(columns, values,
-    pivots, flips)`` of its simplex solve, each None until its cover
-    computes it and again once a new row joins the block.
+    each in no particular order. ``picks`` is the greedy cover of the
+    block's rows and ``solve`` the ``(columns, values, pivots, flips)`` of
+    its simplex solve (see :func:`solve_relaxed`), each None until its
+    cover computes it and again once a new row joins the block.
     """
 
     __slots__ = ("rows", "edges", "picks", "solve")
@@ -192,30 +192,26 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
     are its keys' ``bisect`` ranks in ``edge_order``. Both are exact, as
     the maps iterate in sorted key order: the cut lists are the filtered
     maps, a key's rank is its column, and a row of sorted keys gives
-    sorted columns. The LP returned holds every row, and the blocks of the
-    run's rows (:meth:`CutRows.add`) as they stand: columns are ranks of
-    edge keys in the same order, so blocks joined by shared edges are
-    blocks joined by shared columns (see :func:`solve_relaxed`). The run's
-    float64 cost array holds the cost of each column in a row, and 0
+    sorted columns. The LP returned holds every row and refers back to
+    ``cut``: columns are ranks of edge keys in the same order, so the
+    run's blocks (:meth:`CutRows.add`), joined by shared edges, are the
+    LP's blocks joined by shared columns (see :func:`solve_relaxed`).
+    ``cut._costs`` holds the cost of each column in a row, and 0
     elsewhere.
     """
-    lp = cut._lp
-    if lp is None:
+    if cut._lp is None:
         edge_order, cvec = cut.g.edges(), list(cut.g._costs.values())
         for e in cut.g._weights.keys() & cut.protected:
             i = bisect_left(edge_order, e)
             del edge_order[i], cvec[i]
-        lp = RelaxedCutLP(edge_order=tuple(edge_order), costs=tuple(cvec), rows=(),
-                          _blocks=(np.zeros(len(cvec)), (), 0))
-    order, costs, cost_array = lp.edge_order, lp.costs, lp._blocks[0]
-    new = tuple([tuple([bisect_left(order, e) for e in row]) for row in cut.rows[len(lp.rows):]])
+        cut._lp, cut._costs = (tuple(edge_order), tuple(cvec), ()), np.zeros(len(cvec))
+    order, costs, rows = cut._lp
+    new = tuple([tuple([bisect_left(order, e) for e in row]) for row in cut.rows[len(rows):]])
     for row in new:
         for j in row:
-            cost_array[j] = costs[j]
-    blocks = tuple([(b, len(b.rows)) for b in cut.blocks])
-    cut._lp = lp = RelaxedCutLP(edge_order=order, costs=lp.costs, rows=lp.rows + new,
-                                _blocks=(cost_array, blocks, len(cut.rows_on)))
-    return lp
+            cut._costs[j] = costs[j]
+    cut._lp = order, costs, rows + new
+    return RelaxedCutLP(*cut._lp, _run=cut)
 
 
 def _bits(flags: np.ndarray) -> int:
@@ -238,8 +234,7 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray,
     full unit, so it strictly improves the objective and cannot cycle).
     ``rows`` must hold sorted, distinct, in-range indices (the starting
     surplus ``len(row) - 1`` counts them). Tableau rows start as maps
-    ``{column: value}`` of their entries and ``cols[k]`` holds the rows
-    with an entry in column ``k``. A pivot divides the pivot row, then
+    ``{column: value}`` of their entries. A pivot divides the pivot row, then
     updates the objective row (the reduced costs) and each row with an
     entry in the entering column, over the pivot row's entries only. Once
     rows fill in, so that a pivot would update more than ``_DENSE_WORK``
@@ -294,16 +289,12 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray,
     # surplus basic with value (row size - 1) >= 0, so B = -I and T = -A.
     basis = list(range(n, total))
     T = []
-    cols = [set() for _ in range(n)]
     xB = []
     for i, row in enumerate(rows):
         t = dict.fromkeys(row, -1.0)
         t[n + i] = 1.0
         T.append(t)
         xB.append(len(row) - 1.0)
-        for k in row:
-            cols[k].add(i)
-    cols += [{i} for i in range(m)]
     rc = costs.tolist() + [0.0] * m  # c - c[basis] @ T with c[basis] = 0
     dense = False
     at_upper = [True] * n + [False] * m
@@ -322,9 +313,9 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray,
             on = np.flatnonzero(T[:, j])
             col = list(zip(on.tolist(), (-T[on, j] if increase else T[on, j]).tolist()))
         elif increase:
-            col = [(i, -T[i][j]) for i in sorted(cols[j])]
+            col = [(i, -t[j]) for i, t in enumerate(T) if j in t]
         else:
-            col = [(i, T[i][j]) for i in sorted(cols[j])]
+            col = [(i, t[j]) for i, t in enumerate(T) if j in t]
         best = math.inf
         leave = -1
         for i, di in col:
@@ -388,9 +379,7 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray,
                     f = t[j]
                     for k, r in prow.items():
                         t[k] = t.get(k, 0.0) - f * r
-                        cols[k].add(i)
                     del t[j]  # f - f * 1.0 == 0.0 exactly
-            cols[j] = {leave}
             f = rc[j]
             for k, r in prow.items():
                 r = rc[k] = rc[k] - f * r
@@ -411,8 +400,9 @@ def _bounded_simplex(rows: Sequence[tuple[int, ...]], costs: np.ndarray,
 
 
 def _one_block(lp: RelaxedCutLP) -> tuple:
-    """Check a hand-built LP; return its blocks as ``RelaxedCutLP._blocks``
-    holds them: all of its rows, as one block that no run keeps."""
+    """Check an LP that is not its run's current one; return its cost
+    array, its blocks and its active column count: all of its rows, as one
+    block that no run keeps."""
     n = len(lp.edge_order)
     if len(lp.costs) != n:
         raise InputError(f"{len(lp.costs)} costs for {n} variables")
@@ -435,7 +425,7 @@ def _one_block(lp: RelaxedCutLP) -> tuple:
             raise InputError(f"variable {j} has cost {c!r}; costs must be finite nonnegative numbers")
     cost_array = np.zeros(n)
     cost_array[active] = costs
-    return cost_array, ((_Block(range(len(lp.rows))), len(lp.rows)),) if cols else (), len(cols)
+    return cost_array, (_Block(range(len(lp.rows))),) if cols else (), len(cols)
 
 
 def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
@@ -465,42 +455,45 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     and the whole LP's steps are theirs, interleaved (by the exactness rule
     of :func:`_bounded_simplex`, whether the tableau turns dense moves no
     bit). A hand-built LP is one block. An LP from :func:`build_cover_lp`
-    carries the blocks of its run's rows (:meth:`CutRows.add`), each with
-    the number of rows it held then. A block keeps its solve until a new
-    row joins it, so the simplex runs only on blocks that no earlier solve
-    of the run has solved as they stand. An older LP of the run, solved
-    after newer rows joined one of its blocks, solves that block's first
-    rows, as many as it held, and keeps nothing. ``pivots`` and ``flips``
-    sum every block's, so they are the cold solve's. The step cap,
-    ``_step_cap`` of the whole LP's rows and active columns, counts every
-    block's steps too: a solve raises exactly when a cold solve of the LP
-    would.
+    that holds every row of its run is solved on the run's live blocks
+    (:meth:`CutRows.add`): a block keeps its solve until a new row joins
+    it, so the simplex runs only on blocks that no earlier solve of the
+    run has solved as they stand. An older LP of the run, built before
+    more rows were added, is solved cold, as one block like a hand-built
+    LP, and keeps nothing. ``pivots`` and ``flips`` sum every block's, so
+    they are the cold solve's. The step cap, ``_step_cap`` of the whole
+    LP's rows and active columns, counts every block's steps too: a solve
+    raises exactly when a cold solve of the LP would.
 
     ``values`` is the block solves' arrays scattered over all columns,
     made read-only. The objective dots it with the cost array, zeroed off
-    the columns of the rows (of the run's rows, for a built LP). Off this
-    LP's columns the values are ``+0.0``, and ``0.0 * 0.0`` and ``0.0 * c``
-    (``c >= 0`` finite) are both ``+0.0``: under any BLAS kernel the
-    objective has the full dot's bits. A dot over the active columns alone
-    would regroup the sum and move them.
+    the columns of the rows. Off these columns the values are ``+0.0``,
+    and ``0.0 * 0.0`` and ``0.0 * c`` (``c >= 0`` finite) are both
+    ``+0.0``: under any BLAS kernel the objective has the full dot's bits.
+    A dot over the active columns alone would regroup the sum and move
+    them.
     """
-    costs, parts, width = lp._blocks or _one_block(lp)
+    run = lp._run
+    if run is not None and len(lp.rows) == len(run.rows):
+        costs, blocks, width = run._costs, run.blocks, len(run.rows_on)
+    else:
+        costs, blocks, width = _one_block(lp)
     values = np.zeros(len(lp.edge_order))
     todo = []
     pivots = flips = 0
-    for block, held in parts:
-        if block.solve is None or len(block.rows) != held:
-            todo.append((block, held))
+    for block in blocks:
+        if block.solve is None:
+            todo.append(block)
             continue
         active, x, p, f = block.solve
         values[active] = x
         pivots += p
         flips += f
     cap = _step_cap(len(lp.rows), width) - pivots - flips
-    if parts and cap <= 0:
+    if blocks and cap <= 0:
         raise PathCutError("simplex failed to terminate within the pivot cap")
-    for block, held in todo:
-        key = sorted(block.rows[:held])
+    for block in todo:
+        key = sorted(block.rows)
         active = sorted(set(chain.from_iterable([lp.rows[i] for i in key])))
         remap = {j: k for k, j in enumerate(active)}
         rows = [tuple(map(remap.__getitem__, lp.rows[i])) for i in key]
@@ -515,8 +508,7 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
                     if len(set(lp.rows[i])) < len(lp.rows[i]):
                         raise InputError(f"row {i} repeats a variable index: {lp.rows[i]}")
                 raise PathCutError("solver returned an infeasible point")
-        if len(block.rows) == held:
-            block.solve = (active, x, p, f)
+        block.solve = (active, x, p, f)
         values[active] = x
         cap -= p + f
         pivots += p

@@ -534,6 +534,38 @@ def test_certificate_when_already_exclusive(method, tmp_path, capsys):
     assert (out["target_length"], out["next_competitor_length"], out["exclusive"]) == (2, 4, True)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_an_int_tie_above_2_to_the_53_is_cut(method, tmp_path, capsys):
+    # Both paths from 0 to 2 are 2**54 + 2 long, where a float tolerance
+    # cannot tell them apart: int lengths compare exactly, so 0-3-2 ties
+    # with p* and every method, brute force and the CLI cut it.
+    w = 2**53 + 1
+    g = Graph(4, [(0, 1, w), (1, 2, w), (0, 3, w), (3, 2, w)])
+    p_star = Path((0, 1, 2))
+    plan = run_attack(g, p_star, AttackConfig(method=method))
+    assert (plan.iterations, plan.total_cost) == (1, w)
+    assert plan.removed_edges <= {(0, 3), (2, 3)} and exclusive_after(g, p_star, plan.removed_edges)
+    assert not exclusive_after(g, p_star, ())
+    assert brute_force_force_path_cut(g, p_star).removed_edges == {(0, 3)}
+    f = str(tmp_path / "tie.edges")
+    save_edge_list(f, g)
+    assert main(["attack", "--graph", f, "--method", method, "--p-star", "0,1,2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["iterations"], out["total_cost"]) == (1, w)
+    assert (out["target_length"], out["next_competitor_length"], out["exclusive"]) == (2 * w, None, True)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_lengths_beyond_the_float_range_get_a_plan(method):
+    # p* is 2 * 10**308 long, an int no float holds; the competitor 0-2 is
+    # cut, and no length comparison overflows.
+    g = Graph(3, [(0, 1, 10**308), (1, 2, 10**308), (0, 2, 1)])
+    p_star = Path((0, 1, 2))
+    plan = run_attack(g, p_star, AttackConfig(method=method))
+    assert plan.removed_edges == {(0, 2)} and exclusive_after(g, p_star, plan.removed_edges)
+    assert brute_force_force_path_cut(g, p_star).removed_edges == {(0, 2)}
+
+
 def test_attack_hints_change_no_oracle_answer(monkeypatch):
     # Each oracle call of _force_path, with its p_star_first hint and its
     # max_length of len(p*), must answer as an unhinted, uncapped call:

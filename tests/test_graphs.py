@@ -583,6 +583,12 @@ def test_strictly_longer_tolerance():
     assert not strictly_longer(1, 1)
     assert not strictly_longer(1.0 + 1e-12, 1.0)
     assert strictly_longer(1.0 + 1e-8, 1.0)
+    # Two ints compare exactly, also where a float ties them or overflows.
+    assert not strictly_longer(2**54 + 2, 2**54 + 2)
+    assert not strictly_longer(2**54 + 1, 2**54 + 2)
+    assert strictly_longer(2**54 + 3, 2**54 + 2)
+    assert strictly_longer(2 * 10**308 + 1, 2 * 10**308)
+    assert not strictly_longer(1, 2 * 10**308)
 
 
 def test_make_cut_plan_protects_target_path():

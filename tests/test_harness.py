@@ -11,6 +11,7 @@ from pathcut.generators import GeneratorSpec, WeightScheme
 from pathcut.harness import (
     SELECTION_RETRIES,
     ExperimentConfig,
+    ExperimentRecord,
     load_edge_list,
     neighborhood_mask,
     run_experiments,
@@ -362,6 +363,14 @@ def test_summary_mentions_methods_and_counts():
     text = summarize(records)
     assert "greedy-cost" in text and "pathattack-lp" in text
     assert "ok:" in text
+
+
+def test_summary_prints_a_mean_cost_beyond_the_float_range():
+    # Int costs sum exactly; a mean no float holds prints as inf.
+    record = ExperimentRecord(run_id="r0", instance={}, method="greedy-cost", status="ok",
+                              total_cost=2 * 10**308, cost_reduction_ratio=1.0, wall_time_s=0.5)
+    line = next(x for x in summarize([record]).splitlines() if x.startswith("greedy-cost"))
+    assert line.split()[1:4] == ["1", "inf", "1.0000"]
 
 
 def test_config_accepts_zero_seed_and_zero_cap():

@@ -593,12 +593,13 @@ def test_simplex_bit_identical_to_numpy_loop_inside_pathattack(monkeypatch):
 
 
 def _recorded_solves(monkeypatch):
-    """The list that gets ``(lp, solution)`` of every solve of the
-    PATHATTACK-LP attacks run after this call, through the solver seam."""
+    """The list that gets ``(lp, solution, blocks)`` of every solve of the
+    PATHATTACK-LP attacks run after this call, through the solver seam,
+    ``blocks`` the number of the run's blocks when the LP was solved."""
     solves = []
 
     def recording(lp):
-        solves.append((lp, solve_relaxed(lp)))
+        solves.append((lp, solve_relaxed(lp), len(lp._run.blocks)))
         return solves[-1][1]
 
     cover = pathcut.attack.lp_path_cover
@@ -630,7 +631,7 @@ def test_simplex_bit_identical_to_numpy_loop_on_dense_ties(monkeypatch):
     # and as the simplex made them: one call per solve, on the block that
     # the solve's new row joined.
     assert len(solved) == len(solves)
-    assert tuple(map(sum, zip(*((sol.pivots, sol.flips) for _, sol in solves)))) == (2586, 2154)
+    assert tuple(map(sum, zip(*((sol.pivots, sol.flips) for _, sol, _ in solves)))) == (2586, 2154)
     assert tuple(map(sum, zip(*counts))) == (228, 240)
 
 
@@ -723,11 +724,10 @@ def test_every_solve_of_a_run_equals_a_cold_solve(monkeypatch):
             colds.append(_cold(lp))
             before = len(calls)
             assert _same_solution(solve_relaxed(lp), colds[-1])
-            assert all(block.solve is not None and len(block.rows) == held
-                       for block, held in lp._blocks[1])
-            blocks += len(lp._blocks[1])
+            assert all(block.solve is not None for block in lp._run.blocks)
+            blocks += len(lp._run.blocks)
             solved += len(calls) - before
-            several += len(lp._blocks[1]) > 1
+            several += len(lp._run.blocks) > 1
         for lp, cold in zip(built, colds):
             assert _same_solution(solve_relaxed(lp), cold)
     assert several > 500 and blocks - solved > 1000  # block solves reused
@@ -738,9 +738,36 @@ def test_every_solve_of_a_run_equals_a_cold_solve(monkeypatch):
         run_attack(g, p_star, AttackConfig(method="pathattack-lp", rng_seed=k))
         # A solve after one new row runs the simplex on one block: that row's.
         assert len(calls) - before[0] == len(solves) - before[1]
-    for lp, sol in solves:
+    for lp, sol, _ in solves:
         assert _same_solution(sol, _cold(lp))
-    assert sum(len(lp._blocks[1]) > 1 for lp, _ in solves) > 20
+    assert sum(count > 1 for _, _, count in solves) > 20
+
+
+def test_an_older_lp_of_a_run_is_solved_cold_and_keeps_nothing(monkeypatch):
+    # An LP built before a row merged two of its blocks is no longer its
+    # run's current LP: it is solved cold, one simplex call on all of its
+    # rows, and leaves every solve the run's live blocks hold as it was,
+    # a dropped one (None) included.
+    cut, path = _column_cut_rows(np.array([3.0, 1.0, 2.0, 4.0, 1.0]))
+    for row in ((0, 1), (2, 3), (4,)):
+        cut.add(path(row))
+    old = build_cover_lp(cut)
+    assert _same_solution(solve_relaxed(old), _cold(old)) and len(cut.blocks) == 3
+    lone = next(b for b in cut.blocks if b.rows == [2])
+    cut.add(path((1, 2)))  # merges the blocks of rows 0 and 1
+    assert len(cut.blocks) == 2
+    calls = _count_simplex_calls(monkeypatch)
+    for current in (None, build_cover_lp(cut)):
+        if current is not None:
+            assert _same_solution(solve_relaxed(current), _cold(current))
+        kept = {b: b.solve for b in cut.blocks}
+        before = len(calls)
+        assert _same_solution(solve_relaxed(old), _cold(old))
+        assert calls[before:] == [3, 3]  # the old LP's, then its cold copy's
+        assert all(b.solve is kept[b] for b in cut.blocks)
+        assert lone.solve is not None
+    # The current LP re-solves the merged block's three rows, not all four.
+    assert calls == [3, 3, 3, 4, 3, 3]
 
 
 def test_every_greedy_cover_of_a_run_equals_a_cold_cover(monkeypatch):
@@ -811,8 +838,8 @@ def test_run_solve_hits_the_step_cap_where_a_cold_solve_does(monkeypatch):
             cold_lp = RelaxedCutLP(lp.edge_order, lp.costs, lp.rows)
             cold = solve_relaxed(cold_lp)
             steps = cold.pivots + cold.flips
-            reused = sum(sum(block.solve[2:]) for block, held in lp._blocks[1]
-                         if block.solve is not None and len(block.rows) == held)
+            reused = sum(sum(block.solve[2:]) for block in lp._run.blocks
+                         if block.solve is not None)
             reused_steps += reused > 0
             for cap in (steps - 1, steps, steps + 1, steps):
                 monkeypatch.setattr(pathcut.lp, "_step_cap", lambda m, n: asked.append((m, n)) or cap)
