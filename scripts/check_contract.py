@@ -214,7 +214,7 @@ STEPS = {
     "simplex": lambda: run(PYTHON_W + ["scripts/time_simplex.py"]),
     "bench-tests": lambda: run(PYTEST_W + ["bench/test_bench.py"]),
     # Each row of scripts/mutants.py, applied to a copy of src/, must fail
-    # its named tests (run without -W error; the script says why).
+    # its named tests (run with the tier-1 warning filters).
     "mutants": lambda: run(PYTHON_W + ["scripts/mutants.py"]),
     "trace-counts": check_trace_counts,
     "desk_quick": check_desk_quick,

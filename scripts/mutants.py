@@ -12,10 +12,6 @@ the exit code alone is not enough, since a crash of the session is no
 proof that a test caught the defect. The script exits 1 if a mutant
 survives, or if a row's old text is not in its file exactly once, so the
 table is edited together with the code.
-
-The tests run without ``-W error``: under it, a failing Hypothesis test
-can end the session with INTERNALERROR (its plugin warns while it reports
-the failure), and the failure would not be reported by name.
 """
 
 import os
@@ -27,6 +23,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+#: The tier-1 warning filters, as in check_contract.PYTEST_W.
+PYTEST_W = ["-W", "error", "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
 
 #: (file under src/, old text, new text, tests expected to fail).
 MUTANTS = (
@@ -142,6 +140,18 @@ MUTANTS = (
      "max_length=min(path_length(g, p_star), cap)\n"
      "                              if all(map(g._weights.__contains__, p_star.edges))\n",
      ["tests/test_paths.py::test_oracle_agrees_with_unbounded_iterator"]),
+    # The target check without its edge test: p*'s missing edge is reported
+    # by path_length, with another message.
+    ("pathcut/graphs.py",
+     "if not g.has_edge(u, v):",
+     "if False:",
+     ["tests/test_attack.py::test_run_attack_rejects_a_target_path_without_edges_or_off_the_graph"]),
+    # The cut LP without its cost-sum check: PATHATTACK-LP's objective
+    # overflows to inf.
+    ("pathcut/lp.py",
+     "if total > sys.float_info.max:",
+     "if False:",
+     ["tests/test_attack.py::test_lp_costs_beyond_the_float_range_are_an_input_error"]),
     # The power iteration's skip band set to 0: a step that could pass the
     # residual test is skipped, and the iteration stops later.
     ("pathcut/attack.py",
@@ -181,7 +191,8 @@ def run_mutant(path, old, new, tests):
             return f"not run: pathcut imports from {where}, not the mutated copy", 0.0
         start = time.perf_counter()
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", *PYTEST_W, "-x", "-q", "-rf", "-p", "no:cacheprovider",
+             *tests],
             cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         seconds = time.perf_counter() - start
     if caught(failed_tests(result.stdout), tests):

@@ -1,13 +1,12 @@
 """The attack driver: one constraint-generation loop and its four cut rules.
 
-:func:`run_attack` is the one entry point. It picks the cut rule from the
-method and runs :func:`_force_path`: ask the oracle for the shortest
-competitor to the protected path in the graph minus the current cut and,
-while it is not *strictly* longer (an equal-length competitor counts as a
-violated constraint), record it and update the cut. PATHATTACK re-covers
-every constraint found so far (LP rounding or greedy set cover); a
-baseline adds one edge of the newest competitor. Every method makes at
-most ``iteration_cap`` cut updates.
+:func:`run_attack` is the one entry point and runs the loop: ask the
+oracle for the shortest competitor to the protected path in the graph
+minus the current cut and, while it is not *strictly* longer (an
+equal-length competitor counts as a violated constraint), record it and
+update the cut. PATHATTACK re-covers every constraint found so far (LP
+rounding or greedy set cover); a baseline adds one edge of the newest
+competitor. Every method makes at most ``iteration_cap`` cut updates.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .cover import LPCoverResult, greedy_path_cover, lp_path_cover
 from .errors import ConvergenceError, InputError, IterationLimitError, check_count
-from .graphs import CutPlan, Graph, Path, make_cut_plan, path_length, strictly_longer
+from .graphs import CutPlan, Graph, Path, _target_length, make_cut_plan, path_length, strictly_longer
 from .lp import CutRows, is_integral
 from .paths import next_shortest_excluding
 
@@ -61,48 +60,6 @@ class AttackConfig:
         check_count("rng_seed", self.rng_seed, 0)
         if self.iteration_cap is not None:
             check_count("iteration_cap", self.iteration_cap, 0)
-
-
-def _force_path(g: Graph, p_star: Path, iteration_cap: Optional[int], cut):
-    """The loop of the module docstring; ``cut(p, removed)`` returns the
-    next cut after the newest competitor ``p``. The oracle gets the cut as
-    banned edges, so the residual graph is never built, and ``len(p_star)``
-    as its ``max_length``: the loop needs only competitors within it, so
-    with int weights the final call returns None and ranks no further.
-    Returns ``(removed, iterations)``.
-
-    Once an answer ranks after ``p_star`` by ``(path_length, nodes)``,
-    ``p_star`` was first in that residual graph and usually stays first, so
-    the loop passes the oracle's ``p_star_first`` hint from then on. No cut
-    rule cuts an edge of ``p_star``, so the hint is valid input; it saves a
-    search and changes no answer (:func:`~pathcut.paths.next_shortest_excluding`).
-    """
-    if p_star.num_edges == 0:
-        raise InputError("target path must have at least one edge")
-    for u, v in p_star.edges:
-        if not g.has_edge(u, v):
-            raise InputError(f"target path edge ({u}, {v}) is not in the graph")
-    s, t = p_star.source, p_star.target
-    p_len = path_length(g, p_star)
-    cap = iteration_cap if iteration_cap is not None else 10 * g.edge_count
-
-    iterations = 0
-    removed: frozenset = frozenset()
-    hint = False
-    while True:
-        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed, p_star_first=hint,
-                                    max_length=p_len)
-        if p is None or strictly_longer(length := path_length(g, p), p_len):
-            break
-        hint = hint or (length, p.nodes) > (p_len, p_star.nodes)
-        iterations += 1
-        if iterations > cap:
-            raise IterationLimitError(
-                f"no feasible plan within {cap} iterations",
-                partial={"constraints": iterations, "removed_edges": removed},
-            )
-        removed = cut(p, removed)
-    return removed, iterations
 
 
 def _cheapest_edge(g: Graph):
@@ -242,35 +199,55 @@ def run_attack(g: Graph, p_star: Path, cfg: AttackConfig) -> CutPlan:
 
     The run owns one :class:`~pathcut.lp.CutRows` of ``p_star``, so it
     leaves no cover state on ``g``: PATHATTACK adds the newest constraint
-    to it before each cover, and a baseline reads its protected set. It
-    stops once no competitor is within ``len(p_star)`` and looks no further.
+    to it before each cover, and a baseline reads its protected set.
+
+    The oracle gets the cut as banned edges, so the residual graph is never
+    built, and ``len(p_star)`` as its ``max_length``: the loop needs only
+    competitors within it, so with int weights the final call returns None
+    and ranks no further. Once an answer ranks after ``p_star`` by
+    ``(path_length, nodes)``, ``p_star`` was first in that residual graph
+    and usually stays first, so the loop passes the oracle's
+    ``p_star_first`` hint from then on. No cut rule cuts an edge of
+    ``p_star``, so the hint is valid input; it saves a search and changes
+    no answer (:func:`~pathcut.paths.next_shortest_excluding`).
     """
+    p_len = _target_length(g, p_star)
+    s, t = p_star.source, p_star.target
+    cap = cfg.iteration_cap if cfg.iteration_cap is not None else 10 * g.edge_count
     pathattack = cfg.method in (METHOD_PATHATTACK_LP, METHOD_PATHATTACK_GREEDY)
-    retries = 0
-    last_lp: Optional[LPCoverResult] = None
     rows = CutRows(g, p_star)
     if cfg.method == METHOD_PATHATTACK_LP:
         rng = np.random.default_rng(cfg.rng_seed)
-
-        def cut(p, removed):
-            nonlocal retries, last_lp
+    elif not pathattack:
+        choose = (_cheapest_edge if cfg.method == METHOD_GREEDY_COST else _top_eigenscore)(g)
+    iterations = retries = 0
+    last_lp: Optional[LPCoverResult] = None
+    removed: frozenset = frozenset()
+    hint = False
+    while True:
+        p = next_shortest_excluding(g, s, t, p_star, banned_edges=removed, p_star_first=hint,
+                                    max_length=p_len)
+        if p is None or strictly_longer(length := path_length(g, p), p_len):
+            break
+        hint = hint or (length, p.nodes) > (p_len, p_star.nodes)
+        iterations += 1
+        if iterations > cap:
+            raise IterationLimitError(
+                f"no feasible plan within {cap} iterations",
+                partial={"constraints": iterations, "removed_edges": removed},
+            )
+        if cfg.method == METHOD_PATHATTACK_LP:
             rows.add(p)
             last_lp = lp_path_cover(rows, rng)
             retries += last_lp.retries
-            return last_lp.edges
-    elif cfg.method == METHOD_PATHATTACK_GREEDY:
-        def cut(p, removed):
+            removed = last_lp.edges
+        elif cfg.method == METHOD_PATHATTACK_GREEDY:
             rows.add(p)
-            return greedy_path_cover(rows)
-    else:
-        choose = (_cheapest_edge if cfg.method == METHOD_GREEDY_COST else _top_eigenscore)(g)
-
-        def cut(p, removed):
+            removed = greedy_path_cover(rows)
+        else:
             # Two simple paths with the same endpoints cannot share all
             # edges, so there is always something to cut.
-            return removed | {choose([e for e in p.edges if e not in rows.protected])}
-
-    removed, iterations = _force_path(g, p_star, cfg.iteration_cap, cut)
+            removed = removed | {choose([e for e in p.edges if e not in rows.protected])}
     return make_cut_plan(
         g,
         p_star,

@@ -333,6 +333,16 @@ def path_length(g: Graph, p: Path):
     return total
 
 
+def _target_length(g: Graph, p_star: Path):
+    """Check a target path (at least one edge, each in ``g``); return its length."""
+    if p_star.num_edges == 0:
+        raise InputError("target path must have at least one edge")
+    for u, v in p_star.edges:
+        if not g.has_edge(u, v):
+            raise InputError(f"target path edge ({u}, {v}) is not in the graph")
+    return path_length(g, p_star)
+
+
 def _distance_bound(g: Graph, t: int) -> list:
     """Per-node lower bound on the distance to ``t`` in ``g``, ignoring
     bans and masks; ``math.inf`` where ``t`` is unreachable. Cached on

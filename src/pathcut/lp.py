@@ -93,11 +93,11 @@ class CutRows:
     ``_row_block[i]`` is row ``i``'s block, so an edge's block is that of
     its first row. ``_lp`` is the ``(edge_order, costs, rows)`` of the LP
     of the rows ranked so far and ``_costs`` its float64 cost array, which
-    :func:`build_cover_lp` keeps, or None. The LPs it returns refer to
-    the run (see :func:`solve_relaxed`) and the run holds none of them, so
-    the two make no reference cycle that outlives the attack. An attack
-    owns its rows, so no method reads work another method did on the same
-    graph.
+    :func:`build_cover_lp` keeps, or None; ``_cost_sum`` sums that array.
+    The LPs it returns refer to the run (see :func:`solve_relaxed`) and the
+    run holds none of them, so the two make no reference cycle that
+    outlives the attack. An attack owns its rows, so no method reads work
+    another method did on the same graph.
     """
 
     def __init__(self, g: Graph, p_star: Path, paths: Sequence[Path] = ()):
@@ -108,6 +108,7 @@ class CutRows:
         self.blocks: dict[_Block, None] = {}
         self._row_block: list[_Block] = []
         self._lp = self._costs = None
+        self._cost_sum = 0.0
         for p in paths:
             self.add(p)
 
@@ -197,7 +198,8 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
     run's blocks (:meth:`CutRows.add`), joined by shared edges, are the
     LP's blocks joined by shared columns (see :func:`solve_relaxed`).
     ``cut._costs`` holds the cost of each column in a row, and 0
-    elsewhere.
+    elsewhere. Once these costs sum beyond the largest float, so that the
+    objective could overflow, it raises :class:`InputError`.
     """
     if cut._lp is None:
         edge_order, cvec = cut.g.edges(), list(cut.g._costs.values())
@@ -207,10 +209,15 @@ def build_cover_lp(cut: CutRows) -> RelaxedCutLP:
         cut._lp, cut._costs = (tuple(edge_order), tuple(cvec), ()), np.zeros(len(cvec))
     order, costs, rows = cut._lp
     new = tuple([tuple([bisect_left(order, e) for e in row]) for row in cut.rows[len(rows):]])
+    written, total = cut._costs, cut._cost_sum
     for row in new:
         for j in row:
-            cut._costs[j] = costs[j]
-    cut._lp = order, costs, rows + new
+            if not written[j]:  # a new column; a zero cost adds nothing
+                written[j] = c = costs[j]
+                total += c
+    cut._lp, cut._cost_sum = (order, costs, rows + new), total
+    if total > sys.float_info.max:
+        raise InputError("the cut LP's costs sum beyond the float range")
     return RelaxedCutLP(*cut._lp, _run=cut)
 
 
@@ -423,6 +430,8 @@ def _one_block(lp: RelaxedCutLP) -> tuple:
         if (type(c) is bool or not isinstance(c, (int, float, np.integer, np.floating))
                 or not 0 <= c <= sys.float_info.max):
             raise InputError(f"variable {j} has cost {c!r}; costs must be finite nonnegative numbers")
+    if sum(map(float, costs)) > sys.float_info.max:
+        raise InputError("the cut LP's costs sum beyond the float range")
     cost_array = np.zeros(n)
     cost_array[active] = costs
     return cost_array, (_Block(range(len(lp.rows))),) if cols else (), len(cols)
@@ -436,11 +445,12 @@ def solve_relaxed(lp: RelaxedCutLP) -> LPSolution:
     A hand-built LP is checked: an empty row raises
     :class:`InfeasibleError` naming the first one; an index that is not an
     int, or is out of range, a cost list of another length than
-    ``edge_order``, and a row's variable whose cost is not a finite
-    nonnegative int or float raise :class:`InputError`. Variables absent from every row are
-    fixed at 0 (their cost is nonnegative, so this is optimal and keeps the
-    solution a vertex); the simplex runs on the active variables only, and
-    only their costs are read. Row feasibility is re-checked on the
+    ``edge_order``, a row's variable whose cost is not a finite
+    nonnegative int or float, and row variables whose costs sum beyond the
+    largest float raise :class:`InputError`. Variables absent from every
+    row are fixed at 0 (their cost is nonnegative, so this is optimal and
+    keeps the solution a vertex); the simplex runs on the active variables
+    only, and only their costs are read. Row feasibility is re-checked on the
     simplex's reduced array and rows, which hold the same floats in the
     same order as the full ones; when the check fails because a row
     repeats an index, :class:`InputError` names that row.

@@ -24,9 +24,9 @@ from .graphs import (
     Graph,
     Path,
     _int_or_float,
+    _target_length,
     edge_key,
     make_cut_plan,
-    path_length,
     strictly_longer,
 )
 
@@ -195,18 +195,13 @@ def brute_force_force_path_cut(g: Graph, p_star: Path, max_cuttable: int = MAX_B
     hitting-set problem exactly.
     """
     check_count("max_cuttable", max_cuttable, 0)
-    if p_star.num_edges == 0:
-        raise InputError("target path must have at least one edge")
-    for u, v in p_star.edges:
-        if not g.has_edge(u, v):
-            raise InputError(f"target path edge ({u}, {v}) is not in the graph")
+    p_len = _target_length(g, p_star)
     protected = frozenset(p_star.edges)
     cuttable = [e for e in g.edges() if e not in protected]
     if len(cuttable) > max_cuttable:
         raise SizeError(
             f"{len(cuttable)} cuttable edges exceed the brute-force cap {max_cuttable}"
         )
-    p_len = path_length(g, p_star)
     rows = []
     for length, nodes in enumerate_simple_paths(g, p_star.source, p_star.target):
         if nodes == p_star.nodes or strictly_longer(length, p_len):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import pathlib
+import warnings
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -566,8 +568,71 @@ def test_lengths_beyond_the_float_range_get_a_plan(method):
     assert brute_force_force_path_cut(g, p_star).removed_edges == {(0, 2)}
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_lp_costs_beyond_the_float_range_are_an_input_error(method, tmp_path, capsys):
+    # Each competitor costs 2 * 10**308 to cut. PATHATTACK-LP sums the
+    # costs of its LP's columns in float (its objective's dot), so it
+    # raises InputError, and the CLI exits 2 with a JSON input error: it
+    # warned of an overflow and returned an objective of inf, which the
+    # CLI could not print. The other methods cut both competitors.
+    b = 10**308
+    g = Graph(5, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 3, 1, b), (3, 2, 1, b), (0, 4, 1, b), (4, 2, 1, b)])
+    p_star = Path((0, 1, 2))
+    f = str(tmp_path / "overflow.edges")
+    save_edge_list(f, g)
+    argv = ["attack", "--graph", f, "--method", method, "--p-star", "0,1,2"]
+    message = "the cut LP's costs sum beyond the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if method == "pathattack-lp":
+            with pytest.raises(InputError, match=f"^{message}$"):
+                run_attack(g, p_star, AttackConfig(method=method))
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err) == {"error": "input", "message": message}
+        else:
+            plan = run_attack(g, p_star, AttackConfig(method=method))
+            assert plan.removed_edges == {(0, 3), (0, 4)} and plan.total_cost == 2 * b
+            assert exclusive_after(g, p_star, plan.removed_edges)
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["exclusive"] is True
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_the_loop_calls_the_attack_modules_names(method, monkeypatch):
+    # bench/tracing.py times an attack by patching these names on
+    # pathcut.attack, so run_attack must look each one up there per call:
+    # one oracle call per iteration and a last one that finds nothing, one
+    # call of the method's own cover per iteration, and one eigenvector
+    # for greedy-eigenscore.
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(pathcut.attack, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    for name in ("next_shortest_excluding", "lp_path_cover", "greedy_path_cover",
+                 "principal_eigenvector"):
+        monkeypatch.setattr(pathcut.attack, name, counted(name))
+    g, p_star = clique_instance(7)
+    plan = run_attack(g, p_star, AttackConfig(method=method))
+    assert plan.iterations > 1
+    want = Counter(next_shortest_excluding=plan.iterations + 1)
+    if method == "pathattack-lp":
+        want["lp_path_cover"] = plan.iterations
+    elif method == "pathattack-greedy":
+        want["greedy_path_cover"] = plan.iterations
+    elif method == "greedy-eigenscore":
+        want["principal_eigenvector"] = 1
+    assert calls == want
+
+
 def test_attack_hints_change_no_oracle_answer(monkeypatch):
-    # Each oracle call of _force_path, with its p_star_first hint and its
+    # Each oracle call of run_attack's loop, with its p_star_first hint and its
     # max_length of len(p*), must answer as an unhinted, uncapped call:
     # with int weights the same path when that one is within max_length,
     # and None otherwise; with float weights, which ignore both, the same
@@ -615,15 +680,19 @@ def test_attack_hints_change_no_oracle_answer(monkeypatch):
     assert told["int"] > 100 and calls > 1000 and capped > 300, (told, calls, capped)
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", METHODS + ("brute-force",))
 @pytest.mark.parametrize("p_star, message", [
     (Path((1,)), r"^target path must have at least one edge$"),
     (Path((0, 1, 3)), r"^target path edge \(1, 3\) is not in the graph$"),
 ])
 def test_run_attack_rejects_a_target_path_without_edges_or_off_the_graph(method, p_star, message):
+    # Brute force shares the check, and makes it before its size check.
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 5)])
     with pytest.raises(InputError, match=message):
-        run_attack(g, p_star, AttackConfig(method=method))
+        if method == "brute-force":
+            brute_force_force_path_cut(g, p_star, max_cuttable=0)
+        else:
+            run_attack(g, p_star, AttackConfig(method=method))
 
 
 def _hop_lattice():

@@ -454,15 +454,17 @@ _THREE = ((0, 1), (1, 2), (2, 3))
      "variable 1 has cost True; costs must be finite nonnegative numbers"),
     ((1, 1, 10**400), ((0,), (1,), (2,)),
      f"variable 2 has cost {10**400}; costs must be finite nonnegative numbers"),
+    ((1e308, 1e308, 1), ((0,), (1,)), "the cut LP's costs sum beyond the float range"),
 ], ids=["nan-cost", "infinite-cost", "negative-cost", "short-costs", "float-index",
-        "str-cost", "bool-cost", "huge-int-cost"])
+        "str-cost", "bool-cost", "huge-int-cost", "cost-sum-beyond-float-range"])
 def test_solve_rejects_malformed_hand_built_lp(costs, rows, message):
     # Each returned a wrong solution or raised a bare error: a NaN cost gave
     # a NaN objective, an infinite one a NaN objective (a RuntimeWarning in
     # np.dot under -W error), a negative one voids the argument that unused
     # variables at 0 are optimal, short costs or a float index raised
-    # IndexError or TypeError, a str or bool cost was read as a number, and
-    # an int too large for a float raised OverflowError.
+    # IndexError or TypeError, a str or bool cost was read as a number, an
+    # int too large for a float raised OverflowError, and costs summing
+    # beyond the float range overflowed in the objective's dot.
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         solve_relaxed(RelaxedCutLP(_THREE, costs, rows))
 
